@@ -153,7 +153,8 @@ def _kb(nbytes: int) -> str:
     return f"{nbytes / 1024:.1f} KB"
 
 
-def _fmt4(x: float) -> str:
+def fmt4(x: float) -> str:
+    """A metric value at 4 decimals, or ``inf``."""
     return "inf" if math.isinf(x) else f"{x:.4f}"
 
 
@@ -171,9 +172,9 @@ def markdown_table(records: list[BenchRecord]) -> str:
             f"{r.png_cr:.1f}",
             f"{r.kpng_size} ({_kb(r.kpng_size)})",
             f"{r.kpng_cr:.1f}",
-            _fmt4(r.mse),
-            _fmt4(r.psnr),
-            _fmt4(r.ssim),
+            fmt4(r.mse),
+            fmt4(r.psnr),
+            fmt4(r.ssim),
         ]
         for r in records
     ]

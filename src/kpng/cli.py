@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import bmpcodec, corpus, kmodulus, metrics, pngcodec
+from .bench import fmt4
 from .errors import KpngError, ParameterError, UnsupportedImageError
 from .pngcodec import EncodeOptions, FilterType
 from .raster import RasterImage
@@ -66,19 +66,15 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _fmt4(x: float) -> str:
-    return "inf" if math.isinf(x) else f"{x:.4f}"
-
-
 def cmd_metrics(args) -> int:
     a, _ = load_image(args.a)
     b, _ = load_image(args.b)
     report = metrics.compare(a, b)
     print("metric  value")
-    print(f"mse     {_fmt4(report.mse)}")
-    print(f"psnr    {_fmt4(report.psnr)}")
-    print(f"ssim    {_fmt4(report.ssim)}")
-    print(f"metrics: mse={_fmt4(report.mse)} psnr={_fmt4(report.psnr)} ssim={_fmt4(report.ssim)}")
+    print(f"mse     {fmt4(report.mse)}")
+    print(f"psnr    {fmt4(report.psnr)}")
+    print(f"ssim    {fmt4(report.ssim)}")
+    print(f"metrics: mse={fmt4(report.mse)} psnr={fmt4(report.psnr)} ssim={fmt4(report.ssim)}")
     return 0
 
 

@@ -8,7 +8,12 @@ PNG IDAT carries.
 
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
 dynamic codes; 3 lazy matching + dynamic codes. Levels 2-3 fall back to
-fixed or stored blocks per 64 KiB block whenever that is smaller.
+fixed or stored blocks per 64 KiB block whenever that is smaller. Each
+level's search effort comes from a table modeled on zlib's
+``configuration_table`` (deflate.c): levels 1-2 walk up to 128 hash-chain
+links; level 3 walks up to 256, a quarter of that for the lazy search when
+the pending match is already 32 bytes long (``good_length``), and stops at
+a 258-byte match (``nice_length``, ``max_lazy``).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     ChecksumMismatchError,
@@ -226,8 +232,28 @@ _FIXED_DIST_CODES = _codes_from_lengths(_FIXED_DIST_LENGTHS)
 # LZ77 tokenizer
 
 
-def _tokenize_ops(data: bytes, max_chain: int, lazy: bool) -> list:
+class _Effort(NamedTuple):
+    """How hard the tokenizer searches, after zlib's ``configuration_table``
+    in deflate.c (lazy matching per RFC 1951 section 4)."""
+
+    max_chain: int  # hash-chain links walked per search
+    good_length: int  # a pending match this long quarters the lazy search's chain
+    nice_length: int  # a match this long ends the search
+    max_lazy: int  # a match this long is emitted without a lazy look; 0 = greedy
+
+
+# Levels 1-2 are greedy, so good_length never applies to them. Level 3 has
+# the good/nice/lazy lengths of zlib level 9 and a sixteenth of its chain.
+_LEVEL_EFFORT = {
+    1: _Effort(128, MAX_MATCH, MAX_MATCH, 0),
+    2: _Effort(128, MAX_MATCH, MAX_MATCH, 0),
+    3: _Effort(256, 32, MAX_MATCH, MAX_MATCH),
+}
+
+
+def _tokenize_ops(data: bytes, effort: _Effort) -> list:
     """Internal token stream: ints are literal bytes, tuples are (length, distance)."""
+    max_chain, good_length, nice_length, max_lazy = effort
     n = len(data)
     ops: list = []
     append = ops.append
@@ -249,88 +275,63 @@ def _tokenize_ops(data: bytes, max_chain: int, lazy: bool) -> list:
             j = get(t, -1)
             prev[i] = j
             head[t] = i
-            if j >= 0:
-                max_len = n - i
-                if max_len > MAX_MATCH:
-                    max_len = MAX_MATCH
-                floor = i - WINDOW_SIZE
-                chain = max_chain
-                bl = 2
+            max_len = n - i
+            if max_len > MAX_MATCH:
+                max_len = MAX_MATCH
+            floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
+            # a lazy search only has to beat the pending match
+            bl = pend_len or MIN_MATCH - 1
+            if j >= floor and bl < max_len:
+                nice = nice_length if nice_length < max_len else max_len
                 bd = 0
-                while j >= 0 and j >= floor and chain:
-                    chain -= 1
+                c = data[i + bl]
+                # the match length is the count of trailing zero bytes of the
+                # two windows XORed as little-endian integers
+                here = int.from_bytes(data[i : i + max_len], "little")
+                for _ in range(max_chain >> 2 if pend_len >= good_length else max_chain):
+                    if j < floor:
+                        break
                     # cheap reject: candidate must beat the current best length
-                    if bl < max_len and data[j + bl] == data[i + bl]:
-                        l = 0
-                        while l + 16 <= max_len and data[i + l : i + l + 16] == data[j + l : j + l + 16]:
-                            l += 16
-                        while l < max_len and data[i + l] == data[j + l]:
-                            l += 1
+                    if data[j + bl] == c:
+                        x = here ^ int.from_bytes(data[j : j + max_len], "little")
+                        l = ((x & -x).bit_length() - 1) >> 3 if x else max_len
                         if l > bl:
                             bl = l
                             bd = i - j
-                            if l >= max_len:
+                            if l >= nice:
                                 break
+                            c = data[i + l]
                     j = prev[j]
-                if bl >= MIN_MATCH:
+                if bd:
                     best_len = bl
                     best_dist = bd
 
-        if lazy:
-            if pend_len:
-                if best_len > pend_len:
-                    # the next position found a strictly longer match; demote
-                    # the pending one to a literal and keep looking
-                    append(data[i - 1])
-                    pend_len, pend_dist = best_len, best_dist
-                    i += 1
-                else:
-                    append((pend_len, pend_dist))
-                    end = i - 1 + pend_len
-                    lo = i + 1 if pend_len <= _INSERT_CAP else max(i + 1, end - 2)
-                    for p in range(lo, min(end, limit)):
-                        t = (data[p] << 16) | (data[p + 1] << 8) | data[p + 2]
-                        prev[p] = get(t, -1)
-                        head[t] = p
-                    i = end
-                    pend_len = 0
-            elif best_len >= MAX_MATCH:
-                # unbeatable; emit immediately
-                append((best_len, best_dist))
-                end = i + best_len
-                for p in range(max(i + 1, end - 2), min(end, limit)):
-                    t = (data[p] << 16) | (data[p + 1] << 8) | data[p + 2]
-                    prev[p] = get(t, -1)
-                    head[t] = p
-                i = end
-            elif best_len:
-                pend_len, pend_dist = best_len, best_dist
-                i += 1
+        start = i
+        if pend_len:
+            if best_len > pend_len:
+                # the next position found a strictly longer match; demote
+                # the pending one to a literal and go on from here
+                append(data[i - 1])
             else:
-                append(data[i])
-                i += 1
+                start, best_len, best_dist = i - 1, pend_len, pend_dist
+            pend_len = 0
+        if not best_len:
+            append(data[i])
+            i += 1
+        elif start == i and best_len < max_lazy:
+            # hold the match back and see whether the next position beats it
+            pend_len, pend_dist = best_len, best_dist
+            i += 1
         else:
-            if best_len:
-                append((best_len, best_dist))
-                end = i + best_len
-                lo = i + 1 if best_len <= _INSERT_CAP else max(i + 1, end - 2)
-                for p in range(lo, min(end, limit)):
-                    t = (data[p] << 16) | (data[p + 1] << 8) | data[p + 2]
-                    prev[p] = get(t, -1)
-                    head[t] = p
-                i = end
-            else:
-                append(data[i])
-                i += 1
-
-    if pend_len:
-        append((pend_len, pend_dist))
+            append((best_len, best_dist))
+            end = start + best_len
+            lo = i + 1 if best_len <= _INSERT_CAP else max(i + 1, end - 2)
+            for p in range(lo, min(end, limit)):
+                t = (data[p] << 16) | (data[p + 1] << 8) | data[p + 2]
+                prev[p] = get(t, -1)
+                head[t] = p
+            i = end
     return ops
-
-
-def _level_params(level: int) -> tuple[int, bool]:
-    # (max chain length, lazy matching)
-    return (1024, True) if level == 3 else (128, False)
 
 
 def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> list[Token]:
@@ -342,32 +343,43 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     lv = check_level(level)
     if lv < 1:
         raise ParameterError("level 0 is stored-only and produces no token stream")
-    chain, lazy = _level_params(lv)
-    ops = _tokenize_ops(bytes(data), chain, lazy)
+    ops = _tokenize_ops(bytes(data), _LEVEL_EFFORT[lv])
     return [Literal(op) if type(op) is int else Match(op[0], op[1]) for op in ops]
 
 
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return isinstance(value, int) and lo <= value <= hi
+
+
 def lz77_expand(tokens) -> bytes:
-    """Expand a token stream back into bytes, validating every back-reference."""
+    """Expand a token stream back into bytes, validating every token."""
     out = bytearray()
     for tok in tokens:
         if isinstance(tok, Literal):
+            if not _is_int_in(tok.value, 0, 255):
+                raise ParameterError(f"literal {tok.value!r} is not a byte value")
             out.append(tok.value)
         elif isinstance(tok, Match):
-            if not MIN_MATCH <= tok.length <= MAX_MATCH:
-                raise ParameterError(f"match length {tok.length} outside [{MIN_MATCH}, {MAX_MATCH}]")
-            if not 1 <= tok.distance <= WINDOW_SIZE:
-                raise ParameterError(f"match distance {tok.distance} outside [1, {WINDOW_SIZE}]")
-            start = len(out) - tok.distance
-            if start < 0:
-                raise DistanceTooFarError(
-                    f"match distance {tok.distance} exceeds {len(out)} bytes of prior output"
-                )
-            for p in range(start, start + tok.length):
-                out.append(out[p])
+            if not _is_int_in(tok.length, MIN_MATCH, MAX_MATCH):
+                raise ParameterError(f"match length {tok.length!r} outside [{MIN_MATCH}, {MAX_MATCH}]")
+            if not _is_int_in(tok.distance, 1, WINDOW_SIZE):
+                raise ParameterError(f"match distance {tok.distance!r} outside [1, {WINDOW_SIZE}]")
+            _copy_match(out, tok.length, tok.distance)
         else:
             raise ParameterError(f"not a token: {tok!r}")
     return bytes(out)
+
+
+def _copy_match(out: bytearray, length: int, dist: int) -> None:
+    """Append ``length`` bytes starting ``dist`` back; when dist < length the
+    copy overlaps the bytes it writes, repeating the last ``dist`` bytes."""
+    start = len(out) - dist
+    if start < 0:
+        raise DistanceTooFarError(f"distance {dist} exceeds {len(out)} bytes of output")
+    if dist >= length:
+        out += out[start : start + length]
+    else:
+        out += (out[start:] * -(-length // dist))[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +653,7 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     if lv == 0:
         _emit_stored(w, data, 0, len(data), True)
     else:
-        chain, lazy = _level_params(lv)
-        ops = _tokenize_ops(data, chain, lazy)
+        ops = _tokenize_ops(data, _LEVEL_EFFORT[lv])
         blocks = _split_blocks(ops)
         last = len(blocks) - 1
         for bi, (op_s, op_e, byte_s, byte_e) in enumerate(blocks):
@@ -926,17 +937,7 @@ def inflate(data: bytes) -> bytes:
                 acc >>= xb
                 cnt -= xb
 
-            start = len(out) - dist
-            if start < 0:
-                raise DistanceTooFarError(
-                    f"distance {dist} exceeds {len(out)} bytes of output"
-                )
-            if dist >= length:
-                out += out[start : start + length]
-            else:
-                seg = bytes(out[start:])
-                reps = -(-length // dist)
-                out += (seg * reps)[:length]
+            _copy_match(out, length, dist)
 
     # byte-align and push buffered whole bytes back before the trailer
     pos -= cnt >> 3

@@ -7,6 +7,7 @@ report as it executes.
 import hashlib
 import itertools
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from kpng import (
 from kpng.bench import run_synthetic
 from kpng.corpus import CorpusSpec, generate
 from kpng.metrics import ssim as windowed_ssim
-from kpng.pngcodec import EncodeOptions, FilterType
+from kpng.pngcodec import EncodeOptions, FilterType, apply_filter, choose_filter, parse_chunks
 
 from conftest import SAMPLE_BLOCK, SAMPLE_BLOCK_K10, random_image
 from test_metrics import ssim_naive
@@ -34,7 +35,7 @@ from test_pngcodec import hand_assembled_1x1_png
 from test_bmpcodec import hand_bmp
 from test_corpus import SHAPES_01_BMP_SHA256
 
-SHAPES_01_PNG_SHA256 = "ff4c43e5b6f83080798d2b1f2ba2a57559db2b1b634be599820fa0600701b060"
+SHAPES_01_PNG_SHA256 = "afbbbfc03d453e2ad2f587ef250073dff87cf76a95822f1954bae21827622285"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -48,6 +49,13 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def synthetic_records():
     return run_synthetic()
+
+
+@pytest.fixture(scope="module")
+def shapes_01():
+    """The pinned flat-shapes seed=1 image and its default (level 3) PNG."""
+    img = generate(CorpusSpec("flat-shapes", seed=1))
+    return img, encode_png(img)
 
 
 def test_criterion_1_worked_block_ground_truth():
@@ -177,14 +185,13 @@ def test_criterion_8_monotone_size(synthetic_records):
     _report(8, "quantized PNG never larger outside gradients", not offenders, str(offenders))
 
 
-def test_criterion_9_golden_fixtures():
+def test_criterion_9_golden_fixtures(shapes_01):
     png_ok = decode_png(hand_assembled_1x1_png()) == RasterImage(1, 1, 1, b"\x00")
     white = hand_bmp(1, 1, [b"\xff\xff\xff\x00"])
     bmp_ok = decode_bmp(white) == RasterImage(1, 1, 3, b"\xff\xff\xff") and len(white) == 58
 
-    img = generate(CorpusSpec("flat-shapes", seed=1))
+    img, png_bytes = shapes_01
     bmp_bytes = encode_bmp(img)
-    png_bytes = encode_png(img)
     deterministic = png_bytes == encode_png(generate(CorpusSpec("flat-shapes", seed=1)))
     bmp_hash_ok = hashlib.sha256(bmp_bytes).hexdigest() == SHAPES_01_BMP_SHA256
     png_hash_ok = hashlib.sha256(png_bytes).hexdigest() == SHAPES_01_PNG_SHA256
@@ -194,3 +201,22 @@ def test_criterion_9_golden_fixtures():
         png_ok and bmp_ok and deterministic and bmp_hash_ok and png_hash_ok,
         f"png={png_ok} bmp={bmp_ok} det={deterministic} hashes={bmp_hash_ok},{png_hash_ok}",
     )
+
+
+def test_pinned_png_stays_near_zlib_9(shapes_01):
+    """Level 3 trades search effort for speed; on the pinned image its IDAT
+    must still inflate (by zlib) to the adaptive-filtered scanlines and stay
+    within 5% of zlib -9 on those same scanlines."""
+    img, png_bytes = shapes_01
+    stride = img.width * img.channels
+    filtered = bytearray()
+    prior = bytes(stride)
+    for y in range(img.height):
+        row = img.samples[y * stride : (y + 1) * stride]
+        ftype = choose_filter(row, prior, img.channels)
+        filtered.append(ftype)
+        filtered += apply_filter(row, prior, ftype, img.channels)
+        prior = row
+    idat = b"".join(c.data for c in parse_chunks(png_bytes) if c.type_code == b"IDAT")
+    assert zlib.decompress(idat) == filtered
+    assert len(idat) <= 1.05 * len(zlib.compress(bytes(filtered), 9))

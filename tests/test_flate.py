@@ -1,3 +1,4 @@
+import hashlib
 import random
 import zlib
 
@@ -153,10 +154,17 @@ def test_tokenize_matches_stay_in_window():
 def test_expand_rejects_bad_tokens():
     with pytest.raises(DistanceTooFarError):
         lz77_expand([Literal(5), Match(3, 2)])
-    with pytest.raises(ParameterError):
-        lz77_expand([Match(2, 1)])
-    with pytest.raises(ParameterError):
-        lz77_expand([Match(3, 40000)])
+    for bad in (
+        [Match(2, 1)],
+        [Match(3, 40000)],
+        [Literal(300)],
+        [Literal(-1)],
+        [Literal(5), Match(3.0, 1)],
+        [Literal(5), Match(3, 1.0)],
+        ["not a token"],
+    ):
+        with pytest.raises(ParameterError):
+            lz77_expand(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,20 @@ def test_deterministic_output():
     blob = random.Random(3).randbytes(30000)
     for level in ALL_LEVELS:
         assert deflate_compress(blob, level) == deflate_compress(blob, level)
+
+
+# Levels 1-2 are greedy; only level 3 uses the lazy-search cutoffs, so the
+# greedy levels' bytes are pinned.
+GREEDY_LEVEL_SHA256 = {
+    1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
+    2: "7e29bccb271500b2f5904db881f979a4e4f147fb37089c29ea814b923f615ad9",
+}
+
+
+@pytest.mark.parametrize("level", sorted(GREEDY_LEVEL_SHA256))
+def test_greedy_level_output_is_pinned(level):
+    stream = deflate_compress(b"".join(structured_inputs()), level)
+    assert hashlib.sha256(stream).hexdigest() == GREEDY_LEVEL_SHA256[level]
 
 
 def test_run_compresses_tightly():
