@@ -11,10 +11,11 @@ failure mode drag SSIM down.
 
 import argparse
 
-from kpng.bench import measure
 from kpng.bmpcodec import encode_bmp
 from kpng.corpus import GENERATOR_KINDS, CorpusSpec, generate
-from kpng.kmodulus import K_MAX, K_MIN
+from kpng.kmodulus import K_MAX, K_MIN, kmm_transform
+from kpng.metrics import compare
+from kpng.pngcodec import encode_png
 
 
 def main() -> int:
@@ -31,8 +32,10 @@ def main() -> int:
     print(f"{args.kind} {args.size}x{args.size} seed={args.seed}, bmp {bmp_size} bytes")
     print(f"{'k':>3} {'size':>9} {'CR':>7} {'mse':>9} {'psnr':>8} {'ssim':>7}")
     for k in range(K_MIN, K_MAX + 1):
-        r = measure(f"k{k}", img, bmp_size, k)
-        print(f"{k:>3} {r.kpng_size:>9} {r.kpng_cr:>7.1f} {r.mse:>9.4f} {r.psnr:>8.4f} {r.ssim:>7.4f}")
+        kimg = kmm_transform(img, k)
+        size = len(encode_png(kimg))
+        r = compare(img, kimg)
+        print(f"{k:>3} {size:>9} {bmp_size / size:>7.1f} {r.mse:>9.4f} {r.psnr:>8.4f} {r.ssim:>7.4f}")
     return 0
 
 

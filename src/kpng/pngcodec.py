@@ -2,8 +2,11 @@
 
 Covers the feature subset the toolkit needs: signature, IHDR/IDAT/IEND,
 chunk CRCs, and scanline filters 0-4 with an adaptive per-row chooser.
-Filter arithmetic follows the public PNG standard; the compressed stream
-comes from :mod:`kpng.flate`.
+One numpy pass builds all five filtered candidates of a block of rows (each
+depends only on unfiltered rows) and picks per row the least sum of absolute
+signed bytes; ``encode_png`` runs it over bands of about 64 KiB of samples,
+``apply_filter`` and ``choose_filter`` on one row. Filter arithmetic follows
+the public PNG standard; the compressed stream comes from :mod:`kpng.flate`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ SIGNATURE = bytes((137, 80, 78, 71, 13, 10, 26, 10))
 
 _IDAT_SPLIT = 1 << 20  # split the zlib stream into 1 MiB IDAT chunks
 _MAX_CHUNK = (1 << 31) - 1
+# encode_png filters this many samples per numpy pass; a whole large image
+# in one pass would hold tens of MiB of int16 temporaries
+_FILTER_BAND_BYTES = 1 << 16
 
 
 class FilterType(IntEnum):
@@ -97,40 +103,52 @@ def paeth_predictor(a: int, b: int, c: int) -> int:
     return c
 
 
-def _shifted_left(arr: np.ndarray, bpp: int) -> np.ndarray:
-    left = np.zeros_like(arr)
-    left[bpp:] = arr[:-bpp]
-    return left
+def _check_bpp(bpp) -> int:
+    if isinstance(bpp, bool) or not isinstance(bpp, (int, np.integer)) or bpp < 1:
+        raise ParameterError(f"bytes per pixel must be an integer >= 1, got {bpp!r}")
+    return int(bpp)
 
 
-def _paeth_row(left: np.ndarray, above: np.ndarray, upleft: np.ndarray) -> np.ndarray:
-    p = left + above - upleft
-    pa = np.abs(p - left)
-    pb = np.abs(p - above)
-    pc = np.abs(p - upleft)
-    return np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, above, upleft))
+def _filter_rows(rows: np.ndarray, priors: np.ndarray, bpp: int) -> np.ndarray:
+    """All five filtered versions of a block of unfiltered rows.
+
+    ``rows`` and ``priors`` are (n, stride) uint8, ``priors[i]`` being the
+    unfiltered row above ``rows[i]``. Returns (5, n, stride) uint8, indexed
+    by filter type (mod-256 subtraction of each predictor).
+    """
+    x = rows.astype(np.int16)
+    b = priors.astype(np.int16)
+    a = np.zeros_like(x)
+    a[:, bpp:] = x[:, :-bpp]
+    c = np.zeros_like(b)
+    c[:, bpp:] = b[:, :-bpp]
+    p = a + b - c
+    pa = np.abs(p - a)
+    pb = np.abs(p - b)
+    pc = np.abs(p - c)
+    paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+    return np.stack((x, x - a, x - b, x - ((a + b) >> 1), x - paeth)).astype(np.uint8)
+
+
+def _best_filters(cand: np.ndarray) -> np.ndarray:
+    """Per-row filter type of least sum of absolute values, bytes read as
+    signed (the minimum-sum heuristic); argmin sends ties to the lowest type."""
+    return np.minimum(cand, -cand).sum(axis=2, dtype=np.int64).argmin(axis=0)
+
+
+def _row_candidates(row: bytes, prior_row: bytes, bytes_per_pixel: int) -> np.ndarray:
+    """:func:`_filter_rows` on a one-row block, arguments checked."""
+    bpp = _check_bpp(bytes_per_pixel)
+    if len(row) != len(prior_row):
+        raise ParameterError(f"row length {len(row)} != prior row length {len(prior_row)}")
+    r = np.frombuffer(bytes(row), np.uint8)[np.newaxis]
+    return _filter_rows(r, np.frombuffer(bytes(prior_row), np.uint8)[np.newaxis], bpp)
 
 
 def apply_filter(row: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
     """Filter one scanline (mod-256 subtraction of the predictor)."""
     f = _check_filter_type(ftype)
-    if len(row) != len(prior_row):
-        raise ParameterError(f"row length {len(row)} != prior row length {len(prior_row)}")
-    if f == FilterType.NONE:
-        return bytes(row)
-    r = np.frombuffer(bytes(row), np.uint8).astype(np.int16)
-    if f == FilterType.SUB:
-        out = r - _shifted_left(r, bytes_per_pixel)
-    elif f == FilterType.UP:
-        out = r - np.frombuffer(bytes(prior_row), np.uint8).astype(np.int16)
-    else:
-        p = np.frombuffer(bytes(prior_row), np.uint8).astype(np.int16)
-        left = _shifted_left(r, bytes_per_pixel)
-        if f == FilterType.AVERAGE:
-            out = r - ((left + p) >> 1)
-        else:
-            out = r - _paeth_row(left, p, _shifted_left(p, bytes_per_pixel))
-    return (out & 0xFF).astype(np.uint8).tobytes()
+    return _row_candidates(row, prior_row, bytes_per_pixel)[f, 0].tobytes()
 
 
 def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
@@ -141,7 +159,7 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
             f"row length {len(filtered)} != prior row length {len(prior_row)}"
         )
     n = len(filtered)
-    bpp = bytes_per_pixel
+    bpp = _check_bpp(bytes_per_pixel)
     if f == FilterType.NONE:
         return bytes(filtered)
     if f == FilterType.UP:
@@ -187,22 +205,9 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
     return bytes(out)
 
 
-def _filter_score(filtered: bytes) -> int:
-    # sum of absolute values, bytes read as signed
-    a = np.frombuffer(filtered, np.uint8).astype(np.int32)
-    return int(np.minimum(a, 256 - a).sum())
-
-
 def choose_filter(row: bytes, prior_row: bytes, bytes_per_pixel: int) -> FilterType:
     """Minimum-sum-of-absolute-differences heuristic; ties go to the lowest type."""
-    best = FilterType.NONE
-    best_score = None
-    for f in FilterType:
-        score = _filter_score(apply_filter(row, prior_row, f, bytes_per_pixel))
-        if best_score is None or score < best_score:
-            best = f
-            best_score = score
-    return best
+    return FilterType(int(_best_filters(_row_candidates(row, prior_row, bytes_per_pixel))[0]))
 
 
 def _color_type(channels: int) -> int:
@@ -220,30 +225,22 @@ def encode_png(img: RasterImage, options: EncodeOptions | None = None) -> bytes:
     bpp = img.channels
     stride = img.width * img.channels
 
-    fixed = opts.filter_strategy
-    parts = bytearray()
-    prior = bytes(stride)
-    for y in range(img.height):
-        row = img.samples[y * stride : (y + 1) * stride]
-        if fixed is not None:
-            ft = fixed
-            filtered = apply_filter(row, prior, ft, bpp)
+    # row y + 1 of pix is scanline y; row 0 is the zero row above the image
+    pix = np.zeros((img.height + 1, stride), np.uint8)
+    pix[1:] = np.frombuffer(img.samples, np.uint8).reshape(img.height, stride)
+    raw = np.empty((img.height, stride + 1), np.uint8)
+    band = max(1, _FILTER_BAND_BYTES // stride)
+    for y in range(0, img.height, band):
+        n = min(band, img.height - y)
+        cand = _filter_rows(pix[y + 1 : y + 1 + n], pix[y : y + n], bpp)
+        if opts.filter_strategy is None:
+            types = _best_filters(cand)
         else:
-            ft = FilterType.NONE
-            filtered = None
-            best = None
-            for f in FilterType:
-                cand = apply_filter(row, prior, f, bpp)
-                score = _filter_score(cand)
-                if best is None or score < best:
-                    best = score
-                    ft = f
-                    filtered = cand
-        parts.append(int(ft))
-        parts += filtered
-        prior = row
+            types = np.full(n, int(opts.filter_strategy))
+        raw[y : y + n, 0] = types
+        raw[y : y + n, 1:] = cand[types, np.arange(n)]
 
-    stream = flate.deflate_compress(bytes(parts), opts.level)
+    stream = flate.deflate_compress(raw.tobytes(), opts.level)
 
     out = bytearray(SIGNATURE)
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color, 0, 0, 0)

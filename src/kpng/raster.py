@@ -66,8 +66,3 @@ class RasterImage:
             and self.height == other.height
             and self.channels == other.channels
         )
-
-    def row(self, y: int) -> bytes:
-        """Raw bytes of scanline ``y`` (no filter byte, just samples)."""
-        stride = self.width * self.channels
-        return self.samples[y * stride : (y + 1) * stride]

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kpng.errors import (
     UnsupportedImageError,
 )
 from kpng.pngcodec import (
+    _FILTER_BAND_BYTES,
     SIGNATURE,
     EncodeOptions,
     FilterType,
@@ -131,6 +133,13 @@ def test_filter_invalid_type():
         apply_filter(b"ab", b"cd", 5, 1)
     with pytest.raises(ParameterError):
         unfilter(b"ab", b"cd", -1, 1)
+    for bpp in (0, -1, 1.5, True, "3", None):
+        with pytest.raises(ParameterError):
+            apply_filter(b"abc", b"def", FilterType.SUB, bpp)
+        with pytest.raises(ParameterError):
+            choose_filter(b"abc", b"def", bpp)
+        with pytest.raises(ParameterError):
+            unfilter(b"abc", b"def", FilterType.SUB, bpp)
 
 
 def test_choose_filter_prefers_up_for_repeated_row():
@@ -146,6 +155,75 @@ def test_choose_filter_constant_row_pinned():
     # value 7 x16 over a zero prior: SUB and PAETH tie at score 7, SUB wins
     assert choose_filter(bytes([7] * 16), bytes(16), 1) == FilterType.SUB
     assert choose_filter(bytes([7] * 30), bytes(30), 3) == FilterType.SUB
+
+
+def reference_filter(row: bytes, prior: bytes, ftype: int, bpp: int) -> bytes:
+    """Per-byte filter straight from the PNG specification."""
+    out = bytearray()
+    for i, x in enumerate(row):
+        a = row[i - bpp] if i >= bpp else 0
+        b = prior[i]
+        c = prior[i - bpp] if i >= bpp else 0
+        pred = (0, a, b, (a + b) // 2, paeth_predictor(a, b, c))[ftype]
+        out.append((x - pred) % 256)
+    return bytes(out)
+
+
+def reference_score(filtered: bytes) -> int:
+    return sum(min(v, 256 - v) for v in filtered)
+
+
+def mixed_rows_image(width: int, height: int, channels: int) -> RasterImage:
+    """Noise, flat, ramp and repeated rows, so every filter type can win."""
+    rng = np.random.default_rng(width * 1000 + height * 10 + channels)
+    stride = width * channels
+    ramp = np.arange(stride) * 3 % 256
+    rows = []
+    for y in range(height):
+        kind = y % 5
+        if kind == 0:
+            r = rng.integers(0, 256, stride)
+        elif kind == 1:
+            r = np.full(stride, 7 * y)
+        elif kind == 2:
+            r = ramp + y
+        elif kind == 3:
+            r = rows[-1]
+        else:
+            r = (rows[-1] + ramp // 2 + rng.integers(0, 3, stride)) % 256
+        rows.append(np.asarray(r) % 256)
+    return RasterImage(width, height, channels, np.array(rows, np.uint8).tobytes())
+
+
+# the 200x120 RGB image spans more than one encoder band; adaptive
+# multi-band output is checked by test_pinned_png_stays_near_zlib_9
+@pytest.mark.parametrize(
+    "w,h,c,strategy",
+    [(w, h, c, s) for w, h, c in [(1, 9, 1), (1, 9, 3), (23, 16, 1), (17, 12, 3)] for s in ALL_STRATEGIES]
+    + [(200, 120, 3, f) for f in ALL_FILTERS],
+)
+def test_encoder_scanlines_match_reference_filter(w, h, c, strategy):
+    """The IDAT inflates (by zlib) to the reference-filtered scanlines: the
+    fixed type on every row, or an adaptive type of least reference score
+    with ties going to the lowest type."""
+    img = mixed_rows_image(w, h, c)
+    stride = w * c
+    if w == 200:
+        assert h > _FILTER_BAND_BYTES // stride
+    data = encode_png(img, EncodeOptions(level=1, filter_strategy=strategy))
+    raw = zlib.decompress(b"".join(ch.data for ch in parse_chunks(data) if ch.type_code == b"IDAT"))
+    assert len(raw) == h * (stride + 1)
+    prior = bytes(stride)
+    for y in range(h):
+        row = img.samples[y * stride : (y + 1) * stride]
+        line = raw[y * (stride + 1) : (y + 1) * (stride + 1)]
+        if strategy is None:
+            scores = [(reference_score(reference_filter(row, prior, f, c)), f) for f in range(5)]
+            assert line[0] == min(scores)[1]
+        else:
+            assert line[0] == strategy
+        assert line[1:] == reference_filter(row, prior, line[0], c)
+        prior = row
 
 
 # ---------------------------------------------------------------------------
