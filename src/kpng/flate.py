@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import mul
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ChecksumMismatchError,
@@ -40,6 +41,7 @@ _STORED_MAX = 65535  # LEN is 16 bits
 _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 
 _ADLER_MOD = 65521
+_ADLER_CHUNK = 1 << 20
 
 
 class CompressionLevel(IntEnum):
@@ -105,14 +107,17 @@ def adler32(data: bytes, value: int = 1) -> int:
     """Adler-32: s1/s2 accumulated mod 65521, packed s2<<16 | s1.
 
     Pass a previous result as ``value`` for incremental use. Uses the closed
-    form s2 += n*s1 + sum((n-i)*d[i]) so the byte loop runs at C speed.
+    form s2 += n*s1 + sum((n-i)*d[i]), one int64 dot product per chunk of
+    at most ``_ADLER_CHUNK`` bytes, where the weighted sum stays below 2**47.
     """
     s1 = value & 0xFFFF
     s2 = (value >> 16) & 0xFFFF
-    n = len(data)
-    if n:
-        s2 = (s2 + n * s1 + sum(map(mul, data, range(n, 0, -1)))) % _ADLER_MOD
-        s1 = (s1 + sum(data)) % _ADLER_MOD
+    d = np.frombuffer(data, np.uint8)
+    for start in range(0, d.size, _ADLER_CHUNK):
+        chunk = d[start : start + _ADLER_CHUNK]
+        n = chunk.size
+        s2 = (s2 + n * s1 + int(np.dot(chunk, np.arange(n, 0, -1)))) % _ADLER_MOD
+        s1 = (s1 + int(chunk.sum())) % _ADLER_MOD
     return (s2 << 16) | s1
 
 
@@ -709,30 +714,33 @@ _FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS)
 def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
     n = len(data)
 
-    def need(k):
+    def refill(k):
+        """Buffer at least ``k`` bits, or every bit left in ``data``."""
         nonlocal pos, acc, cnt
-        while cnt < k:
-            if pos >= n:
-                raise TruncatedStreamError("stream ended inside a block header")
+        while cnt < k and pos < n:
             acc |= data[pos] << cnt
             pos += 1
             cnt += 8
 
-    need(14)
-    hlit = 257 + (acc & 31)
-    hdist = 1 + ((acc >> 5) & 31)
-    hclen = 4 + ((acc >> 10) & 15)
-    acc >>= 14
-    cnt -= 14
+    def take(k):
+        nonlocal acc, cnt
+        refill(k)
+        if cnt < k:
+            raise TruncatedStreamError("stream ended inside a block header")
+        v = acc & ((1 << k) - 1)
+        acc >>= k
+        cnt -= k
+        return v
+
+    hlit = 257 + take(5)
+    hdist = 1 + take(5)
+    hclen = 4 + take(4)
     if hlit > 286 or hdist > 30:
         raise CorruptStreamError(f"bad code counts HLIT={hlit} HDIST={hdist}")
 
     cl_lengths = [0] * 19
     for i in range(hclen):
-        need(3)
-        cl_lengths[_CODELEN_ORDER[i]] = acc & 7
-        acc >>= 3
-        cnt -= 3
+        cl_lengths[_CODELEN_ORDER[i]] = take(3)
     cl_table, cl_bits = _build_decode_table(cl_lengths)
     if cl_table is None:
         raise CorruptStreamError("empty code-length code")
@@ -741,13 +749,11 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
     lengths: list[int] = []
     total = hlit + hdist
     while len(lengths) < total:
-        while cnt < cl_bits and pos < n:
-            acc |= data[pos] << cnt
-            pos += 1
-            cnt += 8
+        # a short code may end the stream, so peek without requiring cl_bits
+        refill(cl_bits)
         entry = cl_table[acc & cl_mask]
         if entry is None:
-            if pos >= n and cnt < cl_bits:
+            if cnt < cl_bits:
                 raise TruncatedStreamError("stream ended inside code lengths")
             raise CorruptStreamError("invalid code-length symbol")
         sym, l = entry
@@ -760,23 +766,11 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
         elif sym == 16:
             if not lengths:
                 raise CorruptStreamError("repeat with no previous code length")
-            need(2)
-            rep = 3 + (acc & 3)
-            acc >>= 2
-            cnt -= 2
-            lengths.extend(lengths[-1:] * rep)
+            lengths.extend(lengths[-1:] * (3 + take(2)))
         elif sym == 17:
-            need(3)
-            rep = 3 + (acc & 7)
-            acc >>= 3
-            cnt -= 3
-            lengths.extend([0] * rep)
+            lengths.extend([0] * (3 + take(3)))
         else:
-            need(7)
-            rep = 11 + (acc & 127)
-            acc >>= 7
-            cnt -= 7
-            lengths.extend([0] * rep)
+            lengths.extend([0] * (11 + take(7)))
     if len(lengths) > total:
         raise CorruptStreamError("code-length run overflows the declared counts")
 
@@ -930,7 +924,7 @@ def inflate(data: bytes) -> bytes:
     pos += 4
     if pos != n:
         raise CorruptStreamError(f"{n - pos} trailing bytes after the zlib stream")
-    actual = adler32(bytes(out))
+    actual = adler32(out)
     if actual != stored_sum:
         raise ChecksumMismatchError(
             f"Adler-32 mismatch: stream says {stored_sum:#010x}, payload is {actual:#010x}"

@@ -3,7 +3,9 @@
 MSE pools every sample across channels into one scalar. PSNR is
 10*log10(255^2 / MSE) with +inf for identical images. SSIM uses the
 standard defaults: 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03,
-L=255, mean over fully-interior windows, channels averaged.
+L=255, mean over fully-interior windows, channels averaged. The window is
+the outer product of a 1-D Gaussian, so each local mean is taken as two
+1-D passes (down the columns, then along the rows) in numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, ParameterError
 from .raster import RasterImage
@@ -46,32 +48,46 @@ def mse(a: RasterImage, b: RasterImage) -> float:
     return float(np.mean((x - y) ** 2))
 
 
-def psnr(a: RasterImage, b: RasterImage) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
-    m = mse(a, b)
+def _psnr_from_mse(m: float) -> float:
     if m == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / m)
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Normalized 2-D Gaussian weighting window."""
+def psnr(a: RasterImage, b: RasterImage) -> float:
+    """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
+    return _psnr_from_mse(mse(a, b))
+
+
+def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
     g = np.exp(-(coords**2) / (2.0 * sigma**2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _ssim_plane(x: np.ndarray, y: np.ndarray, window: np.ndarray) -> float:
-    mu_x = convolve2d(x, window, mode="valid")
-    mu_y = convolve2d(y, window, mode="valid")
+def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """Normalized 2-D Gaussian weighting window."""
+    g = _gaussian_1d(size, sigma)
+    return np.outer(g, g)
+
+
+def _blur(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Weighted mean of every fully-interior window: ``p`` filtered by
+    ``outer(g, g)``, one 1-D pass per axis."""
+    p = sliding_window_view(p, g.size, axis=0) @ g
+    return sliding_window_view(p, g.size, axis=1) @ g
+
+
+def _ssim_plane(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
+    mu_x = _blur(x, g)
+    mu_y = _blur(y, g)
     mu_xx = mu_x * mu_x
     mu_yy = mu_y * mu_y
     mu_xy = mu_x * mu_y
-    var_x = convolve2d(x * x, window, mode="valid") - mu_xx
-    var_y = convolve2d(y * y, window, mode="valid") - mu_yy
-    cov = convolve2d(x * y, window, mode="valid") - mu_xy
+    var_x = _blur(x * x, g) - mu_xx
+    var_y = _blur(y * y, g) - mu_yy
+    cov = _blur(x * y, g) - mu_xy
     s = ((2.0 * mu_xy + _C1) * (2.0 * cov + _C2)) / (
         (mu_xx + mu_yy + _C1) * (var_x + var_y + _C2)
     )
@@ -85,15 +101,15 @@ def ssim(a: RasterImage, b: RasterImage) -> float:
         raise ParameterError(
             f"image {a.width}x{a.height} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    window = gaussian_window()
-    xa = a.to_array().astype(np.float64)
-    ya = b.to_array().astype(np.float64)
-    per_channel = [
-        _ssim_plane(xa[:, :, c], ya[:, :, c], window) for c in range(a.channels)
-    ]
+    g = _gaussian_1d(SSIM_WINDOW, SSIM_SIGMA)
+    # channel-major, so each plane is contiguous for the 1-D passes
+    xa = a.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
+    ya = b.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
+    per_channel = [_ssim_plane(xa[c], ya[c], g) for c in range(a.channels)]
     return float(np.mean(per_channel))
 
 
 def compare(a: RasterImage, b: RasterImage) -> QualityReport:
     """All three quality measures at once."""
-    return QualityReport(mse=mse(a, b), psnr=psnr(a, b), ssim=ssim(a, b))
+    m = mse(a, b)
+    return QualityReport(mse=m, psnr=_psnr_from_mse(m), ssim=ssim(a, b))

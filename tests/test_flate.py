@@ -102,6 +102,16 @@ def test_adler32_incremental_equals_one_shot():
         assert adler32(blob[split:], adler32(blob[:split])) == adler32(blob)
 
 
+@pytest.mark.parametrize("n", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1, (3 << 20) + 7])
+def test_adler32_matches_zlib_across_chunks(n):
+    # all-0xFF bytes give the largest weighted sum a chunk can hold
+    for blob in (random.Random(n).randbytes(n), b"\xff" * n):
+        assert adler32(blob) == zlib.adler32(blob)
+        start = zlib.adler32(blob[:777])
+        assert adler32(blob[777:], start) == zlib.adler32(blob[777:], start)
+        assert adler32(bytearray(blob), 0xFFF0FFF0) == zlib.adler32(blob, 0xFFF0FFF0)
+
+
 @given(st.binary(max_size=2000))
 def test_checksums_match_stdlib(blob):
     assert crc32(blob) == zlib.crc32(blob)

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpng
 from kpng import RasterImage, kmm_transform
 from kpng.errors import DimensionMismatchError, ParameterError
-from kpng.metrics import SSIM_WINDOW, compare, gaussian_window, mse, psnr, ssim
+from kpng.metrics import SSIM_WINDOW, QualityReport, compare, gaussian_window, mse, psnr, ssim
 
 from conftest import SAMPLE_BLOCK, SAMPLE_BLOCK_K10, random_image
 
@@ -163,3 +168,51 @@ def test_compare_bundles_all_three():
     quant = kmm_transform(img, 10)
     report = compare(img, quant)
     assert report.mse > 0 and math.isfinite(report.psnr) and report.ssim <= 1.0
+    assert report == QualityReport(mse(img, quant), psnr(img, quant), ssim(img, quant))
+
+
+def ssim_convolve2d(a: RasterImage, b: RasterImage) -> float:
+    """The 2-D convolution form of SSIM, with scipy as the oracle's blur."""
+    from scipy.signal import convolve2d
+
+    w = gaussian_window()
+    c1 = (0.01 * 255) ** 2
+    c2 = (0.03 * 255) ** 2
+    xa = a.to_array().astype(np.float64)
+    ya = b.to_array().astype(np.float64)
+    per_channel = []
+    for ch in range(a.channels):
+        x, y = xa[:, :, ch], ya[:, :, ch]
+        mu_x = convolve2d(x, w, mode="valid")
+        mu_y = convolve2d(y, w, mode="valid")
+        var_x = convolve2d(x * x, w, mode="valid") - mu_x * mu_x
+        var_y = convolve2d(y * y, w, mode="valid") - mu_y * mu_y
+        cov = convolve2d(x * y, w, mode="valid") - mu_x * mu_y
+        s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+            (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
+        )
+        per_channel.append(s.mean())
+    return float(np.mean(per_channel))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("width,height", [(11, 11), (11, 40), (40, 11), (64, 37)])
+def test_ssim_matches_convolve2d_reference(width, height, channels):
+    pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(width * 100 + height + channels)
+    a = random_image(rng, width, height, channels)
+    for b in (random_image(rng, width, height, channels), kmm_transform(a, 10)):
+        assert ssim(a, b) == pytest.approx(ssim_convolve2d(a, b), abs=1e-10)
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(kpng.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, kpng, kpng.metrics, kpng.bench, kpng.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
