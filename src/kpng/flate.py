@@ -18,6 +18,7 @@ a 258-byte match (``nice_length``, ``max_lazy``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -42,6 +43,10 @@ _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 
 _ADLER_MOD = 65521
 _ADLER_CHUNK = 1 << 20
+_CRC_LANE = 256  # bytes per lane of the vectorized CRC-32
+# the lane pass costs about 1.6 ms whatever the input (256 numpy steps)
+# against 0.16 us per byte for the loop, so it starts at 16 KiB
+_CRC_MIN_LANES = 64
 
 
 class CompressionLevel(IntEnum):
@@ -89,16 +94,59 @@ def _make_crc_table() -> list[int]:
 
 
 _CRC_TABLE = _make_crc_table()
+_CRC_TABLE_U32 = np.array(_CRC_TABLE, np.uint32)
+
+
+def _make_crc_shift_tables() -> tuple[list[int], ...]:
+    """Four 256-entry tables, one per register byte, whose XOR advances a
+    CRC register over ``_CRC_LANE`` zero bytes. The register step is linear
+    over GF(2), so each entry is the XOR of the shifted images of its bits
+    (the step behind zlib's ``crc32_combine``)."""
+    basis = []
+    for bit in range(32):
+        c = 1 << bit
+        for _ in range(_CRC_LANE):
+            c = (c >> 8) ^ _CRC_TABLE[c & 0xFF]
+        basis.append(c)
+    v = np.arange(256, dtype=np.int64)
+    tables = []
+    for k in range(4):
+        t = np.zeros(256, np.int64)
+        for j in range(8):
+            t ^= ((v >> j) & 1) * basis[8 * k + j]
+        tables.append(t.tolist())
+    return tuple(tables)
+
+
+_CRC_SHIFT = _make_crc_shift_tables()
 
 
 def crc32(data: bytes, value: int = 0) -> int:
     """CRC-32 (reflected 0xEDB88320, init/final XOR 0xFFFFFFFF).
 
     Pass a previous result as ``value`` to checksum a stream incrementally.
+    Inputs of at least ``_CRC_MIN_LANES`` lanes of ``_CRC_LANE`` bytes run
+    the table step on every lane at once in numpy, then fold the lane
+    registers in order, each fold shifting the running register over one
+    lane of zero bytes; the tail and shorter inputs take the per-byte loop.
     """
     crc = value ^ 0xFFFFFFFF
+    tail = memoryview(data).cast("B")
+    lanes = len(tail) // _CRC_LANE
+    if lanes >= _CRC_MIN_LANES:
+        cols = np.frombuffer(tail, np.uint8, lanes * _CRC_LANE).reshape(lanes, _CRC_LANE)
+        regs = np.zeros(lanes, np.uint32)
+        regs[0] = crc
+        for j in range(_CRC_LANE):
+            regs = (regs >> 8) ^ _CRC_TABLE_U32[(regs ^ cols[:, j]) & 0xFF]
+        s0, s1, s2, s3 = _CRC_SHIFT
+        regs = regs.tolist()
+        crc = regs[0]
+        for r in regs[1:]:
+            crc = s0[crc & 0xFF] ^ s1[(crc >> 8) & 0xFF] ^ s2[(crc >> 16) & 0xFF] ^ s3[crc >> 24] ^ r
+        tail = tail[lanes * _CRC_LANE :]
     table = _CRC_TABLE
-    for b in data:
+    for b in tail.tobytes():
         crc = (crc >> 8) ^ table[(crc ^ b) & 0xFF]
     return crc ^ 0xFFFFFFFF
 
@@ -783,11 +831,19 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
     return lit_table, dist_table, pos, acc, cnt
 
 
-def inflate(data: bytes) -> bytes:
+def inflate(data: bytes, max_output: int | None = None) -> bytes:
     """Decompress a zlib stream produced by :func:`deflate_compress` or any
     conforming encoder. Verifies the Adler-32 trailer and rejects trailing
-    garbage."""
+    garbage.
+
+    With ``max_output`` set, raises :class:`CorruptStreamError` once the
+    output passes that many bytes. The size is checked after every match,
+    stored block and block end rather than per literal, so the output held
+    at that point exceeds the limit by at most 258 bytes plus 8 bytes per
+    input byte.
+    """
     data = bytes(data)
+    limit = sys.maxsize if max_output is None else max_output
     n = len(data)
     if n < 2:
         raise TruncatedStreamError("zlib stream shorter than its header")
@@ -838,6 +894,8 @@ def inflate(data: bytes) -> bytes:
                 raise TruncatedStreamError("stream ended inside stored-block data")
             out += data[pos : pos + length]
             pos += length
+            if len(out) > limit:
+                raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
             continue
         if btype == 3:
             raise CorruptStreamError("reserved block type 3")
@@ -870,6 +928,8 @@ def inflate(data: bytes) -> bytes:
                 out.append(sym)
                 continue
             if sym == 256:
+                if len(out) > limit:
+                    raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
                 break
             if sym > 285:
                 raise CorruptStreamError(f"reserved length symbol {sym}")
@@ -915,6 +975,8 @@ def inflate(data: bytes) -> bytes:
                 cnt -= xb
 
             _copy_match(out, length, dist)
+            if len(out) > limit:
+                raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
 
     # byte-align and push buffered whole bytes back before the trailer
     pos -= cnt >> 3

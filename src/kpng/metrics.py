@@ -40,12 +40,18 @@ def _check_shapes(a: RasterImage, b: RasterImage) -> None:
         )
 
 
+def _mse_of(x: np.ndarray, y: np.ndarray) -> float:
+    # each squared difference is an integer <= 65025, so every partial sum
+    # is exact in float64 and the layout of x and y cannot change the result
+    return float(np.mean((x - y) ** 2))
+
+
 def mse(a: RasterImage, b: RasterImage) -> float:
     """Mean squared sample difference, all channels pooled."""
     _check_shapes(a, b)
     x = np.frombuffer(a.samples, np.uint8).astype(np.float64)
     y = np.frombuffer(b.samples, np.uint8).astype(np.float64)
-    return float(np.mean((x - y) ** 2))
+    return _mse_of(x, y)
 
 
 def _psnr_from_mse(m: float) -> float:
@@ -94,22 +100,37 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     return float(s.mean())
 
 
-def ssim(a: RasterImage, b: RasterImage) -> float:
-    """Mean local structural similarity; 1.0 means identical."""
-    _check_shapes(a, b)
+def _planes(img: RasterImage) -> np.ndarray:
+    """float64 samples, channel-major, so each plane is contiguous for the
+    1-D passes."""
+    return img.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
+
+
+def _check_ssim_size(a: RasterImage) -> None:
     if min(a.width, a.height) < SSIM_WINDOW:
         raise ParameterError(
             f"image {a.width}x{a.height} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
+
+
+def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
     g = _gaussian_1d(SSIM_WINDOW, SSIM_SIGMA)
-    # channel-major, so each plane is contiguous for the 1-D passes
-    xa = a.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
-    ya = b.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
-    per_channel = [_ssim_plane(xa[c], ya[c], g) for c in range(a.channels)]
-    return float(np.mean(per_channel))
+    return float(np.mean([_ssim_plane(x, y, g) for x, y in zip(xa, ya)]))
+
+
+def ssim(a: RasterImage, b: RasterImage) -> float:
+    """Mean local structural similarity; 1.0 means identical."""
+    _check_shapes(a, b)
+    _check_ssim_size(a)
+    return _ssim_of(_planes(a), _planes(b))
 
 
 def compare(a: RasterImage, b: RasterImage) -> QualityReport:
-    """All three quality measures at once."""
-    m = mse(a, b)
-    return QualityReport(mse=m, psnr=_psnr_from_mse(m), ssim=ssim(a, b))
+    """All three quality measures at once, from one float64 conversion of
+    each image."""
+    _check_shapes(a, b)
+    _check_ssim_size(a)
+    xa = _planes(a)
+    ya = _planes(b)
+    m = _mse_of(xa, ya)
+    return QualityReport(mse=m, psnr=_psnr_from_mse(m), ssim=_ssim_of(xa, ya))

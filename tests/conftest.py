@@ -50,3 +50,12 @@ def sample_block_images():
 def random_image(rng: np.random.Generator, width: int, height: int, channels: int) -> RasterImage:
     data = rng.integers(0, 256, size=width * height * channels, dtype=np.uint8)
     return RasterImage(width, height, channels, data.tobytes())
+
+
+def smooth_image(width: int, height: int, channels: int) -> RasterImage:
+    """Gradients with a little noise: every filter has work, and level 1
+    compresses it quickly."""
+    rng = np.random.default_rng(width + height + channels)
+    y, x, c = np.mgrid[0:height, 0:width, 0:channels]
+    arr = (x * 2 + y * 3 + c * 50 + rng.integers(0, 4, x.shape)) % 256
+    return RasterImage(width, height, channels, arr.astype(np.uint8).tobytes())

@@ -14,6 +14,8 @@ from kpng.errors import (
     ZlibHeaderError,
 )
 from kpng.flate import (
+    _CRC_LANE,
+    _CRC_MIN_LANES,
     Literal,
     Match,
     adler32,
@@ -110,6 +112,25 @@ def test_adler32_matches_zlib_across_chunks(n):
         start = zlib.adler32(blob[:777])
         assert adler32(blob[777:], start) == zlib.adler32(blob[777:], start)
         assert adler32(bytearray(blob), 0xFFF0FFF0) == zlib.adler32(blob, 0xFFF0FFF0)
+
+
+_LANES_FROM = _CRC_MIN_LANES * _CRC_LANE
+
+
+@pytest.mark.parametrize(
+    "n",
+    [255, 256, 257, 1023, 1024, 1025, _LANES_FROM - 1, _LANES_FROM, _LANES_FROM + 1,
+     _LANES_FROM + _CRC_LANE - 1, 786944, (3 << 20) + 7],
+)
+def test_crc32_matches_zlib_across_lanes(n):
+    blob = random.Random(n).randbytes(n)
+    want = zlib.crc32(blob)
+    for data in (blob, bytearray(blob), memoryview(blob)):
+        assert crc32(data) == want
+    for split in (1, 777, n // 2):
+        assert crc32(blob[split:], crc32(blob[:split])) == want
+        start = zlib.crc32(blob[:split])
+        assert crc32(memoryview(blob)[split:], start) == zlib.crc32(blob[split:], start)
 
 
 @given(st.binary(max_size=2000))
@@ -312,6 +333,27 @@ def test_trailing_garbage_rejected():
     blob = deflate_compress(b"abc", 2)
     with pytest.raises(CorruptStreamError):
         inflate(blob + b"\x00")
+
+
+@pytest.mark.parametrize("level", [0, 9])  # stored blocks, then matches
+def test_inflate_max_output(level):
+    payload = bytes(range(256)) * 400
+    stream = zlib.compress(payload, level)
+    assert inflate(stream, max_output=len(payload)) == payload
+    assert inflate(stream, max_output=None) == payload
+    with pytest.raises(CorruptStreamError, match="exceeds"):
+        inflate(stream, max_output=len(payload) - 1)
+    # checked inside the block, before the cut is reached
+    with pytest.raises(CorruptStreamError, match="exceeds"):
+        inflate(stream[:-8], max_output=1000)
+
+
+def test_inflate_max_output_on_literal_block():
+    # fixed-Huffman literals only: checked at the end of the block
+    stream = deflate_compress(bytes(range(200)), 1)
+    assert inflate(stream, max_output=200) == bytes(range(200))
+    with pytest.raises(CorruptStreamError):
+        inflate(stream, max_output=199)
 
 
 def test_inflate_rejects_empty():

@@ -1,12 +1,15 @@
+import random
 import struct
+import time
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kpng import RasterImage, kmm_transform
+from kpng import RasterImage, kmm_transform, pngcodec
 from kpng.errors import (
+    KpngError,
     ParameterError,
     PngCrcError,
     PngFormatError,
@@ -14,6 +17,8 @@ from kpng.errors import (
 )
 from kpng.pngcodec import (
     _FILTER_BAND_BYTES,
+    _WAVEFRONT_STEP_BYTES,
+    _unfilter_image,
     SIGNATURE,
     EncodeOptions,
     FilterType,
@@ -27,7 +32,7 @@ from kpng.pngcodec import (
     unfilter,
 )
 
-from conftest import random_image
+from conftest import random_image, smooth_image
 
 ALL_FILTERS = list(FilterType)
 ALL_STRATEGIES = [None] + ALL_FILTERS
@@ -432,3 +437,111 @@ def test_zero_dimension_rejected():
     bad = [PngChunk.build(b"IHDR", bytes(ihdr))] + chunks[1:]
     with pytest.raises(PngFormatError):
         decode_png(_rebuild(bad))
+
+
+# ---------------------------------------------------------------------------
+# whole-image unfilter and the decoder's two paths
+
+
+def reference_unfilter_image(raw: bytes, height: int, width: int, bpp: int) -> bytes:
+    """Row after row through the public one-row :func:`unfilter`."""
+    stride = width * bpp
+    prior = bytes(stride)
+    out = bytearray()
+    for y in range(height):
+        pos = y * (stride + 1)
+        prior = unfilter(raw[pos + 1 : pos + 1 + stride], prior, FilterType(raw[pos]), bpp)
+        out += prior
+    return bytes(out)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([1, 3]),
+    st.randoms(use_true_random=False),
+)
+@example(1, 1, 3, random.Random(0))
+@example(1, 40, 1, random.Random(1))
+@example(40, 1, 3, random.Random(2))
+@example(40, 40, 3, random.Random(3))
+@settings(max_examples=80)
+def test_wavefront_matches_per_row_unfilter(height, width, bpp, rnd):
+    """Any inflated stream: random payload, a random filter byte 0..4 per row."""
+    stride = width * bpp
+    raw = bytearray(rnd.randbytes(height * (stride + 1)))
+    raw[:: stride + 1] = bytes(rnd.randrange(5) for _ in range(height))
+    raw = bytes(raw)
+    assert _unfilter_image(raw, height, width, bpp) == reference_unfilter_image(raw, height, width, bpp)
+
+
+def _spy_unfilter_paths(monkeypatch) -> dict[str, int]:
+    calls = {"wavefront": 0, "rows": 0}
+
+    def wavefront(*args):
+        calls["wavefront"] += 1
+        return _unfilter_image(*args)
+
+    def one_row(*args):
+        calls["rows"] += 1
+        return unfilter(*args)
+
+    monkeypatch.setattr(pngcodec, "_unfilter_image", wavefront)
+    monkeypatch.setattr(pngcodec, "unfilter", one_row)
+    return calls
+
+
+@pytest.mark.parametrize("ftype,wavefront", [(FilterType.PAETH, True), (FilterType.UP, False)])
+def test_decode_takes_each_unfilter_path(ftype, wavefront, monkeypatch):
+    img = smooth_image(128, 128, 3)
+    assert 128 * 384 > _WAVEFRONT_STEP_BYTES * (128 + 128)  # all-PAETH rows outweigh the steps
+    data = encode_png(img, EncodeOptions(level=1, filter_strategy=ftype))
+    calls = _spy_unfilter_paths(monkeypatch)
+    assert decode_png(data) == img
+    assert calls == ({"wavefront": 1, "rows": 0} if wavefront else {"wavefront": 0, "rows": 128})
+
+
+def png_from_stream(width: int, height: int, color: int, stream: bytes) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0)
+    chunks = [PngChunk.build(b"IHDR", ihdr), PngChunk.build(b"IDAT", stream), PngChunk.build(b"IEND", b"")]
+    return _rebuild(chunks)
+
+
+@pytest.mark.parametrize("ftype", [FilterType.PAETH, FilterType.UP])
+def test_bad_filter_byte_in_last_row_rejected_before_unfiltering(ftype, monkeypatch):
+    width, height = 128, 128
+    stride = width * 3
+    raw = bytearray((bytes([ftype]) + bytes(range(256)) + bytes(stride - 256)) * height)
+    calls = _spy_unfilter_paths(monkeypatch)
+    decode_png(png_from_stream(width, height, 2, zlib.compress(bytes(raw))))
+    assert calls["wavefront"] == (ftype == FilterType.PAETH)
+
+    raw[(height - 1) * (stride + 1)] = 5
+    calls.update(wavefront=0, rows=0)
+    with pytest.raises(PngFormatError, match="invalid scanline filter type 5"):
+        decode_png(png_from_stream(width, height, 2, zlib.compress(bytes(raw))))
+    assert calls == {"wavefront": 0, "rows": 0}
+
+
+@pytest.mark.parametrize("width,height", [(1 << 31, 1), (1, 1 << 31), (0xFFFFFFFF, 0xFFFFFFFF)])
+def test_oversized_ihdr_dimensions_rejected(width, height):
+    chunks = _encode_chunks()
+    ihdr = bytearray(chunks[0].data)
+    struct.pack_into(">II", ihdr, 0, width, height)
+    bad = [PngChunk.build(b"IHDR", bytes(ihdr))] + chunks[1:]
+    with pytest.raises(PngFormatError, match="invalid dimensions"):
+        decode_png(_rebuild(bad))
+
+
+def test_decompression_bomb_stops_early():
+    """A 1x1 gray PNG whose IDAT inflates to 64 MiB stops at the size the
+    header allows."""
+    comp = zlib.compressobj(9)
+    zero = bytes(1 << 20)
+    stream = b"".join(comp.compress(zero) for _ in range(64)) + comp.flush()
+    assert len(stream) < 70_000
+    data = png_from_stream(1, 1, 0, stream)
+    t0 = time.perf_counter()
+    with pytest.raises(KpngError):
+        decode_png(data)
+    assert time.perf_counter() - t0 < 0.5
