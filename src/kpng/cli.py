@@ -102,6 +102,8 @@ def cmd_synth(args) -> int:
         w, h = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise ParameterError(f"--size must look like 512x512, got {args.size!r}")
+    if args.count < 1:
+        raise ParameterError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

@@ -6,6 +6,14 @@ blocks (length-limited codes via package-merge), stored blocks, and a
 table-driven inflater. Output is always a zlib stream because that is what
 PNG IDAT carries.
 
+The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
+match is ``length << 16 | distance``. The Huffman stage derives per-op
+symbol and extra-bit arrays once, cuts blocks with ``cumsum`` and
+``searchsorted``, counts each block's symbols with ``np.bincount`` and packs
+its bits into 64-bit words in numpy (``_emit_tokens``); ``_BitWriter``
+writes only block headers and stored blocks. ``Literal``/``Match`` objects
+exist only at the public edge, ``lz77_tokenize`` and ``lz77_expand``.
+
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
 dynamic codes; 3 lazy matching + dynamic codes. Levels 2-3 fall back to
 fixed or stored blocks per 64 KiB block whenever that is smaller. Each
@@ -79,6 +87,16 @@ def check_level(level) -> int:
     return lv
 
 
+def _check_uint(name: str, value, hi: int | None = None) -> int:
+    """``value`` if it is an int >= 0, and below ``hi`` when given; a bool
+    is refused like any other non-integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 0 or (hi is not None and value >= hi):
+        raise ParameterError(f"{name} must be in [0, {'inf' if hi is None else hi}), got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Checksums
 
@@ -124,13 +142,14 @@ _CRC_SHIFT = _make_crc_shift_tables()
 def crc32(data: bytes, value: int = 0) -> int:
     """CRC-32 (reflected 0xEDB88320, init/final XOR 0xFFFFFFFF).
 
-    Pass a previous result as ``value`` to checksum a stream incrementally.
-    Inputs of at least ``_CRC_MIN_LANES`` lanes of ``_CRC_LANE`` bytes run
-    the table step on every lane at once in numpy, then fold the lane
-    registers in order, each fold shifting the running register over one
-    lane of zero bytes; the tail and shorter inputs take the per-byte loop.
+    Pass a previous result as ``value`` (an int in [0, 2**32)) to checksum a
+    stream incrementally. Inputs of at least ``_CRC_MIN_LANES`` lanes of
+    ``_CRC_LANE`` bytes run the table step on every lane at once in numpy,
+    then fold the lane registers in order, each fold shifting the running
+    register over one lane of zero bytes; the tail and shorter inputs take
+    the per-byte loop.
     """
-    crc = value ^ 0xFFFFFFFF
+    crc = _check_uint("CRC-32 value", value, 1 << 32) ^ 0xFFFFFFFF
     tail = memoryview(data).cast("B")
     lanes = len(tail) // _CRC_LANE
     if lanes >= _CRC_MIN_LANES:
@@ -154,12 +173,14 @@ def crc32(data: bytes, value: int = 0) -> int:
 def adler32(data: bytes, value: int = 1) -> int:
     """Adler-32: s1/s2 accumulated mod 65521, packed s2<<16 | s1.
 
-    Pass a previous result as ``value`` for incremental use. Uses the closed
-    form s2 += n*s1 + sum((n-i)*d[i]), one int64 dot product per chunk of
-    at most ``_ADLER_CHUNK`` bytes, where the weighted sum stays below 2**47.
+    Pass a previous result as ``value`` (an int in [0, 2**32)) for
+    incremental use. Uses the closed form s2 += n*s1 + sum((n-i)*d[i]), one
+    int64 dot product per chunk of at most ``_ADLER_CHUNK`` bytes, where the
+    weighted sum stays below 2**47.
     """
+    _check_uint("Adler-32 value", value, 1 << 32)
     s1 = value & 0xFFFF
-    s2 = (value >> 16) & 0xFFFF
+    s2 = value >> 16
     d = np.frombuffer(data, np.uint8)
     for start in range(0, d.size, _ADLER_CHUNK):
         chunk = d[start : start + _ADLER_CHUNK]
@@ -188,37 +209,31 @@ for _x in _DIST_XBITS:
     _DIST_BASES.append(_b)
     _b += 1 << _x
 
-# length -> (symbol, extra bits, base), indexed by match length 3..258
-_LEN_SYM = [0] * 259
-_LEN_XB = [0] * 259
-_LEN_BASE = [0] * 259
-for _s, (_base, _x) in enumerate(zip(_LENGTH_BASES[:-1], _LENGTH_XBITS[:-1])):
-    for _l in range(_base, min(_base + (1 << _x), 259)):
-        _LEN_SYM[_l] = 257 + _s
-        _LEN_XB[_l] = _x
-        _LEN_BASE[_l] = _base
-_LEN_SYM[258], _LEN_XB[258], _LEN_BASE[258] = 285, 0, 258
+# length -> (symbol, extra bits, base), indexed by match length 3..258. A
+# literal's length is 0, which has no symbol, extra bits or base. Code 285
+# comes last and takes length 258 from code 284's range.
+_LEN_SYM = np.zeros(259, np.uint16)
+_LEN_XB = np.zeros(259, np.uint8)
+_LEN_BASE = np.zeros(259, np.uint16)
+for _s, (_base, _x) in enumerate(zip(_LENGTH_BASES, _LENGTH_XBITS)):
+    _LEN_SYM[_base : _base + (1 << _x)] = 257 + _s
+    _LEN_XB[_base : _base + (1 << _x)] = _x
+    _LEN_BASE[_base : _base + (1 << _x)] = _base
 
-# distance -> symbol, two-level lookup (exact for d<=256, 128-wide bins above)
-_DIST_SYM_SMALL = [0] * 256
-_DIST_SYM_LARGE = [0] * 256
-for _s, (_base, _x) in enumerate(zip(_DIST_BASES, _DIST_XBITS)):
-    for _d in range(_base, _base + (1 << _x)):
-        if _d <= 256:
-            _DIST_SYM_SMALL[_d - 1] = _s
-        else:
-            _DIST_SYM_LARGE[(_d - 1) >> 7] = _s
+# distance -> symbol, indexed by distance 1..32768. A literal's distance is
+# 0 and maps to _NO_DIST, past the 30 real symbols, with no extra bits or
+# base and, in every code table, an empty code.
+_NO_DIST = 30
+_DIST_SYM = np.concatenate(
+    ([_NO_DIST], np.repeat(np.arange(_NO_DIST), [1 << x for x in _DIST_XBITS]))
+).astype(np.uint8)
+_DIST_XB = np.array(_DIST_XBITS + [0], np.uint8)
+_DIST_BASE = np.array(_DIST_BASES + [0], np.uint16)
 
 _CODELEN_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
 
 _FIXED_LIT_LENGTHS = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
 _FIXED_DIST_LENGTHS = [5] * 32
-
-
-def _dist_symbol(d: int) -> int:
-    if d <= 256:
-        return _DIST_SYM_SMALL[d - 1]
-    return _DIST_SYM_LARGE[(d - 1) >> 7]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +292,15 @@ def _codes_from_lengths(lengths: list[int]) -> list[tuple[int, int]]:
     return codes
 
 
-_FIXED_LIT_CODES = _codes_from_lengths(_FIXED_LIT_LENGTHS)
-_FIXED_DIST_CODES = _codes_from_lengths(_FIXED_DIST_LENGTHS)
+def _code_arrays(lengths: list[int], nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, nbits) as uint64 arrays for symbols 0..nsym-1, plus one empty
+    code at index nsym for ops that have no such field."""
+    codes, nbits = zip(*_codes_from_lengths(lengths)[:nsym], (0, 0))
+    return np.array(codes, np.uint64), np.array(nbits, np.uint64)
+
+
+_FIXED_LIT_CODES = _code_arrays(_FIXED_LIT_LENGTHS, 286)
+_FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NO_DIST)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +326,15 @@ _LEVEL_EFFORT = {
 }
 
 
-def _tokenize_ops(data: bytes, effort: _Effort) -> list:
-    """Internal token stream: ints are literal bytes, tuples are (length, distance)."""
+def _tokenize_ops(data: bytes, effort: _Effort) -> np.ndarray:
+    """Internal token stream as one int64 array: values 0..255 are literal
+    bytes, a match is ``length << 16 | distance`` (always above 255)."""
     max_chain, good_length, nice_length, max_lazy = effort
     n = len(data)
-    ops: list = []
+    ops: list[int] = []
     append = ops.append
     if n == 0:
-        return ops
+        return np.zeros(0, np.int64)
     head: dict[int, int] = {}
     get = head.get
     prev = [-1] * n
@@ -376,7 +399,7 @@ def _tokenize_ops(data: bytes, effort: _Effort) -> list:
             pend_len, pend_dist = best_len, best_dist
             i += 1
         else:
-            append((best_len, best_dist))
+            append(best_len << 16 | best_dist)
             end = start + best_len
             lo = i + 1 if best_len <= _INSERT_CAP else max(i + 1, end - 2)
             for p in range(lo, min(end, limit)):
@@ -384,7 +407,7 @@ def _tokenize_ops(data: bytes, effort: _Effort) -> list:
                 prev[p] = get(t, -1)
                 head[t] = p
             i = end
-    return ops
+    return np.fromiter(ops, np.int64, len(ops))
 
 
 def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> list[Token]:
@@ -396,8 +419,8 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     lv = check_level(level)
     if lv < 1:
         raise ParameterError("level 0 is stored-only and produces no token stream")
-    ops = _tokenize_ops(bytes(data), _LEVEL_EFFORT[lv])
-    return [Literal(op) if type(op) is int else Match(op[0], op[1]) for op in ops]
+    ops = _tokenize_ops(bytes(data), _LEVEL_EFFORT[lv]).tolist()
+    return [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops]
 
 
 def _is_int_in(value, lo: int, hi: int) -> bool:
@@ -462,45 +485,66 @@ class _BitWriter:
             self.cnt = 0
 
 
-def _split_blocks(ops: list) -> list[tuple[int, int, int, int]]:
-    """Partition the op list at ~64 KiB input boundaries.
+class _OpFields(NamedTuple):
+    """Per-op arrays of the Huffman stage (RFC 1951 section 3.2.5). A literal
+    has no length or distance: its extra bits are 0 and its distance symbol
+    is ``_NO_DIST``, whose code is empty."""
+
+    sym: np.ndarray  # literal byte, or length symbol 257..285
+    len_xv: np.ndarray  # length extra-bit value
+    len_xb: np.ndarray  # length extra-bit count
+    dsym: np.ndarray  # distance symbol 0..29, or _NO_DIST
+    dist_xv: np.ndarray
+    dist_xb: np.ndarray
+    cover: np.ndarray  # input bytes the op covers
+
+
+def _op_fields(ops: np.ndarray) -> _OpFields:
+    length = ops >> 16
+    match = length > 0
+    dist = np.where(match, ops & 0xFFFF, 0)
+    dsym = _DIST_SYM[dist]
+    return _OpFields(
+        np.where(match, _LEN_SYM[length], ops).astype(np.uint16),
+        (length - _LEN_BASE[length]).astype(np.uint16),
+        _LEN_XB[length],
+        dsym,
+        (dist - _DIST_BASE[dsym]).astype(np.uint16),
+        _DIST_XB[dsym],
+        np.maximum(length, 1).astype(np.uint16),
+    )
+
+
+def _split_blocks(cover: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Partition the ops at ~64 KiB input boundaries: a block ends at the
+    first op that brings it to ``_BLOCK_INPUT`` bytes or more.
 
     Returns (op_start, op_end, byte_start, byte_end) per block; a match is
     never split, so blocks may slightly overshoot the boundary.
     """
+    ends = np.cumsum(cover, dtype=np.int64)
+    n = len(ends)
+    total = int(ends[-1]) if n else 0
     blocks = []
     op_start = 0
     byte_start = 0
-    pos = 0
-    for idx, op in enumerate(ops):
-        pos += 1 if type(op) is int else op[0]
-        if pos - byte_start >= _BLOCK_INPUT:
-            blocks.append((op_start, idx + 1, byte_start, pos))
-            op_start = idx + 1
-            byte_start = pos
-    if op_start < len(ops) or not blocks:
-        blocks.append((op_start, len(ops), byte_start, pos))
+    while total - byte_start >= _BLOCK_INPUT:
+        idx = int(np.searchsorted(ends, byte_start + _BLOCK_INPUT))
+        blocks.append((op_start, idx + 1, byte_start, int(ends[idx])))
+        op_start = idx + 1
+        byte_start = int(ends[idx])
+    if op_start < n or not blocks:
+        blocks.append((op_start, n, byte_start, total))
     return blocks
 
 
-def _block_stats(ops: list, start: int, end: int) -> tuple[list[int], list[int], int]:
+def _block_stats(f: _OpFields, start: int, end: int) -> tuple[list[int], list[int], int]:
     """Symbol frequencies and total extra bits for one block (EOB included)."""
-    lit_freq = [0] * 286
-    dist_freq = [0] * 30
-    extra = 0
-    for idx in range(start, end):
-        op = ops[idx]
-        if type(op) is int:
-            lit_freq[op] += 1
-        else:
-            length, dist = op
-            lit_freq[_LEN_SYM[length]] += 1
-            extra += _LEN_XB[length]
-            ds = _dist_symbol(dist)
-            dist_freq[ds] += 1
-            extra += _DIST_XBITS[ds]
+    lit_freq = np.bincount(f.sym[start:end], minlength=286)
     lit_freq[256] += 1
-    return lit_freq, dist_freq, extra
+    dist_freq = np.bincount(f.dsym[start:end], minlength=_NO_DIST + 1)[:_NO_DIST]
+    extra = int(f.len_xb[start:end].sum()) + int(f.dist_xb[start:end].sum())
+    return lit_freq.tolist(), dist_freq.tolist(), extra
 
 
 def _rle_code_lengths(lengths: list[int]) -> list[tuple[int, int, int]]:
@@ -603,57 +647,65 @@ def _stored_bits_upper(nbytes: int) -> int:
     return 7 + 40 * nchunks + 8 * nbytes  # worst-case padding
 
 
-def _emit_tokens(w: _BitWriter, ops: list, start: int, end: int,
-                 lit_codes: list[tuple[int, int]], dist_codes: list[tuple[int, int]]) -> None:
-    acc = w.acc
-    cnt = w.cnt
-    out = w.out
-    append = out.append
-    for idx in range(start, end):
-        op = ops[idx]
-        if type(op) is int:
-            code, nb = lit_codes[op]
-            acc |= code << cnt
-            cnt += nb
-        else:
-            length, dist = op
-            code, nb = lit_codes[_LEN_SYM[length]]
-            acc |= code << cnt
-            cnt += nb
-            xb = _LEN_XB[length]
-            if xb:
-                acc |= (length - _LEN_BASE[length]) << cnt
-                cnt += xb
-            ds = _dist_symbol(dist)
-            code, nb = dist_codes[ds]
-            acc |= code << cnt
-            cnt += nb
-            xb = _DIST_XBITS[ds]
-            if xb:
-                acc |= (dist - _DIST_BASES[ds]) << cnt
-                cnt += xb
-        while cnt >= 8:
-            append(acc & 0xFF)
-            acc >>= 8
-            cnt -= 8
-    code, nb = lit_codes[256]
-    acc |= code << cnt
-    cnt += nb
-    while cnt >= 8:
-        append(acc & 0xFF)
-        acc >>= 8
-        cnt -= 8
-    w.acc = acc
-    w.cnt = cnt
+def _emit_tokens(w: _BitWriter, f: _OpFields, start: int, end: int,
+                 lit_codes: tuple[np.ndarray, np.ndarray],
+                 dist_codes: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write ops start..end and end-of-block, LSB-first (RFC 1951 section 3.1.1).
+
+    Each op's code and extra-bit fields join into one value of at most
+    15 + 5 + 15 + 13 = 48 bits. The values, after the writer's pending bits,
+    are ORed into little-endian 64-bit words at offsets taken by cumsum; a
+    value that crosses a word boundary spills its high bits into the next
+    word. Whole bytes go to ``w.out`` and the last partial byte stays in
+    ``w.acc``/``w.cnt``.
+    """
+    lit_code, lit_nb = lit_codes
+    dist_code, dist_nb = dist_codes
+    ops = slice(start, end)
+    sym = f.sym[ops]
+    dsym = f.dsym[ops]
+    v = lit_code[sym]
+    nb = lit_nb[sym]
+    v |= f.len_xv[ops] << nb
+    nb += f.len_xb[ops]
+    v |= dist_code[dsym] << nb
+    nb += dist_nb[dsym]
+    v |= f.dist_xv[ops] << nb
+    nb += f.dist_xb[ops]
+
+    vals = np.empty(end - start + 2, np.uint64)
+    nbits = np.empty(end - start + 2, np.uint64)
+    vals[0], nbits[0] = w.acc, w.cnt
+    vals[1:-1], nbits[1:-1] = v, nb
+    vals[-1], nbits[-1] = lit_code[256], lit_nb[256]
+
+    ends = np.cumsum(nbits)
+    total = int(ends[-1])
+    offs = ends - nbits
+    word = (offs >> np.uint64(6)).astype(np.intp)
+    shift = offs & np.uint64(63)
+    lo = vals << shift
+    hi = (vals >> np.uint64(1)) >> (np.uint64(63) - shift)
+    # index of the first value in each word; value 0, the pending bits, starts word 0
+    firsts = np.concatenate(([0], np.flatnonzero(np.diff(word)) + 1))
+    idx = word[firsts]
+    words = np.zeros(idx[-1] + 2, "<u8")
+    words[idx] = np.bitwise_or.reduceat(lo, firsts)
+    words[idx + 1] |= np.bitwise_or.reduceat(hi, firsts)
+    buf = words.view(np.uint8)
+    nbytes = total >> 3
+    w.out += buf[:nbytes].tobytes()
+    w.cnt = total & 7
+    w.acc = int(buf[nbytes]) if w.cnt else 0
 
 
-def _emit_fixed_block(w: _BitWriter, ops: list, start: int, end: int, final: bool) -> None:
+def _emit_fixed_block(w: _BitWriter, f: _OpFields, start: int, end: int, final: bool) -> None:
     w.write(1 if final else 0, 1)
     w.write(1, 2)
-    _emit_tokens(w, ops, start, end, _FIXED_LIT_CODES, _FIXED_DIST_CODES)
+    _emit_tokens(w, f, start, end, _FIXED_LIT_CODES, _FIXED_DIST_CODES)
 
 
-def _emit_dynamic_block(w: _BitWriter, ops: list, start: int, end: int, final: bool,
+def _emit_dynamic_block(w: _BitWriter, f: _OpFields, start: int, end: int, final: bool,
                         plan: _DynamicPlan) -> None:
     w.write(1 if final else 0, 1)
     w.write(2, 2)
@@ -668,9 +720,9 @@ def _emit_dynamic_block(w: _BitWriter, ops: list, start: int, end: int, final: b
         w.write(code, nb)
         if xbits:
             w.write(xval, xbits)
-    lit_codes = _codes_from_lengths(plan.lit_lengths)
-    dist_codes = _codes_from_lengths(plan.dist_lengths)
-    _emit_tokens(w, ops, start, end, lit_codes, dist_codes)
+    lit_codes = _code_arrays(plan.lit_lengths, 286)
+    dist_codes = _code_arrays(plan.dist_lengths, _NO_DIST)
+    _emit_tokens(w, f, start, end, lit_codes, dist_codes)
 
 
 def _emit_stored(w: _BitWriter, data: bytes, start: int, end: int, final: bool) -> None:
@@ -706,24 +758,24 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     if lv == 0:
         _emit_stored(w, data, 0, len(data), True)
     else:
-        ops = _tokenize_ops(data, _LEVEL_EFFORT[lv])
-        blocks = _split_blocks(ops)
+        f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[lv]))
+        blocks = _split_blocks(f.cover)
         last = len(blocks) - 1
         for bi, (op_s, op_e, byte_s, byte_e) in enumerate(blocks):
             final = bi == last
             if lv == 1:
-                _emit_fixed_block(w, ops, op_s, op_e, final)
+                _emit_fixed_block(w, f, op_s, op_e, final)
                 continue
-            lit_freq, dist_freq, extra = _block_stats(ops, op_s, op_e)
+            lit_freq, dist_freq, extra = _block_stats(f, op_s, op_e)
             plan = _DynamicPlan(lit_freq, dist_freq, extra)
             fixed = _fixed_bits(lit_freq, dist_freq, extra)
             stored = _stored_bits_upper(byte_e - byte_s)
             if stored < plan.bits and stored < fixed:
                 _emit_stored(w, data, byte_s, byte_e, final)
             elif plan.bits < fixed:
-                _emit_dynamic_block(w, ops, op_s, op_e, final, plan)
+                _emit_dynamic_block(w, f, op_s, op_e, final, plan)
             else:
-                _emit_fixed_block(w, ops, op_s, op_e, final)
+                _emit_fixed_block(w, f, op_s, op_e, final)
     w.align()
 
     out += adler32(data).to_bytes(4, "big")
@@ -749,9 +801,7 @@ def _build_decode_table(lengths: list[int], allow_incomplete: bool = False):
     table: list = [None] * size
     for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
         if l:
-            entry = (sym, l)
-            for idx in range(rev, size, 1 << l):
-                table[idx] = entry
+            table[rev :: 1 << l] = [(sym, l)] * (size >> l)
     return table, max_bits
 
 
@@ -836,14 +886,15 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     conforming encoder. Verifies the Adler-32 trailer and rejects trailing
     garbage.
 
-    With ``max_output`` set, raises :class:`CorruptStreamError` once the
-    output passes that many bytes. The size is checked after every match,
-    stored block and block end rather than per literal, so the output held
-    at that point exceeds the limit by at most 258 bytes plus 8 bytes per
-    input byte.
+    ``max_output`` is None or an int >= 0; anything else raises
+    :class:`ParameterError`. When set, raises :class:`CorruptStreamError`
+    once the output passes that many bytes. The size is checked after every
+    match, stored block and block end rather than per literal, so the output
+    held at that point exceeds the limit by at most 258 bytes plus 8 bytes
+    per input byte.
     """
+    limit = sys.maxsize if max_output is None else _check_uint("max_output", max_output)
     data = bytes(data)
-    limit = sys.maxsize if max_output is None else max_output
     n = len(data)
     if n < 2:
         raise TruncatedStreamError("zlib stream shorter than its header")

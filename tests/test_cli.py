@@ -160,3 +160,12 @@ def test_synth_gradient_ramp(tmp_path):
 def test_synth_bad_size(tmp_path, capsys):
     assert main(["synth", "--kind", "noise", "--size", "huge", "-o", str(tmp_path / "x")]) != 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_synth_rejects_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "none"
+    assert main(["synth", "--kind", "noise", "--size", "8x8", "--count", str(count),
+                 "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import hashlib
 import random
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,10 +15,23 @@ from kpng.errors import (
     ZlibHeaderError,
 )
 from kpng.flate import (
+    _BLOCK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
+    _FIXED_DIST_LENGTHS,
+    _FIXED_LIT_LENGTHS,
+    _NO_DIST,
     Literal,
     Match,
+    _BitWriter,
+    _block_stats,
+    _build_decode_table,
+    _code_arrays,
+    _codes_from_lengths,
+    _DynamicPlan,
+    _emit_tokens,
+    _op_fields,
+    _split_blocks,
     adler32,
     crc32,
     deflate_compress,
@@ -139,6 +153,21 @@ def test_checksums_match_stdlib(blob):
     assert adler32(blob) == zlib.adler32(blob)
 
 
+@pytest.mark.parametrize("value", [-1, 1 << 32, True, 1.0, "1", None])
+def test_checksum_start_value_checked(value):
+    with pytest.raises(ParameterError):
+        crc32(b"abc", value)
+    with pytest.raises(ParameterError):
+        adler32(b"abc", value)
+
+
+def test_checksum_start_value_range_ends():
+    top = (1 << 32) - 1
+    assert crc32(b"abc", top) == zlib.crc32(b"abc", top)
+    assert adler32(b"abc", top) == zlib.adler32(b"abc", top)
+    assert crc32(b"", 0) == 0 and adler32(b"", 0) == 0
+
+
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -232,11 +261,12 @@ def test_deterministic_output():
         assert deflate_compress(blob, level) == deflate_compress(blob, level)
 
 
-# Levels 1-2 are greedy; only level 3 uses the lazy-search cutoffs, so the
-# greedy levels' bytes are pinned.
+# Levels 1-2 are greedy and level 3 lazy; the bytes of all three are pinned,
+# so a change to the tokenizer or the Huffman stage that moves them shows.
 GREEDY_LEVEL_SHA256 = {
     1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
     2: "7e29bccb271500b2f5904db881f979a4e4f147fb37089c29ea814b923f615ad9",
+    3: "a4574ce546ee6d77e02c5a63c3c48468ba68bb1ff43729a1c69230455a0a8327",
 }
 
 
@@ -354,6 +384,12 @@ def test_inflate_max_output_on_literal_block():
     assert inflate(stream, max_output=200) == bytes(range(200))
     with pytest.raises(CorruptStreamError):
         inflate(stream, max_output=199)
+
+
+@pytest.mark.parametrize("bad", ["5", -1, 5.5, True, False, b"5"])
+def test_inflate_max_output_checked(bad):
+    with pytest.raises(ParameterError):
+        inflate(deflate_compress(b"abc", 2), max_output=bad)
 
 
 def test_inflate_rejects_empty():
@@ -479,3 +515,173 @@ def test_single_distance_code_round_trips_everywhere():
         stream = deflate_compress(blob, level)
         assert inflate(stream) == blob
         assert zlib.decompress(stream) == blob
+
+
+# ---------------------------------------------------------------------------
+# Huffman stage: block split, statistics and the array bit packer against
+# per-op scalar references
+
+# RFC 1951 section 3.2.5, written out apart from kpng.flate's own tables
+LEN_BASES = [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31,
+             35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258]
+LEN_XBITS = [0] * 8 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5] * 4 + [0]
+DIST_BASES = [1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385,
+              513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577]
+DIST_XBITS = [0, 0, 0, 0] + [x for x in range(1, 14) for _ in (0, 1)]
+
+
+def symbol_index(value, bases):
+    return max(i for i, base in enumerate(bases) if base <= value)
+
+
+def canonical_codes(lengths):
+    """RFC 1951 section 3.2.2: each symbol's code as an MSB-first integer."""
+    bl_count = [0] * 16
+    for l in lengths:
+        if l:
+            bl_count[l] += 1
+    next_code = [0] * 16
+    code = 0
+    for bits in range(1, 16):
+        code = (code + bl_count[bits - 1]) << 1
+        next_code[bits] = code
+    codes = []
+    for l in lengths:
+        codes.append(next_code[l])
+        if l:
+            next_code[l] += 1
+    return codes
+
+
+def reference_block_bits(ops, lit_lengths, dist_lengths):
+    """Scalar writer: each op's code and extra bits, then end-of-block."""
+    lit_codes = canonical_codes(lit_lengths)
+    dist_codes = canonical_codes(dist_lengths)
+    p = BitPacker()
+    for op in ops:
+        if op < 256:
+            p.put_code_msb(lit_codes[op], lit_lengths[op])
+            continue
+        length, dist = op >> 16, op & 0xFFFF
+        li = symbol_index(length, LEN_BASES)
+        p.put_code_msb(lit_codes[257 + li], lit_lengths[257 + li])
+        p.put(length - LEN_BASES[li], LEN_XBITS[li])
+        di = symbol_index(dist, DIST_BASES)
+        p.put_code_msb(dist_codes[di], dist_lengths[di])
+        p.put(dist - DIST_BASES[di], DIST_XBITS[di])
+    p.put_code_msb(lit_codes[256], lit_lengths[256])
+    return p.bits
+
+
+def _packer_ops():
+    rng = random.Random(6)
+    # each length and distance symbol at its largest extra value; code 284
+    # stops at 257 because 258 has code 285
+    lengths = [b + (1 << x) - 1 for b, x in zip(LEN_BASES[:-2], LEN_XBITS[:-2])] + [257, 258]
+    distances = [b + (1 << x) - 1 for b, x in zip(DIST_BASES, DIST_XBITS)]
+    literals = list(range(256)) * 3
+    rng.shuffle(literals)
+    mixed = [rng.randrange(256) if rng.random() < 0.6
+             else rng.randrange(3, 259) << 16 | rng.randrange(1, 32769) for _ in range(2000)]
+    return {
+        "literals": literals,
+        "matches": [l << 16 | d for l in lengths for d in distances],
+        "mixed": mixed,
+    }
+
+
+PACKER_OPS = _packer_ops()
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
+@pytest.mark.parametrize("kind", sorted(PACKER_OPS))
+@pytest.mark.parametrize("pending", range(8))
+def test_packer_matches_scalar_writer(pending, kind, dynamic):
+    ops = PACKER_OPS[kind]
+    pad = [7, 65, 3 << 16 | 1]  # ops on either side of the block, not written
+    f = _op_fields(np.array(pad + ops + pad, np.int64))
+    start, end = len(pad), len(pad) + len(ops)
+    if dynamic:
+        plan = _DynamicPlan(*_block_stats(f, start, end))
+        lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
+    else:
+        lit_lengths, dist_lengths = _FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS
+    head = [random.Random(pending).randrange(2) for _ in range(pending)]
+    w = _BitWriter(bytearray())
+    for bit in head:
+        w.write(bit, 1)
+    _emit_tokens(w, f, start, end, _code_arrays(lit_lengths, 286), _code_arrays(dist_lengths, _NO_DIST))
+
+    bits = head + reference_block_bits(ops, lit_lengths, dist_lengths)
+    whole = len(bits) // 8 * 8
+    want = bytes(sum(b << i for i, b in enumerate(bits[k : k + 8])) for k in range(0, whole, 8))
+    assert bytes(w.out) == want
+    assert (w.acc, w.cnt) == (sum(b << i for i, b in enumerate(bits[whole:])), len(bits) - whole)
+
+
+def test_block_stats_match_per_op_count():
+    ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
+    lit_freq = [0] * 286
+    dist_freq = [0] * 30
+    extra = 0
+    for op in ops:
+        if op < 256:
+            lit_freq[op] += 1
+            continue
+        li = symbol_index(op >> 16, LEN_BASES)
+        di = symbol_index(op & 0xFFFF, DIST_BASES)
+        lit_freq[257 + li] += 1
+        dist_freq[di] += 1
+        extra += LEN_XBITS[li] + DIST_XBITS[di]
+    lit_freq[256] += 1
+    f = _op_fields(np.array(ops, np.int64))
+    assert _block_stats(f, 0, len(ops)) == (lit_freq, dist_freq, extra)
+    assert f.cover.tolist() == [1 if op < 256 else op >> 16 for op in ops]
+
+
+def split_blocks_reference(cover):
+    """Per-op loop: a block ends at the first op that brings it to
+    _BLOCK_INPUT bytes or more."""
+    blocks = []
+    op_start = byte_start = pos = 0
+    for idx, c in enumerate(cover):
+        pos += c
+        if pos - byte_start >= _BLOCK_INPUT:
+            blocks.append((op_start, idx + 1, byte_start, pos))
+            op_start = idx + 1
+            byte_start = pos
+    if op_start < len(cover) or not blocks:
+        blocks.append((op_start, len(cover), byte_start, pos))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        [],
+        [1],
+        [1] * (_BLOCK_INPUT - 1),
+        [1] * _BLOCK_INPUT,
+        [1] * (_BLOCK_INPUT + 1),
+        [258] * 1000,
+        [1] * (_BLOCK_INPUT - 1) + [258] + [1] * (_BLOCK_INPUT - 2),
+        [random.Random(9).choice([1, 1, 3, 40, 258]) for _ in range(20000)],
+    ],
+    ids=["empty", "one", "just-under", "exact", "just-over", "long-matches", "overshoot", "random"],
+)
+def test_split_blocks_matches_per_op_loop(cover):
+    assert _split_blocks(np.array(cover, np.uint16)) == split_blocks_reference(cover)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [_FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS, [1, 1], [2, 1, 3, 3], [0, 4, 0, 2, 4, 4, 4, 3, 3, 0], [0, 0, 3]],
+)
+def test_decode_table_matches_per_index_fill(lengths):
+    table, max_bits = _build_decode_table(lengths, allow_incomplete=True)
+    want = [None] * (1 << max_bits)
+    for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
+        if l:
+            for idx in range(rev, 1 << max_bits, 1 << l):
+                want[idx] = (sym, l)
+    assert table == want
