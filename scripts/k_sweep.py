@@ -4,18 +4,22 @@
 Shows the size/quality trade-off that motivates the default k=10: compressed
 size falls as k grows while PSNR/SSIM degrade. Run on the shapes generator
 (where the scheme shines) or on the gradient generator to see the banding
-failure mode drag SSIM down.
+failure mode drag SSIM down. The vs_zlib9 column is the IDAT size over
+zlib -9 on the same scanlines (kpng's inflate recovers them): how far the
+codec's DEFLATE is from the reference compressor on identical input.
 
     python scripts/k_sweep.py --kind flat-shapes --seed 1
 """
 
 import argparse
+import zlib
 
 from kpng.bmpcodec import encode_bmp
 from kpng.corpus import GENERATOR_KINDS, CorpusSpec, generate
+from kpng.flate import inflate
 from kpng.kmodulus import K_MAX, K_MIN, kmm_transform
 from kpng.metrics import compare
-from kpng.pngcodec import encode_png
+from kpng.pngcodec import encode_png, parse_chunks
 
 
 def main() -> int:
@@ -30,12 +34,15 @@ def main() -> int:
     bmp_size = len(encode_bmp(img))
 
     print(f"{args.kind} {args.size}x{args.size} seed={args.seed}, bmp {bmp_size} bytes")
-    print(f"{'k':>3} {'size':>9} {'CR':>7} {'mse':>9} {'psnr':>8} {'ssim':>7}")
+    print(f"{'k':>3} {'size':>9} {'CR':>7} {'vs_zlib9':>8} {'mse':>9} {'psnr':>8} {'ssim':>7}")
     for k in range(K_MIN, K_MAX + 1):
         kimg = kmm_transform(img, k)
-        size = len(encode_png(kimg))
+        png = encode_png(kimg)
+        idat = b"".join(c.data for c in parse_chunks(png) if c.type_code == b"IDAT")
+        vs_zlib9 = len(idat) / len(zlib.compress(inflate(idat), 9))
         r = compare(img, kimg)
-        print(f"{k:>3} {size:>9} {bmp_size / size:>7.1f} {r.mse:>9.4f} {r.psnr:>8.4f} {r.ssim:>7.4f}")
+        print(f"{k:>3} {len(png):>9} {bmp_size / len(png):>7.1f} {vs_zlib9:>8.3f} "
+              f"{r.mse:>9.4f} {r.psnr:>8.4f} {r.ssim:>7.4f}")
     return 0
 
 

@@ -8,15 +8,19 @@ PNG IDAT carries.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
-symbol and extra-bit arrays once, cuts blocks with ``cumsum`` and
-``searchsorted``, counts each block's symbols with ``np.bincount`` and packs
-its bits into 64-bit words in numpy (``_emit_tokens``); ``_BitWriter``
-writes only block headers and stored blocks. ``Literal``/``Match`` objects
-exist only at the public edge, ``lz77_tokenize`` and ``lz77_expand``.
+symbol and extra-bit arrays once, cuts blocks at about 64 KiB of input with
+``cumsum`` and ``searchsorted``, counts each block's symbols with
+``np.bincount`` and packs its bits into 64-bit words in numpy
+(``_emit_tokens``); ``_BitWriter`` writes only block headers and stored
+blocks. ``Literal``/``Match`` objects exist only at the public edge,
+``lz77_tokenize`` and ``lz77_expand``.
 
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
-dynamic codes; 3 lazy matching + dynamic codes. Levels 2-3 fall back to
-fixed or stored blocks per 64 KiB block whenever that is smaller. Each
+dynamic codes; 3 lazy matching + dynamic codes. Level 1 emits the 64 KiB
+blocks as they are cut. Levels 2-3 price each block as dynamic, fixed and
+stored, then merge neighbours left to right: the block so far absorbs the
+next one whenever the merged span's cheapest coding is smaller than the two
+coded apart (``_plan_blocks``). Each
 level's search effort comes from a table modeled on zlib's
 ``configuration_table`` (deflate.c): levels 1-2 walk up to 128 hash-chain
 links; level 3 walks up to 256, a quarter of that for the lazy search when
@@ -27,8 +31,10 @@ a 258-byte match (``nice_length``, ``max_lazy``).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -248,22 +254,51 @@ def _reverse_bits(code: int, nbits: int) -> int:
     return r
 
 
-def _limited_code_lengths(freqs: list[int], max_bits: int) -> list[int]:
-    """Optimal length-limited code lengths (package-merge). 0 = symbol unused."""
-    singles = sorted((f, (s,)) for s, f in enumerate(freqs) if f > 0)
-    lengths = [0] * len(freqs)
-    if not singles:
+# package-merge item key: weight << 20 | first symbol << 1 | 1 if single
+_WEIGHT_MASK = -1 << 20
+_FIRST_SYMBOL_MASK = 511 << 1
+
+
+def _limited_code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
+    """Optimal length-limited code lengths (package-merge). 0 = symbol unused.
+
+    Level 1 lists the used symbols by (weight, symbol); each later level
+    merges them with the packages of consecutive pairs of the level before.
+    An item is one int key (weight, then first symbol, then whether it is a
+    single): items of equal weight never share a first symbol unless both are
+    packages, and packages keep the order they were made in, so sorting the
+    keys orders each level as sorting (weight, symbol tuple) pairs does.
+
+    The cheapest 2(n-1) items of the last level are chosen. The packages
+    among a level's chosen prefix expand to the prefix of the level below
+    twice their number long, and the singles in a prefix are the cheapest
+    ones, so only each level's count of chosen singles is needed: a
+    symbol's length is the number of levels that chose it.
+    """
+    syms = freqs.nonzero()[0]
+    singles = sorted((freqs[syms] << 20 | syms << 1 | 1).tolist())
+    n = len(singles)
+    lengths = np.zeros(len(freqs), np.int64)
+    if n < 2:
+        lengths[syms] = 1
         return lengths
-    if len(singles) == 1:
-        lengths[singles[0][1][0]] = 1
-        return lengths
-    groups = singles
+    levels = [singles]
     for _ in range(max_bits - 1):
-        packaged = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(groups[::2], groups[1::2])]
-        groups = sorted(packaged + singles)
-    for _, syms in groups[: 2 * (len(singles) - 1)]:
-        for s in syms:
-            lengths[s] += 1
+        prev = levels[-1]
+        level = sorted([(a + b) & _WEIGHT_MASK | a & _FIRST_SYMBOL_MASK for a, b in zip(prev[::2], prev[1::2])]
+                       + singles)
+        if level == prev:
+            break  # every later level is this list again
+        levels.append(level)
+    levels += [levels[-1]] * (max_bits - len(levels))
+    chose = [0] * (n + 1)  # chose[c]: levels whose chosen prefix holds c singles
+    take = 2 * (n - 1)
+    for level in reversed(levels):
+        c = bisect_left(singles, level[take]) if take < len(level) else n
+        chose[c] += 1
+        take = 2 * (take - c)
+    # the single of rank r is chosen by every level that chose more than r
+    lengths[[k >> 1 & 511 for k in singles]] = list(accumulate(chose[:0:-1]))[::-1]
     return lengths
 
 
@@ -424,7 +459,7 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
 
 
 def _is_int_in(value, lo: int, hi: int) -> bool:
-    return isinstance(value, int) and lo <= value <= hi
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
 def lz77_expand(tokens) -> bytes:
@@ -538,27 +573,27 @@ def _split_blocks(cover: np.ndarray) -> list[tuple[int, int, int, int]]:
     return blocks
 
 
-def _block_stats(f: _OpFields, start: int, end: int) -> tuple[list[int], list[int], int]:
-    """Symbol frequencies and total extra bits for one block (EOB included)."""
+class _BlockStats(NamedTuple):
+    """Symbol histograms of a run of ops, end-of-block counted once."""
+
+    lit_freq: np.ndarray  # int64, 286 literal/length symbols
+    dist_freq: np.ndarray  # int64, 30 distance symbols
+    extra: int  # length and distance extra bits
+
+
+def _block_stats(f: _OpFields, start: int, end: int) -> _BlockStats:
     lit_freq = np.bincount(f.sym[start:end], minlength=286)
     lit_freq[256] += 1
     dist_freq = np.bincount(f.dsym[start:end], minlength=_NO_DIST + 1)[:_NO_DIST]
     extra = int(f.len_xb[start:end].sum()) + int(f.dist_xb[start:end].sum())
-    return lit_freq.tolist(), dist_freq.tolist(), extra
+    return _BlockStats(lit_freq, dist_freq, extra)
 
 
 def _rle_code_lengths(lengths: list[int]) -> list[tuple[int, int, int]]:
     """Run-length encode a code-length sequence into (symbol, extra, extra_bits)."""
     out = []
-    i = 0
-    n = len(lengths)
-    prev = -1
-    while i < n:
-        v = lengths[i]
-        run = 1
-        while i + run < n and lengths[i + run] == v:
-            run += 1
-        r = run
+    for v, run in groupby(lengths):
+        r = len(list(run))
         if v == 0:
             while r >= 11:
                 take = min(r, 138)
@@ -567,84 +602,124 @@ def _rle_code_lengths(lengths: list[int]) -> list[tuple[int, int, int]]:
             if r >= 3:
                 out.append((17, r - 3, 3))
                 r = 0
-            while r:
-                out.append((0, 0, 0))
-                r -= 1
         else:
-            if prev != v:
-                out.append((v, 0, 0))
-                r -= 1
+            # runs are maximal, so the previous length always differs
+            out.append((v, 0, 0))
+            r -= 1
             while r >= 3:
                 take = min(r, 6)
                 out.append((16, take - 3, 2))
                 r -= take
-            while r:
-                out.append((v, 0, 0))
-                r -= 1
-        prev = v
-        i += run
+        out += [(v, 0, 0)] * r
     return out
 
 
-def _force_two_codes(lengths: list[int]) -> None:
+def _force_two_codes(lengths: np.ndarray) -> None:
     """A Huffman tree with a single leaf is not decodable by strict inflaters;
     pad the length set so at least two symbols carry codes."""
-    used = [s for s, l in enumerate(lengths) if l]
+    used = lengths.nonzero()[0]
     if len(used) == 1:
         lengths[used[0]] = 1
         lengths[0 if used[0] != 0 else 1] = 1
 
 
+_CODELEN_RANK = np.argsort(_CODELEN_ORDER)  # code-length symbol -> header position
+
+
 class _DynamicPlan:
     __slots__ = ("lit_lengths", "dist_lengths", "hlit", "hdist", "hclen", "rle", "cl_lengths", "bits")
 
-    def __init__(self, lit_freq: list[int], dist_freq: list[int], extra: int):
+    def __init__(self, lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int):
         lit_lengths = _limited_code_lengths(lit_freq, 15)
         _force_two_codes(lit_lengths)
         dist_lengths = _limited_code_lengths(dist_freq, 15)
 
-        hlit = max(257, 1 + max((s for s, l in enumerate(lit_lengths) if l), default=0))
-        hdist = max(1, 1 + max((s for s, l in enumerate(dist_lengths) if l), default=0))
-        rle = _rle_code_lengths(lit_lengths[:hlit] + dist_lengths[:hdist])
+        # a symbol has a code exactly when it occurs; the padding that
+        # _force_two_codes may add is below 257
+        dist_used = dist_freq.nonzero()[0]
+        hlit = max(257, int(lit_freq.nonzero()[0][-1]) + 1)
+        hdist = int(dist_used[-1]) + 1 if len(dist_used) else 1
+        rle = _rle_code_lengths(np.concatenate((lit_lengths[:hlit], dist_lengths[:hdist])).tolist())
 
-        cl_freq = [0] * 19
-        for sym, _, _ in rle:
-            cl_freq[sym] += 1
+        rle_syms, _, rle_xb = zip(*rle)
+        cl_freq = np.bincount(rle_syms, minlength=19)
         cl_lengths = _limited_code_lengths(cl_freq, 7)
         _force_two_codes(cl_lengths)
+        hclen = max(4, int(_CODELEN_RANK[cl_lengths.nonzero()[0]].max()) + 1)
 
-        hclen = 4
-        for idx, sym in enumerate(_CODELEN_ORDER):
-            if cl_lengths[sym]:
-                hclen = max(hclen, idx + 1)
+        bits = 3 + 14 + 3 * hclen + sum(rle_xb) + int(cl_freq @ cl_lengths)
+        bits += int(lit_freq @ lit_lengths) + int(dist_freq @ dist_lengths) + extra
 
-        bits = 3 + 14 + 3 * hclen
-        for sym, _, xb in rle:
-            bits += cl_lengths[sym] + xb
-        bits += sum(f * l for f, l in zip(lit_freq, lit_lengths))
-        bits += sum(f * l for f, l in zip(dist_freq, dist_lengths))
-        bits += extra
-
-        self.lit_lengths = lit_lengths
-        self.dist_lengths = dist_lengths
+        self.lit_lengths = lit_lengths.tolist()
+        self.dist_lengths = dist_lengths.tolist()
         self.hlit = hlit
         self.hdist = hdist
         self.hclen = hclen
         self.rle = rle
-        self.cl_lengths = cl_lengths
+        self.cl_lengths = cl_lengths.tolist()
         self.bits = bits
 
 
-def _fixed_bits(lit_freq: list[int], dist_freq: list[int], extra: int) -> int:
-    bits = 3 + extra
-    bits += sum(f * l for f, l in zip(lit_freq, _FIXED_LIT_LENGTHS))
-    bits += 5 * sum(dist_freq)
-    return bits
+_FIXED_LIT_LENGTHS_I64 = np.array(_FIXED_LIT_LENGTHS[:286], np.int64)
+
+
+def _fixed_bits(lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int) -> int:
+    return 3 + extra + int(lit_freq @ _FIXED_LIT_LENGTHS_I64) + 5 * int(dist_freq.sum())
 
 
 def _stored_bits_upper(nbytes: int) -> int:
     nchunks = max(1, -(-nbytes // _STORED_MAX))
     return 7 + 40 * nchunks + 8 * nbytes  # worst-case padding
+
+
+class _Block:
+    """Ops [op_start, op_end), covering input bytes [byte_start, byte_end),
+    and their cheapest coding: ``btype`` is the BTYPE (0 stored, 1 fixed,
+    2 dynamic) and ``bits`` its size."""
+
+    __slots__ = ("op_start", "op_end", "byte_start", "byte_end", "stats", "plan", "btype", "bits")
+
+    def __init__(self, op_start: int, op_end: int, byte_start: int, byte_end: int, stats: _BlockStats):
+        self.op_start = op_start
+        self.op_end = op_end
+        self.byte_start = byte_start
+        self.byte_end = byte_end
+        self.stats = stats
+        self.plan = plan = _DynamicPlan(*stats)
+        fixed = _fixed_bits(*stats)
+        stored = _stored_bits_upper(byte_end - byte_start)
+        if stored < plan.bits and stored < fixed:
+            self.btype, self.bits = 0, stored
+        elif plan.bits < fixed:
+            self.btype, self.bits = 2, plan.bits
+        else:
+            self.btype, self.bits = 1, fixed
+
+    def merged(self, nxt: _Block) -> _Block:
+        """This block and the next one as one block."""
+        lit_freq = self.stats.lit_freq + nxt.stats.lit_freq
+        lit_freq[256] = 1  # one end-of-block code
+        stats = _BlockStats(lit_freq, self.stats.dist_freq + nxt.stats.dist_freq,
+                            self.stats.extra + nxt.stats.extra)
+        return _Block(self.op_start, nxt.op_end, self.byte_start, nxt.byte_end, stats)
+
+
+def _plan_blocks(f: _OpFields) -> list[_Block]:
+    """Block boundaries for levels 2-3, placed by cost (RFC 1951 leaves them
+    to the compressor). Start from the ~64 KiB cut of ``_split_blocks`` and
+    merge left to right: the block so far absorbs the next one whenever the
+    merged span's cheapest coding is smaller than the two coded apart, which
+    saves a dynamic header wherever the statistics allow one code."""
+    blocks: list[_Block] = []
+    for op_s, op_e, byte_s, byte_e in _split_blocks(f.cover):
+        nxt = _Block(op_s, op_e, byte_s, byte_e, _block_stats(f, op_s, op_e))
+        if blocks:
+            merged = blocks[-1].merged(nxt)
+            if merged.bits < blocks[-1].bits + nxt.bits:
+                blocks[-1] = merged
+                continue
+        blocks.append(nxt)
+    return blocks
 
 
 def _emit_tokens(w: _BitWriter, f: _OpFields, start: int, end: int,
@@ -759,23 +834,20 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
         _emit_stored(w, data, 0, len(data), True)
     else:
         f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[lv]))
-        blocks = _split_blocks(f.cover)
-        last = len(blocks) - 1
-        for bi, (op_s, op_e, byte_s, byte_e) in enumerate(blocks):
-            final = bi == last
-            if lv == 1:
-                _emit_fixed_block(w, f, op_s, op_e, final)
-                continue
-            lit_freq, dist_freq, extra = _block_stats(f, op_s, op_e)
-            plan = _DynamicPlan(lit_freq, dist_freq, extra)
-            fixed = _fixed_bits(lit_freq, dist_freq, extra)
-            stored = _stored_bits_upper(byte_e - byte_s)
-            if stored < plan.bits and stored < fixed:
-                _emit_stored(w, data, byte_s, byte_e, final)
-            elif plan.bits < fixed:
-                _emit_dynamic_block(w, f, op_s, op_e, final, plan)
-            else:
-                _emit_fixed_block(w, f, op_s, op_e, final)
+        if lv == 1:
+            spans = _split_blocks(f.cover)
+            for bi, (op_s, op_e, _, _) in enumerate(spans):
+                _emit_fixed_block(w, f, op_s, op_e, bi == len(spans) - 1)
+        else:
+            blocks = _plan_blocks(f)
+            for bi, b in enumerate(blocks):
+                final = bi == len(blocks) - 1
+                if b.btype == 0:
+                    _emit_stored(w, data, b.byte_start, b.byte_end, final)
+                elif b.btype == 2:
+                    _emit_dynamic_block(w, f, b.op_start, b.op_end, final, b.plan)
+                else:
+                    _emit_fixed_block(w, f, b.op_start, b.op_end, final)
     w.align()
 
     out += adler32(data).to_bytes(4, "big")

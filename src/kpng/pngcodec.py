@@ -38,6 +38,10 @@ SIGNATURE = bytes((137, 80, 78, 71, 13, 10, 26, 10))
 _IDAT_SPLIT = 1 << 20  # split the zlib stream into 1 MiB IDAT chunks
 _MAX_CHUNK = (1 << 31) - 1
 _MAX_DIMENSION = (1 << 31) - 1  # IHDR width and height (ISO/IEC 15948 11.2.2)
+# decode_png refuses larger images before inflating: a valid IDAT of a few
+# MB can declare gigabytes of scanlines, and 2^28 RGB pixels already take
+# 768 MiB of samples
+_MAX_PIXELS = 1 << 28
 # encode_png filters this many samples per numpy pass; a whole large image
 # in one pass would hold tens of MiB of int16 temporaries
 _FILTER_BAND_BYTES = 1 << 16
@@ -353,7 +357,7 @@ def parse_chunks(data: bytes) -> list[PngChunk]:
 
 def decode_png(data: bytes) -> RasterImage:
     """Decode a PNG produced by this encoder's feature subset
-    (8-bit, color type 0 or 2, non-interlaced)."""
+    (8-bit, color type 0 or 2, non-interlaced) of at most 2^28 pixels."""
     chunks = parse_chunks(bytes(data))
     if not chunks or chunks[0].type_code != b"IHDR":
         raise PngFormatError("first chunk is not IHDR")
@@ -365,6 +369,8 @@ def decode_png(data: bytes) -> RasterImage:
     )
     if not (0 < width <= _MAX_DIMENSION and 0 < height <= _MAX_DIMENSION):
         raise PngFormatError(f"invalid dimensions {width}x{height}")
+    if width * height > _MAX_PIXELS:
+        raise PngFormatError(f"{width}x{height} image exceeds the decoder's limit of 2^28 pixels")
     if depth != 8:
         raise UnsupportedImageError(f"bit depth {depth} not supported (only 8)")
     if color not in (0, 2):

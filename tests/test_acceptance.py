@@ -35,7 +35,7 @@ from test_pngcodec import hand_assembled_1x1_png
 from test_bmpcodec import hand_bmp
 from test_corpus import SHAPES_01_BMP_SHA256
 
-SHAPES_01_PNG_SHA256 = "afbbbfc03d453e2ad2f587ef250073dff87cf76a95822f1954bae21827622285"
+SHAPES_01_PNG_SHA256 = "41895daa15d3d1286545f70c67f35e63e96fc913e485491b76c998841fbf89e5"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -203,11 +203,8 @@ def test_criterion_9_golden_fixtures(shapes_01):
     )
 
 
-def test_pinned_png_stays_near_zlib_9(shapes_01):
-    """Level 3 trades search effort for speed; on the pinned image its IDAT
-    must still inflate (by zlib) to the adaptive-filtered scanlines and stay
-    within 5% of zlib -9 on those same scanlines."""
-    img, png_bytes = shapes_01
+def filtered_scanlines(img) -> bytes:
+    """The adaptive-filtered scanlines, type byte first, one row at a time."""
     stride = img.width * img.channels
     filtered = bytearray()
     prior = bytes(stride)
@@ -217,6 +214,29 @@ def test_pinned_png_stays_near_zlib_9(shapes_01):
         filtered.append(ftype)
         filtered += apply_filter(row, prior, ftype, img.channels)
         prior = row
+    return bytes(filtered)
+
+
+def idat_vs_zlib_9(img, png_bytes) -> float:
+    """IDAT bytes over zlib -9 on the same scanlines, once zlib has checked
+    that the IDAT inflates to them."""
+    filtered = filtered_scanlines(img)
     idat = b"".join(c.data for c in parse_chunks(png_bytes) if c.type_code == b"IDAT")
     assert zlib.decompress(idat) == filtered
-    assert len(idat) <= 1.05 * len(zlib.compress(bytes(filtered), 9))
+    return len(idat) / len(zlib.compress(filtered, 9))
+
+
+def test_pinned_png_stays_near_zlib_9(shapes_01):
+    """Level 3 trades search effort for speed; on the pinned image its IDAT
+    must still inflate (by zlib) to the adaptive-filtered scanlines and stay
+    within 5% of zlib -9 on those same scanlines."""
+    assert idat_vs_zlib_9(*shapes_01) <= 1.05
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kpng_shapes_near_zlib_9(seed):
+    """A k=10 flat-shapes image has a few KB of IDAT; 64 KiB blocks each
+    paying a dynamic header put it 35-38% above zlib -9, one block where
+    the statistics allow puts it within 25%."""
+    kimg = kmm_transform(generate(CorpusSpec("flat-shapes", seed=seed)), 10)
+    assert idat_vs_zlib_9(kimg, encode_png(kimg)) <= 1.25

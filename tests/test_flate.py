@@ -20,18 +20,24 @@ from kpng.flate import (
     _CRC_MIN_LANES,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
+    _LEVEL_EFFORT,
     _NO_DIST,
     Literal,
     Match,
     _BitWriter,
+    _Block,
     _block_stats,
     _build_decode_table,
     _code_arrays,
     _codes_from_lengths,
     _DynamicPlan,
     _emit_tokens,
+    _limited_code_lengths,
     _op_fields,
+    _plan_blocks,
+    _rle_code_lengths,
     _split_blocks,
+    _tokenize_ops,
     adler32,
     crc32,
     deflate_compress,
@@ -221,6 +227,10 @@ def test_expand_rejects_bad_tokens():
         [Literal(-1)],
         [Literal(5), Match(3.0, 1)],
         [Literal(5), Match(3, 1.0)],
+        [Literal(True)],
+        [Literal(False)],
+        [Literal(True), Match(True + 2, True)],
+        [Literal(5), Literal(6), Match(3, True)],
         ["not a token"],
     ):
         with pytest.raises(ParameterError):
@@ -635,7 +645,8 @@ def test_block_stats_match_per_op_count():
         extra += LEN_XBITS[li] + DIST_XBITS[di]
     lit_freq[256] += 1
     f = _op_fields(np.array(ops, np.int64))
-    assert _block_stats(f, 0, len(ops)) == (lit_freq, dist_freq, extra)
+    stats = _block_stats(f, 0, len(ops))
+    assert (stats.lit_freq.tolist(), stats.dist_freq.tolist(), stats.extra) == (lit_freq, dist_freq, extra)
     assert f.cover.tolist() == [1 if op < 256 else op >> 16 for op in ops]
 
 
@@ -685,3 +696,154 @@ def test_decode_table_matches_per_index_fill(lengths):
             for idx in range(rev, 1 << max_bits, 1 << l):
                 want[idx] = (sym, l)
     assert table == want
+
+
+# ---------------------------------------------------------------------------
+# Dynamic-code plan: package-merge and code-length RLE against the forms that
+# carry every symbol explicitly
+
+
+def limited_code_lengths_reference(freqs, max_bits):
+    """Package-merge over (weight, symbol tuple) items: each package carries
+    its symbols, and a symbol's length is how often the chosen items hold it."""
+    singles = sorted((f, (s,)) for s, f in enumerate(freqs) if f > 0)
+    lengths = [0] * len(freqs)
+    if not singles:
+        return lengths
+    if len(singles) == 1:
+        lengths[singles[0][1][0]] = 1
+        return lengths
+    groups = singles
+    for _ in range(max_bits - 1):
+        packaged = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(groups[::2], groups[1::2])]
+        groups = sorted(packaged + singles)
+    for _, syms in groups[: 2 * (len(singles) - 1)]:
+        for s in syms:
+            lengths[s] += 1
+    return lengths
+
+
+def rle_code_lengths_reference(lengths):
+    """Per-symbol run scan of RFC 1951 section 3.2.7 code lengths."""
+    out = []
+    i = 0
+    while i < len(lengths):
+        v = lengths[i]
+        r = 1
+        while i + r < len(lengths) and lengths[i + r] == v:
+            r += 1
+        i += r
+        if v == 0:
+            while r >= 11:
+                out.append((18, min(r, 138) - 11, 7))
+                r -= min(r, 138)
+            if r >= 3:
+                out.append((17, r - 3, 3))
+                r = 0
+        else:
+            out.append((v, 0, 0))
+            r -= 1
+            while r >= 3:
+                out.append((16, min(r, 6) - 3, 2))
+                r -= min(r, 6)
+        out += [(v, 0, 0)] * r
+    return out
+
+
+def _frequency_vectors():
+    rng = random.Random(11)
+    fib = [1, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    vecs = [
+        ([], 15),
+        ([0] * 30, 15),
+        ([0, 0, 5, 0], 15),  # one symbol
+        ([3, 0, 3], 15),  # two, tied
+        ([1, 7], 7),
+        ([1] * 286, 15),  # every symbol tied
+        ([1] * 128, 7),  # ties that exactly fill 7 bits
+        (fib, 15),  # Fibonacci weights: the 15-bit limit binds
+        (fib[:19], 7),
+        (fib[:19][::-1], 7),
+    ]
+    for n, max_bits in [(19, 7), (30, 15), (286, 15)] * 40:
+        used = rng.randrange(1, n + 1)
+        top = rng.choice([2, 3, 10, 1000, 1 << 18])  # small tops make many ties
+        freqs = [0] * n
+        for s in rng.sample(range(n), used):
+            freqs[s] = rng.randrange(1, top)
+        vecs.append((freqs, max_bits))
+    # the histograms of real blocks, at both dynamic levels
+    for level in (2, 3):
+        f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), _LEVEL_EFFORT[level]))
+        for op_s, op_e, _, _ in _split_blocks(f.cover):
+            stats = _block_stats(f, op_s, op_e)
+            vecs += [(stats.lit_freq.tolist(), 15), (stats.dist_freq.tolist(), 15)]
+    return vecs
+
+
+@pytest.mark.parametrize("freqs,max_bits", _frequency_vectors())
+def test_code_lengths_match_reference(freqs, max_bits):
+    got = _limited_code_lengths(np.array(freqs, np.int64), max_bits)
+    assert got.tolist() == limited_code_lengths_reference(freqs, max_bits)
+    assert max(got, default=0) <= max_bits
+
+
+def test_code_length_rle_matches_reference():
+    rng = random.Random(12)
+    cases = [[0] * n for n in (1, 2, 3, 10, 11, 138, 139, 149, 150, 300)]
+    cases += [[5] * n for n in (1, 2, 3, 4, 7, 8, 9, 13, 300)]
+    cases += [[rng.choice([0, 0, 0, 3, 4, 8]) * (rng.random() < 0.9) for _ in range(316)] for _ in range(50)]
+    cases += [[rng.choice([0, 7]) for _ in range(rng.randrange(1, 60))] * rng.randrange(1, 8) for _ in range(50)]
+    for lengths in cases:
+        assert _rle_code_lengths(lengths) == rle_code_lengths_reference(lengths)
+
+
+# ---------------------------------------------------------------------------
+# Block merging: cost-based block boundaries at levels 2-3
+
+
+def word_text(seed, n):
+    """Words from a small vocabulary: the same statistics everywhere."""
+    rng = random.Random(seed)
+    vocab = [b"kpng", b"deflate", b"huffman", b"block", b"merge", b"scanline", b"paeth", b"zlib"]
+    out = bytearray()
+    while len(out) < n:
+        out += rng.choice(vocab) + b" "
+    return bytes(out[:n])
+
+
+MERGE_INPUTS = {
+    "uniform": word_text(1, 4 * _BLOCK_INPUT),
+    "alternating": b"".join(
+        word_text(i, _BLOCK_INPUT) if i % 2 == 0 else random.Random(i).randbytes(_BLOCK_INPUT) for i in range(4)
+    ),
+    # a random stretch that covers a whole 64 KiB cut, which is stored
+    "stored-stretch": word_text(2, _BLOCK_INPUT) + random.Random(3).randbytes(2 * _BLOCK_INPUT + 1000)
+    + word_text(4, _BLOCK_INPUT),
+}
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
+def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
+    data = MERGE_INPUTS[name]
+    f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[level]))
+    cut = [_Block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    blocks = _plan_blocks(f)
+    assert len(cut) >= 4
+    # the blocks partition the ops and the input in order
+    assert [(b.op_start, b.byte_start) for b in blocks] == [(0, 0)] + [(b.op_end, b.byte_end) for b in blocks[:-1]]
+    assert (blocks[-1].op_end, blocks[-1].byte_end) == (len(f.cover), len(data))
+    assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
+    if name == "uniform":
+        assert len(blocks) == 1
+    if name == "stored-stretch":
+        assert 0 in [b.btype for b in blocks]
+
+    stream = deflate_compress(data, level)
+    assert zlib.decompress(stream) == data
+    assert inflate(stream) == data
+    # header, the planned bits (stored ones an upper bound) and the trailer
+    assert len(stream) <= 2 + -(-sum(b.bits for b in blocks) // 8) + 4

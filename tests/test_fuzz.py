@@ -5,7 +5,8 @@ inserted. PNG mutations go four ways: into the file as it is (chunk CRCs
 catch most), into the IDAT payload with the CRC recomputed (reaching
 inflate), and into the inflated scanlines or just their filter-type bytes,
 recompressed by zlib (reaching the filter-type check and both unfilter
-paths, the wavefront among them).
+paths, the wavefront among them). IHDR mutations set any width and height
+and recompute the chunk CRC, which reaches the dimension and pixel limits.
 """
 
 import struct
@@ -97,6 +98,25 @@ def test_fuzz_decode_png(which, target, ops):
         stream = zlib.compress(bytes(raw), 1)
     idat = PngChunk.build(b"IDAT", stream)
     data = SIGNATURE + b"".join(c.encoded() for c in (chunks[0], idat, chunks[-1]))
+    returns_or_raises_kpng_error(decode_png, data)
+
+
+# small sizes, sizes near the 2^28-pixel and 2^31-1 limits, and any 32-bit value
+dimensions = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([65535, 1 << 14, (1 << 14) + 1, 1 << 28, (1 << 28) + 1, (1 << 31) - 1, 1 << 31]),
+    st.integers(0, (1 << 32) - 1),
+)
+
+
+@seed(20261021)
+@settings(max_examples=300)
+@given(st.sampled_from(range(len(PNGS))), dimensions, dimensions)
+def test_fuzz_ihdr_dimensions(which, width, height):
+    chunks = parse_chunks(PNGS[which])
+    ihdr = bytearray(chunks[0].data)
+    struct.pack_into(">II", ihdr, 0, width, height)
+    data = SIGNATURE + b"".join(c.encoded() for c in [PngChunk.build(b"IHDR", bytes(ihdr))] + chunks[1:])
     returns_or_raises_kpng_error(decode_png, data)
 
 

@@ -533,6 +533,29 @@ def test_oversized_ihdr_dimensions_rejected(width, height):
         decode_png(_rebuild(bad))
 
 
+@pytest.mark.parametrize(
+    "width,height,inflates",
+    [(65535, 65535, False), (1 << 14, (1 << 14) + 1, False), ((1 << 28) + 1, 1, False), (1 << 14, 1 << 14, True)],
+)
+def test_pixel_limit_checked_before_inflating(width, height, inflates, monkeypatch):
+    """Past 2^28 pixels a PNG is refused from its IHDR alone; at the limit
+    its tiny IDAT is inflated and found short."""
+    calls = []
+    inflate = pngcodec.flate.inflate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return inflate(*args, **kwargs)
+
+    data = png_from_stream(width, height, 2, zlib.compress(bytes(16)))
+    monkeypatch.setattr(pngcodec.flate, "inflate", spy)
+    t0 = time.perf_counter()
+    with pytest.raises(PngFormatError, match="decompressed pixel data" if inflates else "limit of 2\\^28 pixels"):
+        decode_png(data)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(calls) == inflates
+
+
 def test_decompression_bomb_stops_early():
     """A 1x1 gray PNG whose IDAT inflates to 64 MiB stops at the size the
     header allows."""
