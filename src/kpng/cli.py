@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -104,10 +105,12 @@ def cmd_synth(args) -> int:
         raise ParameterError(f"--size must look like 512x512, got {args.size!r}")
     if args.count < 1:
         raise ParameterError(f"--count must be at least 1, got {args.count}")
+    # the first spec checks every field before the directory is made
+    first = corpus.CorpusSpec(args.kind, w, h, args.colors, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        spec = corpus.CorpusSpec(args.kind, w, h, args.colors, args.seed + i)
+        spec = dataclasses.replace(first, seed=args.seed + i)
         img = corpus.generate(spec)
         name = f"{args.kind}-s{spec.seed:03d}-{w}x{h}.bmp"
         (out_dir / name).write_bytes(bmpcodec.encode_bmp(img))

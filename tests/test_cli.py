@@ -169,3 +169,11 @@ def test_synth_rejects_count_below_one(tmp_path, capsys, count):
                  "-o", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--size", "0x5"], ["--colors", "1"]])
+def test_synth_bad_spec_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "none"
+    assert main(["synth", "--kind", "noise", *flags, "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

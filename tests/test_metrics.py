@@ -10,7 +10,16 @@ import pytest
 import kpng
 from kpng import RasterImage, kmm_transform
 from kpng.errors import DimensionMismatchError, ParameterError
-from kpng.metrics import SSIM_WINDOW, QualityReport, compare, gaussian_window, mse, psnr, ssim
+from kpng.metrics import (
+    _SSIM_BAND_ROWS,
+    SSIM_WINDOW,
+    QualityReport,
+    compare,
+    gaussian_window,
+    mse,
+    psnr,
+    ssim,
+)
 
 from conftest import SAMPLE_BLOCK, SAMPLE_BLOCK_K10, random_image
 
@@ -159,16 +168,24 @@ def test_ssim_range():
         assert -1.0 <= ssim(a, b) <= 1.0
 
 
+# SSIM output rows = height - SSIM_WINDOW + 1, so these heights give exactly
+# one band plus its halo, one row more, and several bands with a remainder
+_BAND_HEIGHTS = [_SSIM_BAND_ROWS + SSIM_WINDOW - 1 + extra
+                 for extra in (0, 1, 2 * _SSIM_BAND_ROWS + 7)]
+
+
 def test_compare_bundles_all_three():
-    img = random_image(np.random.default_rng(8), 16, 16, 3)
-    report = compare(img, img)
-    assert report.mse == 0.0
-    assert report.psnr == math.inf
-    assert abs(report.ssim - 1.0) < 1e-9
-    quant = kmm_transform(img, 10)
-    report = compare(img, quant)
-    assert report.mse > 0 and math.isfinite(report.psnr) and report.ssim <= 1.0
-    assert report == QualityReport(mse(img, quant), psnr(img, quant), ssim(img, quant))
+    rng = np.random.default_rng(8)
+    # the second image spans several SSIM bands
+    for img in (random_image(rng, 16, 16, 3), random_image(rng, 16, _BAND_HEIGHTS[-1], 3)):
+        report = compare(img, img)
+        assert report.mse == 0.0
+        assert report.psnr == math.inf
+        assert abs(report.ssim - 1.0) < 1e-9
+        quant = kmm_transform(img, 10)
+        report = compare(img, quant)
+        assert report.mse > 0 and math.isfinite(report.psnr) and report.ssim <= 1.0
+        assert report == QualityReport(mse(img, quant), psnr(img, quant), ssim(img, quant))
 
 
 def ssim_convolve2d(a: RasterImage, b: RasterImage) -> float:
@@ -196,7 +213,10 @@ def ssim_convolve2d(a: RasterImage, b: RasterImage) -> float:
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-@pytest.mark.parametrize("width,height", [(11, 11), (11, 40), (40, 11), (64, 37)])
+@pytest.mark.parametrize(
+    "width,height",
+    [(11, 11), (11, 40), (40, 11), (64, 37)] + [(23, h) for h in _BAND_HEIGHTS],
+)
 def test_ssim_matches_convolve2d_reference(width, height, channels):
     pytest.importorskip("scipy.signal")
     rng = np.random.default_rng(width * 100 + height + channels)
