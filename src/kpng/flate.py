@@ -9,23 +9,25 @@ PNG IDAT carries.
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
 symbol and extra-bit arrays once, cuts blocks at about 64 KiB of input with
-``cumsum`` and ``searchsorted``, counts each block's symbols with
-``np.bincount`` and packs its bits into 64-bit words in numpy
-(``_emit_tokens``); ``_BitWriter`` writes only block headers and stored
-blocks. ``Literal``/``Match`` objects exist only at the public edge,
+``cumsum`` and ``searchsorted`` and counts each block's symbols with
+``np.bincount``. One numpy packer, ``_BitWriter.pack``, writes every bit: a
+fixed or dynamic block's header, ops and end-of-block in one call
+(``_emit_block``), a stored block's 3-bit header (``_emit_stored``).
+``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
-dynamic codes; 3 lazy matching + dynamic codes. Level 1 emits the 64 KiB
-blocks as they are cut. Levels 2-3 price each block as dynamic, fixed and
-stored, then merge neighbours left to right: the block so far absorbs the
-next one whenever the merged span's cheapest coding is smaller than the two
-coded apart (``_plan_blocks``). Each
-level's search effort comes from a table modeled on zlib's
-``configuration_table`` (deflate.c): levels 1-2 walk up to 128 hash-chain
-links; level 3 walks up to 256, a quarter of that for the lazy search when
-the pending match is already 32 bytes long (``good_length``), and stops at
-a 258-byte match (``nice_length``, ``max_lazy``).
+dynamic codes; 3 lazy matching + dynamic codes. One loop writes the blocks
+of every level: level 0 is one stored block, level 1 the 64 KiB blocks as
+they are cut. Levels 2-3 price each block as dynamic, fixed and stored,
+then merge neighbours left to right: the block so far absorbs the next one
+whenever the merged span's cheapest coding is smaller than the two coded
+apart (``_plan_blocks``). Each level's search effort comes from a table
+modeled on zlib's ``configuration_table`` (deflate.c): levels 1-2 walk up
+to 128 hash-chain links; level 3 walks up to 256, a quarter of that for the
+lazy search when the pending match is already 32 bytes long
+(``good_length``), and stops at a 258-byte match (``nice_length``,
+``max_lazy``).
 """
 
 from __future__ import annotations
@@ -497,7 +499,13 @@ def _copy_match(out: bytearray, length: int, dist: int) -> None:
 # Compressor
 
 
+def _uint64(*vals: int) -> np.ndarray:
+    return np.array(vals, np.uint64)
+
+
 class _BitWriter:
+    """LSB-first bits (RFC 1951 3.1.1): whole bytes in ``out``, ``cnt`` < 8 more in ``acc``."""
+
     __slots__ = ("out", "acc", "cnt")
 
     def __init__(self, out: bytearray):
@@ -505,13 +513,33 @@ class _BitWriter:
         self.acc = 0
         self.cnt = 0
 
-    def write(self, value: int, nbits: int) -> None:
-        self.acc |= value << self.cnt
-        self.cnt += nbits
-        while self.cnt >= 8:
-            self.out.append(self.acc & 0xFF)
-            self.acc >>= 8
-            self.cnt -= 8
+    def pack(self, vals: np.ndarray, nbits: np.ndarray) -> None:
+        """Write each uint64 value's low ``nbits`` bits (at most 64), in order.
+
+        The pending bits are value 0. The values are ORed into little-endian
+        64-bit words at offsets taken by cumsum; a value that crosses a word
+        boundary spills its high bits into the next word.
+        """
+        vals = np.concatenate((_uint64(self.acc), vals))
+        nbits = np.concatenate((_uint64(self.cnt), nbits))
+        ends = np.cumsum(nbits)
+        total = int(ends[-1])
+        offs = ends - nbits
+        word = (offs >> np.uint64(6)).astype(np.intp)
+        shift = offs & np.uint64(63)
+        lo = vals << shift
+        hi = (vals >> np.uint64(1)) >> (np.uint64(63) - shift)
+        # index of the first value in each word; value 0 starts word 0
+        firsts = np.concatenate(([0], np.flatnonzero(np.diff(word)) + 1))
+        idx = word[firsts]
+        words = np.zeros(idx[-1] + 2, "<u8")
+        words[idx] = np.bitwise_or.reduceat(lo, firsts)
+        words[idx + 1] |= np.bitwise_or.reduceat(hi, firsts)
+        buf = words.view(np.uint8)
+        nbytes = total >> 3
+        self.out += buf[:nbytes].tobytes()
+        self.cnt = total & 7
+        self.acc = int(buf[nbytes]) if self.cnt else 0
 
     def align(self) -> None:
         if self.cnt:
@@ -672,36 +700,41 @@ def _stored_bits_upper(nbytes: int) -> int:
     return 7 + 40 * nchunks + 8 * nbytes  # worst-case padding
 
 
-class _Block:
+class _Block(NamedTuple):
     """Ops [op_start, op_end), covering input bytes [byte_start, byte_end),
-    and their cheapest coding: ``btype`` is the BTYPE (0 stored, 1 fixed,
-    2 dynamic) and ``bits`` its size."""
+    written as BTYPE ``btype`` (0 stored, 1 fixed, 2 dynamic). A block from
+    ``_priced_block`` also holds its histograms, its dynamic codes, and the
+    size of its cheapest coding, which ``btype`` names."""
 
-    __slots__ = ("op_start", "op_end", "byte_start", "byte_end", "stats", "plan", "btype", "bits")
-
-    def __init__(self, op_start: int, op_end: int, byte_start: int, byte_end: int, stats: _BlockStats):
-        self.op_start = op_start
-        self.op_end = op_end
-        self.byte_start = byte_start
-        self.byte_end = byte_end
-        self.stats = stats
-        self.plan = plan = _DynamicPlan(*stats)
-        fixed = _fixed_bits(*stats)
-        stored = _stored_bits_upper(byte_end - byte_start)
-        if stored < plan.bits and stored < fixed:
-            self.btype, self.bits = 0, stored
-        elif plan.bits < fixed:
-            self.btype, self.bits = 2, plan.bits
-        else:
-            self.btype, self.bits = 1, fixed
+    op_start: int
+    op_end: int
+    byte_start: int
+    byte_end: int
+    btype: int
+    bits: int = 0
+    stats: _BlockStats | None = None
+    plan: _DynamicPlan | None = None
 
     def merged(self, nxt: _Block) -> _Block:
-        """This block and the next one as one block."""
+        """This priced block and the next one as one priced block."""
         lit_freq = self.stats.lit_freq + nxt.stats.lit_freq
         lit_freq[256] = 1  # one end-of-block code
         stats = _BlockStats(lit_freq, self.stats.dist_freq + nxt.stats.dist_freq,
                             self.stats.extra + nxt.stats.extra)
-        return _Block(self.op_start, nxt.op_end, self.byte_start, nxt.byte_end, stats)
+        return _priced_block(self.op_start, nxt.op_end, self.byte_start, nxt.byte_end, stats)
+
+
+def _priced_block(op_start: int, op_end: int, byte_start: int, byte_end: int, stats: _BlockStats) -> _Block:
+    plan = _DynamicPlan(*stats)
+    fixed = _fixed_bits(*stats)
+    stored = _stored_bits_upper(byte_end - byte_start)
+    if stored < plan.bits and stored < fixed:
+        btype, bits = 0, stored
+    elif plan.bits < fixed:
+        btype, bits = 2, plan.bits
+    else:
+        btype, bits = 1, fixed
+    return _Block(op_start, op_end, byte_start, byte_end, btype, bits, stats, plan)
 
 
 def _plan_blocks(f: _OpFields) -> list[_Block]:
@@ -712,7 +745,7 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     saves a dynamic header wherever the statistics allow one code."""
     blocks: list[_Block] = []
     for op_s, op_e, byte_s, byte_e in _split_blocks(f.cover):
-        nxt = _Block(op_s, op_e, byte_s, byte_e, _block_stats(f, op_s, op_e))
+        nxt = _priced_block(op_s, op_e, byte_s, byte_e, _block_stats(f, op_s, op_e))
         if blocks:
             merged = blocks[-1].merged(nxt)
             if merged.bits < blocks[-1].bits + nxt.bits:
@@ -722,21 +755,30 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     return blocks
 
 
-def _emit_tokens(w: _BitWriter, f: _OpFields, start: int, end: int,
-                 lit_codes: tuple[np.ndarray, np.ndarray],
-                 dist_codes: tuple[np.ndarray, np.ndarray]) -> None:
-    """Write ops start..end and end-of-block, LSB-first (RFC 1951 section 3.1.1).
+def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None:
+    """A fixed or dynamic block in one ``pack`` call: header, ops, end-of-block.
 
-    Each op's code and extra-bit fields join into one value of at most
-    15 + 5 + 15 + 13 = 48 bits. The values, after the writer's pending bits,
-    are ORed into little-endian 64-bit words at offsets taken by cumsum; a
-    value that crosses a word boundary spills its high bits into the next
-    word. Whole bytes go to ``w.out`` and the last partial byte stays in
-    ``w.acc``/``w.cnt``.
-    """
-    lit_code, lit_nb = lit_codes
-    dist_code, dist_nb = dist_codes
-    ops = slice(start, end)
+    A dynamic header (RFC 1951 section 3.2.7) is BFINAL|BTYPE, HLIT, HDIST,
+    HCLEN, the HCLEN code-length code lengths, then one value per code-length
+    run: its code, then its extra bits. Each op's code and extra-bit fields
+    join into one value of at most 15 + 5 + 15 + 13 = 48 bits."""
+    if block.btype == 1:
+        head, head_nb = _uint64(final | 1 << 1), _uint64(3)
+        (lit_code, lit_nb), (dist_code, dist_nb) = _FIXED_LIT_CODES, _FIXED_DIST_CODES
+    else:
+        plan = block.plan
+        lit_code, lit_nb = _code_arrays(plan.lit_lengths, 286)
+        dist_code, dist_nb = _code_arrays(plan.dist_lengths, _NO_DIST)
+        cl_code, cl_nb = _code_arrays(plan.cl_lengths, 19)
+        rle_sym, rle_xv, rle_xb = np.array(plan.rle, np.uint64).T
+        head = np.concatenate((
+            _uint64(final | 2 << 1, plan.hlit - 257, plan.hdist - 1, plan.hclen - 4),
+            np.array(plan.cl_lengths, np.uint64)[_CODELEN_ORDER[: plan.hclen]],
+            cl_code[rle_sym] | rle_xv << cl_nb[rle_sym],
+        ))
+        head_nb = np.concatenate((_uint64(3, 5, 5, 4, *[3] * plan.hclen), cl_nb[rle_sym] + rle_xb))
+
+    ops = slice(block.op_start, block.op_end)
     sym = f.sym[ops]
     dsym = f.dsym[ops]
     v = lit_code[sym]
@@ -747,73 +789,16 @@ def _emit_tokens(w: _BitWriter, f: _OpFields, start: int, end: int,
     nb += dist_nb[dsym]
     v |= f.dist_xv[ops] << nb
     nb += f.dist_xb[ops]
-
-    vals = np.empty(end - start + 2, np.uint64)
-    nbits = np.empty(end - start + 2, np.uint64)
-    vals[0], nbits[0] = w.acc, w.cnt
-    vals[1:-1], nbits[1:-1] = v, nb
-    vals[-1], nbits[-1] = lit_code[256], lit_nb[256]
-
-    ends = np.cumsum(nbits)
-    total = int(ends[-1])
-    offs = ends - nbits
-    word = (offs >> np.uint64(6)).astype(np.intp)
-    shift = offs & np.uint64(63)
-    lo = vals << shift
-    hi = (vals >> np.uint64(1)) >> (np.uint64(63) - shift)
-    # index of the first value in each word; value 0, the pending bits, starts word 0
-    firsts = np.concatenate(([0], np.flatnonzero(np.diff(word)) + 1))
-    idx = word[firsts]
-    words = np.zeros(idx[-1] + 2, "<u8")
-    words[idx] = np.bitwise_or.reduceat(lo, firsts)
-    words[idx + 1] |= np.bitwise_or.reduceat(hi, firsts)
-    buf = words.view(np.uint8)
-    nbytes = total >> 3
-    w.out += buf[:nbytes].tobytes()
-    w.cnt = total & 7
-    w.acc = int(buf[nbytes]) if w.cnt else 0
-
-
-def _emit_fixed_block(w: _BitWriter, f: _OpFields, start: int, end: int, final: bool) -> None:
-    w.write(1 if final else 0, 1)
-    w.write(1, 2)
-    _emit_tokens(w, f, start, end, _FIXED_LIT_CODES, _FIXED_DIST_CODES)
-
-
-def _emit_dynamic_block(w: _BitWriter, f: _OpFields, start: int, end: int, final: bool,
-                        plan: _DynamicPlan) -> None:
-    w.write(1 if final else 0, 1)
-    w.write(2, 2)
-    w.write(plan.hlit - 257, 5)
-    w.write(plan.hdist - 1, 5)
-    w.write(plan.hclen - 4, 4)
-    for sym in _CODELEN_ORDER[: plan.hclen]:
-        w.write(plan.cl_lengths[sym], 3)
-    cl_codes = _codes_from_lengths(plan.cl_lengths)
-    for sym, xval, xbits in plan.rle:
-        code, nb = cl_codes[sym]
-        w.write(code, nb)
-        if xbits:
-            w.write(xval, xbits)
-    lit_codes = _code_arrays(plan.lit_lengths, 286)
-    dist_codes = _code_arrays(plan.dist_lengths, _NO_DIST)
-    _emit_tokens(w, f, start, end, lit_codes, dist_codes)
+    w.pack(np.concatenate((head, v, lit_code[256:257])), np.concatenate((head_nb, nb, lit_nb[256:257])))
 
 
 def _emit_stored(w: _BitWriter, data: bytes, start: int, end: int, final: bool) -> None:
-    pos = start
-    while True:
+    """Input bytes [start, end) as stored blocks; no bytes make one empty block."""
+    for pos in range(start, max(end, start + 1), _STORED_MAX):
         take = min(end - pos, _STORED_MAX)
-        last = pos + take == end
-        w.write(1 if (final and last) else 0, 1)
-        w.write(0, 2)
+        w.pack(_uint64(final and pos + take == end), _uint64(3))  # BTYPE 00
         w.align()
-        w.write(take, 16)
-        w.write(take ^ 0xFFFF, 16)
-        w.out += data[pos : pos + take]
-        pos += take
-        if last:
-            break
+        w.out += (take | (take ^ 0xFFFF) << 16).to_bytes(4, "little") + data[pos : pos + take]
 
 
 def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> bytes:
@@ -829,25 +814,18 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     out.append(cmf)
     out.append(flg)
 
-    w = _BitWriter(out)
     if lv == 0:
-        _emit_stored(w, data, 0, len(data), True)
+        f, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
         f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[lv]))
-        if lv == 1:
-            spans = _split_blocks(f.cover)
-            for bi, (op_s, op_e, _, _) in enumerate(spans):
-                _emit_fixed_block(w, f, op_s, op_e, bi == len(spans) - 1)
+        blocks = _plan_blocks(f) if lv > 1 else [_Block(*cut, 1) for cut in _split_blocks(f.cover)]
+    w = _BitWriter(out)
+    for i, block in enumerate(blocks):
+        final = i == len(blocks) - 1
+        if block.btype == 0:
+            _emit_stored(w, data, block.byte_start, block.byte_end, final)
         else:
-            blocks = _plan_blocks(f)
-            for bi, b in enumerate(blocks):
-                final = bi == len(blocks) - 1
-                if b.btype == 0:
-                    _emit_stored(w, data, b.byte_start, b.byte_end, final)
-                elif b.btype == 2:
-                    _emit_dynamic_block(w, f, b.op_start, b.op_end, final, b.plan)
-                else:
-                    _emit_fixed_block(w, f, b.op_start, b.op_end, final)
+            _emit_block(w, f, block, final)
     w.align()
 
     out += adler32(data).to_bytes(4, "big")
@@ -948,7 +926,9 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
     dist_lengths = lengths[hlit:]
     if lit_lengths[256] == 0:
         raise CorruptStreamError("no end-of-block code")
-    lit_table = _build_decode_table(lit_lengths)
+    # zlib (inftrees.c) takes an incomplete literal/length code only when it
+    # is a single 1-bit code, which then is end-of-block's
+    lit_table = _build_decode_table(lit_lengths, allow_incomplete=max(lit_lengths) == 1)
     dist_table = _build_decode_table(dist_lengths, allow_incomplete=True)
     return lit_table, dist_table, pos, acc, cnt
 

@@ -129,6 +129,17 @@ def _check_bpp(bpp) -> int:
     return int(bpp)
 
 
+def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`paeth_predictor` over int16 arrays of left, above and
+    upper-left samples."""
+    bc = b - c
+    ac = a - c
+    pa = np.abs(bc)  # |p - a| with p = a + b - c
+    pb = np.abs(ac)
+    pc = np.abs(bc + ac)
+    return np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
+
+
 def _filter_rows(rows: np.ndarray, priors: np.ndarray, bpp: int) -> np.ndarray:
     """All five filtered versions of a block of unfiltered rows.
 
@@ -142,12 +153,7 @@ def _filter_rows(rows: np.ndarray, priors: np.ndarray, bpp: int) -> np.ndarray:
     a[:, bpp:] = x[:, :-bpp]
     c = np.zeros_like(b)
     c[:, bpp:] = b[:, :-bpp]
-    p = a + b - c
-    pa = np.abs(p - a)
-    pb = np.abs(p - b)
-    pc = np.abs(p - c)
-    paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return np.stack((x, x - a, x - b, x - ((a + b) >> 1), x - paeth)).astype(np.uint8)
+    return np.stack((x, x - a, x - b, x - ((a + b) >> 1), x - _paeth(a, b, c))).astype(np.uint8)
 
 
 def _best_filters(cand: np.ndarray) -> np.ndarray:
@@ -186,19 +192,17 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
         fa = np.frombuffer(bytes(filtered), np.uint8).astype(np.int16)
         pa = np.frombuffer(bytes(prior_row), np.uint8).astype(np.int16)
         return ((fa + pa) & 0xFF).astype(np.uint8).tobytes()
-    if f == FilterType.SUB and n % bpp == 0:
-        fa = np.frombuffer(bytes(filtered), np.uint8).astype(np.int64)
-        out = np.cumsum(fa.reshape(n // bpp, bpp), axis=0) & 0xFF
-        return out.astype(np.uint8).tobytes()
-    # remaining filters reconstruct left-to-right
+    if f == FilterType.SUB:
+        # byte i adds up bytes i, i - bpp, ...: a column of the row cut into
+        # pixels, zero-padded to whole pixels
+        fa = np.frombuffer(bytes(filtered) + bytes(-n % bpp), np.uint8).astype(np.int64)
+        out = np.cumsum(fa.reshape(-1, bpp), axis=0) & 0xFF
+        return out.astype(np.uint8).tobytes()[:n]
+    # AVERAGE and PAETH reconstruct left-to-right
     fl = list(filtered)
     pr = list(prior_row)
     out = [0] * n
-    if f == FilterType.SUB:
-        for i in range(n):
-            a = out[i - bpp] if i >= bpp else 0
-            out[i] = (fl[i] + a) & 0xFF
-    elif f == FilterType.AVERAGE:
+    if f == FilterType.AVERAGE:
         for i in range(n):
             a = out[i - bpp] if i >= bpp else 0
             out[i] = (fl[i] + ((a + pr[i]) >> 1)) & 0xFF
@@ -269,14 +273,8 @@ def _unfilter_image(raw, height: int, width: int, bpp: int) -> bytes:
         b = pred_b[y0:y1]
         a[...] = left[d, y0:y1]
         b[...] = up[d, y0:y1]
-        c = upleft[d, y0:y1].astype(np.int16)
-        bc = b - c
-        ac = a - c
-        pa = np.abs(bc)  # |p - a| with p = a + b - c
-        pb = np.abs(ac)
-        pc = np.abs(bc + ac)
         np.right_shift(a + b, 1, out=pred_avg[y0:y1])
-        pred_paeth[y0:y1] = np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
+        pred_paeth[y0:y1] = _paeth(a, b, upleft[d, y0:y1].astype(np.int16))
         cur[d, y0:y1] = filt[d, y0:y1] + flat.take(pick[y0:y1])  # mod 256 on store
     return out.reshape(height + 1, row)[1:, bpp:].tobytes()
 

@@ -50,9 +50,15 @@ class RasterImage:
             raise ParameterError(f"expected a 2-D or 3-D array, got ndim={a.ndim}")
         h, w, c = a.shape
         if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
-                raise ParameterError("array values outside [0, 255]")
-            a = a.astype(np.uint8)
+            # a value the cast changes (out of range, fractional, NaN) is refused
+            try:
+                with np.errstate(invalid="ignore"):
+                    u = a.astype(np.uint8)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"array values are not 8-bit samples: {exc}") from None
+            if not np.array_equal(u, a):
+                raise ParameterError("array values are not integers in [0, 255]")
+            a = u
         return cls(width=w, height=h, channels=c, samples=a.tobytes())
 
     def to_array(self) -> np.ndarray:

@@ -31,10 +31,11 @@ from kpng.flate import (
     _code_arrays,
     _codes_from_lengths,
     _DynamicPlan,
-    _emit_tokens,
+    _emit_block,
     _limited_code_lengths,
     _op_fields,
     _plan_blocks,
+    _priced_block,
     _rle_code_lengths,
     _split_blocks,
     _tokenize_ops,
@@ -271,9 +272,11 @@ def test_deterministic_output():
         assert deflate_compress(blob, level) == deflate_compress(blob, level)
 
 
-# Levels 1-2 are greedy and level 3 lazy; the bytes of all three are pinned,
-# so a change to the tokenizer or the Huffman stage that moves them shows.
+# Level 0 is stored, levels 1-2 greedy and level 3 lazy; the bytes of all
+# four are pinned, so a change to the tokenizer, the Huffman stage or the
+# block writer that moves them shows.
 GREEDY_LEVEL_SHA256 = {
+    0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
     1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
     2: "7e29bccb271500b2f5904db881f979a4e4f147fb37089c29ea814b923f615ad9",
     3: "a4574ce546ee6d77e02c5a63c3c48468ba68bb1ff43729a1c69230455a0a8327",
@@ -518,6 +521,30 @@ def test_match_with_no_distance_code():
         inflate(p.to_zlib())
 
 
+@pytest.mark.parametrize("eob_bits", [1, 2])
+def test_lone_end_of_block_code_is_read_as_zlib_reads_it(eob_bits):
+    # litlen code: end-of-block alone, an incomplete code. zlib accepts it
+    # when the code is 1 bit long and refuses it otherwise
+    cl = [0] * 19
+    cl[2] = 1  # symbol 18: code 0
+    cl[3] = 2  # symbol 0: code 10
+    cl[{1: 17, 2: 15}[eob_bits]] = 2  # symbol 1 or 2: code 11
+    p = _dynamic_header(cl, hlit=257, hdist=1)
+    p.put_code_msb(0, 1).put(138 - 11, 7)  # 138 zeros (litlen 0..137)
+    p.put_code_msb(0, 1).put(118 - 11, 7)  # 118 zeros (litlen 138..255)
+    p.put_code_msb(0b11, 2)                # litlen 256: length eob_bits
+    p.put_code_msb(0b10, 2)                # dist 0: length 0
+    p.put_code_msb(0, eob_bits)            # end-of-block
+    stream = p.to_zlib()[:-4] + adler32(b"").to_bytes(4, "big")
+    if eob_bits == 1:
+        assert inflate(stream) == zlib.decompress(stream) == b""
+    else:
+        with pytest.raises(zlib.error):
+            zlib.decompress(stream)
+        with pytest.raises(CorruptStreamError, match="incomplete"):
+            inflate(stream)
+
+
 def test_single_distance_code_round_trips_everywhere():
     # only distance 2 is ever used: the distance tree has exactly one code
     blob = b"ab" * 600
@@ -603,6 +630,34 @@ def _packer_ops():
 PACKER_OPS = _packer_ops()
 
 
+CODELEN_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
+
+
+def reference_dynamic_header(final, lit_lengths, dist_lengths, cl_lengths):
+    """Scalar writer of a dynamic block header (RFC 1951 section 3.2.7) for
+    the given code lengths; the counts and the code-length runs are derived
+    here from the lengths."""
+    hlit = max(257, max(i for i, l in enumerate(lit_lengths) if l) + 1)
+    hdist = max((i + 1 for i, l in enumerate(dist_lengths) if l), default=1)
+    hclen = max(4, max(i for i, sym in enumerate(CODELEN_ORDER) if cl_lengths[sym]) + 1)
+    cl_codes = canonical_codes(cl_lengths)
+    p = BitPacker().put(final, 1).put(2, 2)
+    p.put(hlit - 257, 5).put(hdist - 1, 5).put(hclen - 4, 4)
+    for sym in CODELEN_ORDER[:hclen]:
+        p.put(cl_lengths[sym], 3)
+    for sym, xval, xbits in rle_code_lengths_reference(list(lit_lengths[:hlit]) + list(dist_lengths[:hdist])):
+        p.put_code_msb(cl_codes[sym], cl_lengths[sym]).put(xval, xbits)
+    return p.bits
+
+
+def assert_written(w, bits):
+    """``w`` holds exactly ``bits``: whole bytes in ``out``, the rest pending."""
+    whole = len(bits) // 8 * 8
+    want = bytes(sum(b << i for i, b in enumerate(bits[k : k + 8])) for k in range(0, whole, 8))
+    assert bytes(w.out) == want
+    assert (w.acc, w.cnt) == (sum(b << i for i, b in enumerate(bits[whole:])), len(bits) - whole)
+
+
 @pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
 @pytest.mark.parametrize("kind", sorted(PACKER_OPS))
 @pytest.mark.parametrize("pending", range(8))
@@ -611,22 +666,35 @@ def test_packer_matches_scalar_writer(pending, kind, dynamic):
     pad = [7, 65, 3 << 16 | 1]  # ops on either side of the block, not written
     f = _op_fields(np.array(pad + ops + pad, np.int64))
     start, end = len(pad), len(pad) + len(ops)
+    final = pending % 2
     if dynamic:
         plan = _DynamicPlan(*_block_stats(f, start, end))
         lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
+        head = reference_dynamic_header(final, lit_lengths, dist_lengths, plan.cl_lengths)
     else:
+        plan = None
         lit_lengths, dist_lengths = _FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS
-    head = [random.Random(pending).randrange(2) for _ in range(pending)]
+        head = BitPacker().put(final, 1).put(1, 2).bits
+    pending_bits = [random.Random(pending).randrange(2) for _ in range(pending)]
     w = _BitWriter(bytearray())
-    for bit in head:
-        w.write(bit, 1)
-    _emit_tokens(w, f, start, end, _code_arrays(lit_lengths, 286), _code_arrays(dist_lengths, _NO_DIST))
+    w.pack(np.array(pending_bits, np.uint64), np.ones(pending, np.uint64))
+    _emit_block(w, f, _Block(start, end, 0, 0, 2 if dynamic else 1, plan=plan), final)
+    assert_written(w, pending_bits + head + reference_block_bits(ops, lit_lengths, dist_lengths))
 
-    bits = head + reference_block_bits(ops, lit_lengths, dist_lengths)
-    whole = len(bits) // 8 * 8
-    want = bytes(sum(b << i for i, b in enumerate(bits[k : k + 8])) for k in range(0, whole, 8))
-    assert bytes(w.out) == want
-    assert (w.acc, w.cnt) == (sum(b << i for i, b in enumerate(bits[whole:])), len(bits) - whole)
+
+def test_pack_writes_values_of_every_width():
+    # successive calls carry the pending bits; widths reach 64, past the
+    # 48-bit op values, so values span word boundaries at every offset
+    rng = random.Random(8)
+    w = _BitWriter(bytearray())
+    p = BitPacker()
+    for _ in range(20):
+        widths = [rng.randrange(65) for _ in range(rng.randrange(50))]
+        vals = [rng.getrandbits(n) for n in widths]
+        w.pack(np.array(vals, np.uint64), np.array(widths, np.uint64))
+        for v, n in zip(vals, widths):
+            p.put(v, n)
+    assert_written(w, p.bits)
 
 
 def test_block_stats_match_per_op_count():
@@ -825,12 +893,18 @@ MERGE_INPUTS = {
 }
 
 
+# a stream whose plan holds a stored block between dynamic ones
+MERGE_STREAM_SHA256 = {
+    ("stored-stretch", 3): "26922e309eea90932d06e4bc56135013e1509c92a9056746ec14247ad6e4fe35",
+}
+
+
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     data = MERGE_INPUTS[name]
     f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[level]))
-    cut = [_Block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    cut = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
     blocks = _plan_blocks(f)
     assert len(cut) >= 4
     # the blocks partition the ops and the input in order
@@ -843,6 +917,8 @@ def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
         assert 0 in [b.btype for b in blocks]
 
     stream = deflate_compress(data, level)
+    if (name, level) in MERGE_STREAM_SHA256:
+        assert hashlib.sha256(stream).hexdigest() == MERGE_STREAM_SHA256[name, level]
     assert zlib.decompress(stream) == data
     assert inflate(stream) == data
     # header, the planned bits (stored ones an upper bound) and the trailer

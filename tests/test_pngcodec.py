@@ -360,6 +360,28 @@ def test_unsupported_channel_count():
         RasterImage(1, 1, 2, bytes(2))
 
 
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.zeros((0, 5), np.int32),
+        np.array([[1.5, 2.0]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([[-1, 0]]),
+        np.array([[0, 256]]),
+        np.array([["a"]]),
+    ],
+    ids=["empty", "fraction", "nan", "negative", "over-255", "text"],
+)
+def test_from_array_refuses_values_the_cast_changes(arr):
+    with pytest.raises(ParameterError):
+        RasterImage.from_array(arr)
+
+
+def test_from_array_takes_integral_values_of_any_dtype():
+    assert RasterImage.from_array(np.array([[0.0, 255.0]])).samples == b"\x00\xff"
+    assert RasterImage.from_array(np.array([[True, False]])).samples == b"\x01\x00"
+
+
 def test_invalid_options():
     with pytest.raises(ParameterError):
         EncodeOptions(level=5)
