@@ -67,7 +67,10 @@ class BenchRecord:
             raise ParameterError(f"expected {len(CSV_FIELDS)} CSV fields, got {len(row)}")
         kwargs = {}
         for f, raw in zip(fields(cls), row):
-            kwargs[f.name] = raw if f.type == "str" else (int(raw) if f.type == "int" else float(raw))
+            try:
+                kwargs[f.name] = raw if f.type == "str" else (int(raw) if f.type == "int" else float(raw))
+            except ValueError:
+                raise ParameterError(f"CSV field {f.name} is not {f.type}: {raw!r}") from None
         return cls(**kwargs)
 
 

@@ -3,8 +3,10 @@
 Implements RFC 1950/1951 from scratch: an LZ77 tokenizer over a 32 KiB
 window (hash chains keyed on 3-byte prefixes), fixed and dynamic Huffman
 blocks (length-limited codes via package-merge), stored blocks, and a
-table-driven inflater. Output is always a zlib stream because that is what
-PNG IDAT carries.
+table-driven inflater with one bit reader, modeled on libdeflate's
+``REFILL_BITS``: below 48 buffered bits it ORs in the next 4 bytes, zeros
+past the end of the data, where a stream that consumes bits is truncated.
+Output is always a zlib stream because that is what PNG IDAT carries.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
@@ -858,78 +860,84 @@ def _build_decode_table(lengths: list[int], allow_incomplete: bool = False):
 _FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS)
 _FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS)
 
+# code-length symbols 16, 17 and 18: (extra bits, shortest run)
+_CODELEN_RUNS = ((2, 3), (3, 3), (7, 11))
+
+
+def _refill(data: bytes, pos: int, acc: int, cnt: int) -> tuple[int, int, int]:
+    """The bit reader's one refill, inlined in ``inflate``'s symbol loop: ``acc``
+    holds ``cnt`` bits, first bit lowest (RFC 1951 section 3.1.1). Below 48
+    bits, a length/distance pair (15 + 5 + 15 + 13), the next 4 bytes go in
+    above them, zeros past the end of ``data``. A refill that starts more than
+    6 bytes past the end raises: more than ``8 * len(data)`` bits were consumed."""
+    while cnt < 48:
+        if pos > len(data) + 6:
+            raise TruncatedStreamError("stream ended inside a block")
+        acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
+        pos += 4
+        cnt += 32
+    return pos, acc, cnt
+
 
 def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
-    n = len(data)
+    """Both decode tables of a dynamic block (RFC 1951 section 3.2.7), then the reader."""
+    try:
+        pos, acc, cnt = _refill(data, pos, acc, cnt)
+        hlit = 257 + (acc & 31)
+        hdist = 1 + (acc >> 5 & 31)
+        hclen = 4 + (acc >> 10 & 15)
+        acc >>= 14
+        cnt -= 14
+        if hlit > 286 or hdist > 30:
+            raise CorruptStreamError(f"bad code counts HLIT={hlit} HDIST={hdist}")
 
-    def refill(k):
-        """Buffer at least ``k`` bits, or every bit left in ``data``."""
-        nonlocal pos, acc, cnt
-        while cnt < k and pos < n:
-            acc |= data[pos] << cnt
-            pos += 1
-            cnt += 8
+        cl_lengths = [0] * 19
+        for i in range(hclen):
+            pos, acc, cnt = _refill(data, pos, acc, cnt)
+            cl_lengths[_CODELEN_ORDER[i]] = acc & 7
+            acc >>= 3
+            cnt -= 3
+        # a complete code (or none): every table entry is a symbol
+        cl_table, cl_bits = _build_decode_table(cl_lengths)
+        if cl_table is None:
+            raise CorruptStreamError("empty code-length code")
+        cl_mask = (1 << cl_bits) - 1
 
-    def take(k):
-        nonlocal acc, cnt
-        refill(k)
-        if cnt < k:
-            raise TruncatedStreamError("stream ended inside a block header")
-        v = acc & ((1 << k) - 1)
-        acc >>= k
-        cnt -= k
-        return v
-
-    hlit = 257 + take(5)
-    hdist = 1 + take(5)
-    hclen = 4 + take(4)
-    if hlit > 286 or hdist > 30:
-        raise CorruptStreamError(f"bad code counts HLIT={hlit} HDIST={hdist}")
-
-    cl_lengths = [0] * 19
-    for i in range(hclen):
-        cl_lengths[_CODELEN_ORDER[i]] = take(3)
-    cl_table, cl_bits = _build_decode_table(cl_lengths)
-    if cl_table is None:
-        raise CorruptStreamError("empty code-length code")
-    cl_mask = (1 << cl_bits) - 1
-
-    lengths: list[int] = []
-    total = hlit + hdist
-    while len(lengths) < total:
-        # a short code may end the stream, so peek without requiring cl_bits
-        refill(cl_bits)
-        entry = cl_table[acc & cl_mask]
-        if entry is None:
-            if cnt < cl_bits:
-                raise TruncatedStreamError("stream ended inside code lengths")
-            raise CorruptStreamError("invalid code-length symbol")
-        sym, l = entry
-        if l > cnt:
-            raise TruncatedStreamError("stream ended inside code lengths")
-        acc >>= l
-        cnt -= l
-        if sym < 16:
-            lengths.append(sym)
-        elif sym == 16:
-            if not lengths:
+        lengths: list[int] = []
+        total = hlit + hdist
+        while len(lengths) < total:
+            pos, acc, cnt = _refill(data, pos, acc, cnt)
+            sym, l = cl_table[acc & cl_mask]
+            acc >>= l
+            cnt -= l
+            if sym < 16:
+                lengths.append(sym)
+                continue
+            xb, run = _CODELEN_RUNS[sym - 16]
+            run += acc & ((1 << xb) - 1)
+            acc >>= xb
+            cnt -= xb
+            if sym > 16:
+                lengths += [0] * run
+            elif lengths:
+                lengths += lengths[-1:] * run
+            else:
                 raise CorruptStreamError("repeat with no previous code length")
-            lengths.extend(lengths[-1:] * (3 + take(2)))
-        elif sym == 17:
-            lengths.extend([0] * (3 + take(3)))
-        else:
-            lengths.extend([0] * (11 + take(7)))
-    if len(lengths) > total:
-        raise CorruptStreamError("code-length run overflows the declared counts")
+        if len(lengths) > total:
+            raise CorruptStreamError("code-length run overflows the declared counts")
 
-    lit_lengths = lengths[:hlit]
-    dist_lengths = lengths[hlit:]
-    if lit_lengths[256] == 0:
-        raise CorruptStreamError("no end-of-block code")
-    # zlib (inftrees.c) takes an incomplete literal/length code only when it
-    # is a single 1-bit code, which then is end-of-block's
-    lit_table = _build_decode_table(lit_lengths, allow_incomplete=max(lit_lengths) == 1)
-    dist_table = _build_decode_table(dist_lengths, allow_incomplete=True)
+        lit_lengths = lengths[:hlit]
+        dist_lengths = lengths[hlit:]
+        if lit_lengths[256] == 0:
+            raise CorruptStreamError("no end-of-block code")
+        # zlib (inftrees.c) takes an incomplete code only when it is a single
+        # 1-bit code: end-of-block's, or a lone distance code
+        lit_table = _build_decode_table(lit_lengths, allow_incomplete=max(lit_lengths) == 1)
+        dist_table = _build_decode_table(dist_lengths, allow_incomplete=max(dist_lengths) == 1)
+    except CorruptStreamError:
+        if 8 * pos - cnt > 8 * len(data):
+            raise TruncatedStreamError("stream ended inside a dynamic block header") from None
+        raise
     return lit_table, dist_table, pos, acc, cnt
 
 
@@ -938,12 +946,16 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     conforming encoder. Verifies the Adler-32 trailer and rejects trailing
     garbage.
 
+    Every block is read through one bit reader (:func:`_refill`). The stream
+    is truncated exactly when the bits consumed, ``8 * pos - cnt``, exceed
+    ``8 * len(data)``, checked before a corrupt code, a match copy or a block end.
+
     ``max_output`` is None or an int >= 0; anything else raises
     :class:`ParameterError`. When set, raises :class:`CorruptStreamError`
     once the output passes that many bytes. The size is checked after every
     match, stored block and block end rather than per literal, so the output
     held at that point exceeds the limit by at most 258 bytes plus 8 bytes
-    per input byte.
+    per input byte: no match is copied, and no block ends, past the end.
     """
     limit = sys.maxsize if max_output is None else _check_uint("max_output", max_output)
     data = bytes(data)
@@ -962,124 +974,106 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
         raise ZlibHeaderError("preset dictionaries are not supported")
 
     out = bytearray()
+    end = 8 * n  # bits in data
+    stop = n + 6  # a refill that starts past this byte raises
     pos = 2
     acc = 0
     cnt = 0
     final = False
-    while not final:
-        while cnt < 3:
-            if pos >= n:
-                raise TruncatedStreamError("stream ended before a block header")
-            acc |= data[pos] << cnt
-            pos += 1
-            cnt += 8
-        final = bool(acc & 1)
-        btype = (acc >> 1) & 3
-        acc >>= 3
-        cnt -= 3
+    try:
+        while not final:
+            pos, acc, cnt = _refill(data, pos, acc, cnt)
+            final = acc & 1
+            btype = acc >> 1 & 3
+            acc >>= 3
+            cnt -= 3
 
-        if btype == 0:
-            # drop bits to the byte boundary, then push buffered bytes back
-            drop = cnt & 7
-            acc >>= drop
-            cnt -= drop
-            pos -= cnt >> 3
-            acc = 0
-            cnt = 0
-            if pos + 4 > n:
-                raise TruncatedStreamError("stream ended inside a stored-block header")
-            length = data[pos] | (data[pos + 1] << 8)
-            nlen = data[pos + 2] | (data[pos + 3] << 8)
-            pos += 4
-            if length ^ 0xFFFF != nlen:
-                raise CorruptStreamError("stored-block length check failed")
-            if pos + length > n:
-                raise TruncatedStreamError("stream ended inside stored-block data")
-            out += data[pos : pos + length]
-            pos += length
-            if len(out) > limit:
-                raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
-            continue
-        if btype == 3:
-            raise CorruptStreamError("reserved block type 3")
-        if btype == 1:
-            lit_table, lit_bits = _FIXED_LIT_TABLE
-            dist_table, dist_bits = _FIXED_DIST_TABLE
-        else:
-            (lit_table, lit_bits), (dist_table, dist_bits), pos, acc, cnt = _read_dynamic_tables(
-                data, pos, acc, cnt
-            )
-        lit_mask = (1 << lit_bits) - 1
-        dist_mask = (1 << dist_bits) - 1
-
-        while True:
-            while cnt < lit_bits and pos < n:
-                acc |= data[pos] << cnt
-                pos += 1
-                cnt += 8
-            entry = lit_table[acc & lit_mask]
-            if entry is None:
-                if pos >= n and cnt < lit_bits:
-                    raise TruncatedStreamError("stream ended inside a Huffman code")
-                raise CorruptStreamError("invalid literal/length code")
-            sym, l = entry
-            if l > cnt:
-                raise TruncatedStreamError("stream ended inside a Huffman code")
-            acc >>= l
-            cnt -= l
-            if sym < 256:
-                out.append(sym)
-                continue
-            if sym == 256:
+            if btype == 0:
+                # push the buffered whole bytes back; the bits short of a byte pad
+                pos -= cnt >> 3
+                acc = cnt = 0
+                length = int.from_bytes(data[pos : pos + 2], "little")
+                nlen = int.from_bytes(data[pos + 2 : pos + 4], "little")
+                pos += 4
+                if length ^ 0xFFFF != nlen:
+                    raise CorruptStreamError("stored-block length check failed")
+                pos += length
+                if pos > n:
+                    raise TruncatedStreamError("stream ended inside a stored block")
+                out += data[pos - length : pos]
                 if len(out) > limit:
                     raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
-                break
-            if sym > 285:
-                raise CorruptStreamError(f"reserved length symbol {sym}")
-            # one refill covers the rest of a length/distance pair, 5 + 15 + 13
-            # bits. Literals refill only their code, so acc stays a one-digit
-            # (< 2**30) int: a 48-bit refill per symbol made inflate 10-12%
-            # slower on literal-heavy streams (2 vCPU Xeon, Python 3.11)
-            while cnt < 33 and pos < n:
-                acc |= data[pos] << cnt
-                pos += 1
-                cnt += 8
-            li = sym - 257
-            xb = _LENGTH_XBITS[li]
-            length = _LENGTH_BASES[li]
-            if xb:
-                if xb > cnt:
-                    raise TruncatedStreamError("stream ended inside length extra bits")
-                length += acc & ((1 << xb) - 1)
-                acc >>= xb
-                cnt -= xb
+                continue
+            if btype == 3:
+                raise CorruptStreamError("reserved block type 3")
+            if btype == 1:
+                lit_table, lit_bits = _FIXED_LIT_TABLE
+                dist_table, dist_bits = _FIXED_DIST_TABLE
+            else:
+                (lit_table, lit_bits), (dist_table, dist_bits), pos, acc, cnt = _read_dynamic_tables(
+                    data, pos, acc, cnt
+                )
+            lit_mask = (1 << lit_bits) - 1
+            dist_mask = (1 << dist_bits) - 1
 
-            if dist_table is None:
-                raise CorruptStreamError("length code with no distance code defined")
-            entry = dist_table[acc & dist_mask]
-            if entry is None:
-                if pos >= n and cnt < dist_bits:
-                    raise TruncatedStreamError("stream ended inside a distance code")
-                raise CorruptStreamError("invalid distance code")
-            dsym, l = entry
-            if l > cnt:
-                raise TruncatedStreamError("stream ended inside a distance code")
-            acc >>= l
-            cnt -= l
-            if dsym > 29:
-                raise CorruptStreamError(f"reserved distance symbol {dsym}")
-            xb = _DIST_XBITS[dsym]
-            dist = _DIST_BASES[dsym]
-            if xb:
-                if xb > cnt:
-                    raise TruncatedStreamError("stream ended inside distance extra bits")
-                dist += acc & ((1 << xb) - 1)
-                acc >>= xb
-                cnt -= xb
+            while True:
+                while cnt < 48:  # _refill
+                    if pos > stop:
+                        raise TruncatedStreamError("stream ended inside a block")
+                    acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
+                    pos += 4
+                    cnt += 32
+                entry = lit_table[acc & lit_mask]
+                if entry is None:
+                    raise CorruptStreamError("invalid literal/length code")
+                sym, l = entry
+                acc >>= l
+                cnt -= l
+                if sym < 256:
+                    out.append(sym)
+                    continue
+                if sym == 256:
+                    break
+                if sym > 285:
+                    raise CorruptStreamError(f"reserved length symbol {sym}")
+                li = sym - 257
+                xb = _LENGTH_XBITS[li]
+                length = _LENGTH_BASES[li]
+                if xb:
+                    length += acc & ((1 << xb) - 1)
+                    acc >>= xb
+                    cnt -= xb
 
-            _copy_match(out, length, dist)
+                if dist_table is None:
+                    raise CorruptStreamError("length code with no distance code defined")
+                entry = dist_table[acc & dist_mask]
+                if entry is None:
+                    raise CorruptStreamError("invalid distance code")
+                dsym, l = entry
+                acc >>= l
+                cnt -= l
+                if dsym > 29:
+                    raise CorruptStreamError(f"reserved distance symbol {dsym}")
+                xb = _DIST_XBITS[dsym]
+                dist = _DIST_BASES[dsym]
+                if xb:
+                    dist += acc & ((1 << xb) - 1)
+                    acc >>= xb
+                    cnt -= xb
+
+                if pos > n and 8 * pos - cnt > end:
+                    raise TruncatedStreamError("stream ended inside a block")
+                _copy_match(out, length, dist)
+                if len(out) > limit:
+                    raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
+            if 8 * pos - cnt > end:
+                raise TruncatedStreamError("stream ended inside a block")
             if len(out) > limit:
                 raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
+    except CorruptStreamError:
+        if 8 * pos - cnt > end:
+            raise TruncatedStreamError("stream ended inside a block") from None
+        raise
 
     # byte-align and push buffered whole bytes back before the trailer
     pos -= cnt >> 3

@@ -49,6 +49,8 @@ class ResidualGrid:
 def kmm_pixel(v: int, k: int) -> int:
     """Quantize one sample to the nearest multiple of k, ties down, clamped to 255."""
     check_k(k)
+    if isinstance(v, bool):  # refused as check_k refuses a bool k
+        raise ParameterError(f"sample must be an integer, got {v!r}")
     try:
         v = operator.index(v)  # accept numpy integer scalars, reject floats
     except TypeError:

@@ -62,6 +62,17 @@ def test_csv_header_checked(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("field, bad", [("width", "x"), ("width", "1.5"), ("psnr", "high")])
+def test_csv_field_values_checked(tmp_path, small_records, field, bad):
+    path = tmp_path / "report.csv"
+    write_csv(small_records[:1], path)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    row[header.index(field)] = bad
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ParameterError, match=field):
+        read_csv(path)
+
+
 def test_markdown_table_format(small_records):
     table = markdown_table(small_records)
     lines = table.strip().splitlines()

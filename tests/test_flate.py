@@ -36,6 +36,7 @@ from kpng.flate import (
     _op_fields,
     _plan_blocks,
     _priced_block,
+    _read_dynamic_tables,
     _rle_code_lengths,
     _split_blocks,
     _tokenize_ops,
@@ -410,6 +411,28 @@ def test_inflate_rejects_empty():
         inflate(b"")
 
 
+def test_every_proper_prefix_is_truncated():
+    rng = random.Random(7)
+    text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
+    # literal 0 is the most frequent symbol, so the dynamic code's all-zero
+    # code is a literal: the zero bits past a cut decode as literals
+    skewed = deflate_compress(bytes(rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600)), 2)
+    assert skewed[2] & 7 == 0b101  # one final dynamic block
+    (lit_table, _), *_ = _read_dynamic_tables(skewed, 3, skewed[2] >> 3, 5)
+    assert lit_table[0][0] < 256
+    zeros = bytes(_BLOCK_INPUT + 4000)  # two blocks
+    corpus = (
+        [deflate_compress(text, level) for level in ALL_LEVELS]
+        + [zlib.compress(text, level) for level in (0, 1, 9)]
+        + [deflate_compress(b"", 2), skewed, deflate_compress(zeros, 1), zlib.compress(zeros, 9)]
+    )
+    for stream in corpus:
+        assert inflate(stream) == zlib.decompress(stream)
+        for cut in range(len(stream)):
+            with pytest.raises(TruncatedStreamError):
+                inflate(stream[:cut])
+
+
 # ---------------------------------------------------------------------------
 # hand-packed dynamic blocks exercising rare decoder paths
 
@@ -521,22 +544,30 @@ def test_match_with_no_distance_code():
         inflate(p.to_zlib())
 
 
-@pytest.mark.parametrize("eob_bits", [1, 2])
-def test_lone_end_of_block_code_is_read_as_zlib_reads_it(eob_bits):
-    # litlen code: end-of-block alone, an incomplete code. zlib accepts it
-    # when the code is 1 bit long and refuses it otherwise
+@pytest.mark.parametrize(
+    "code, bits",
+    [
+        pytest.param("litlen", 1, id="1"),
+        pytest.param("litlen", 2, id="2"),
+        pytest.param("distance", 1, id="distance-1"),
+        pytest.param("distance", 2, id="distance-2"),
+    ],
+)
+def test_lone_end_of_block_code_is_read_as_zlib_reads_it(code, bits):
+    # a code with one symbol is incomplete. zlib accepts it when the code is
+    # 1 bit long and refuses it otherwise: the literal/length code as
+    # end-of-block alone, or one distance code beside a lone 1-bit end-of-block
+    eob_bits, dist_bits = (bits, 0) if code == "litlen" else (1, bits)
     cl = [0] * 19
-    cl[2] = 1  # symbol 18: code 0
-    cl[3] = 2  # symbol 0: code 10
-    cl[{1: 17, 2: 15}[eob_bits]] = 2  # symbol 1 or 2: code 11
+    cl[2] = cl[3] = cl[15] = cl[17] = 2  # symbols 0, 1, 2, 18: codes 00, 01, 10, 11
     p = _dynamic_header(cl, hlit=257, hdist=1)
-    p.put_code_msb(0, 1).put(138 - 11, 7)  # 138 zeros (litlen 0..137)
-    p.put_code_msb(0, 1).put(118 - 11, 7)  # 118 zeros (litlen 138..255)
-    p.put_code_msb(0b11, 2)                # litlen 256: length eob_bits
-    p.put_code_msb(0b10, 2)                # dist 0: length 0
+    p.put_code_msb(0b11, 2).put(138 - 11, 7)  # 138 zeros (litlen 0..137)
+    p.put_code_msb(0b11, 2).put(118 - 11, 7)  # 118 zeros (litlen 138..255)
+    p.put_code_msb(eob_bits, 2)            # litlen 256: length eob_bits
+    p.put_code_msb(dist_bits, 2)           # dist 0: length dist_bits
     p.put_code_msb(0, eob_bits)            # end-of-block
     stream = p.to_zlib()[:-4] + adler32(b"").to_bytes(4, "big")
-    if eob_bits == 1:
+    if bits == 1:
         assert inflate(stream) == zlib.decompress(stream) == b""
     else:
         with pytest.raises(zlib.error):

@@ -54,6 +54,8 @@ def test_invalid_sample_rejected():
         kmm_pixel(256, 10)
     with pytest.raises(ParameterError):
         kmm_pixel(-1, 10)
+    with pytest.raises(ParameterError):
+        kmm_pixel(True, 10)
 
 
 def test_worked_block_at_k10(sample_block_images):
