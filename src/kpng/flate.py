@@ -60,7 +60,11 @@ _STORED_MAX = 65535  # LEN is 16 bits
 _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 
 _ADLER_MOD = 65521
-_ADLER_CHUNK = 1 << 20
+# zlib's NMAX (adler32.c): the most bytes whose weighted sum, 255 * 5552 *
+# 5553 / 2 = 3,930,857,640, still fits a uint32
+_ADLER_NMAX = 5552
+_ADLER_WEIGHTS = np.arange(_ADLER_NMAX, 0, -1, dtype=np.uint32)
+_ADLER_GROUP = 189 * _ADLER_NMAX  # whole blocks, about 1 MiB per numpy pass
 _CRC_LANE = 256  # bytes per lane of the vectorized CRC-32
 # the lane pass costs about 1.6 ms whatever the input (256 numpy steps)
 # against 0.16 us per byte for the loop, so it starts at 16 KiB
@@ -184,19 +188,33 @@ def adler32(data: bytes, value: int = 1) -> int:
     """Adler-32: s1/s2 accumulated mod 65521, packed s2<<16 | s1.
 
     Pass a previous result as ``value`` (an int in [0, 2**32)) for
-    incremental use. Uses the closed form s2 += n*s1 + sum((n-i)*d[i]), one
-    int64 dot product per chunk of at most ``_ADLER_CHUNK`` bytes, where the
-    weighted sum stays below 2**47.
+    incremental use. Uses the closed form s2 += n*s1 + sum((n-i)*d[i]) over
+    blocks of zlib's ``NMAX`` = 5552 bytes, where a weighted sum fits a
+    uint32. The input is read in groups of whole blocks, about 1 MiB, so
+    temporaries stay bounded: per group, one uint8 @ uint32 product gives
+    every block's weighted sum and one uint32 row sum its byte sum; the
+    blocks, then the group's tail of under 5552 bytes, fold in order, each
+    block's weighted sum shifted by the bytes after it in the group.
     """
     _check_uint("Adler-32 value", value, 1 << 32)
-    s1 = value & 0xFFFF
-    s2 = value >> 16
+    # reduced as zlib reduces a start value, even for empty data
+    s1 = (value & 0xFFFF) % _ADLER_MOD
+    s2 = (value >> 16) % _ADLER_MOD
     d = np.frombuffer(data, np.uint8)
-    for start in range(0, d.size, _ADLER_CHUNK):
-        chunk = d[start : start + _ADLER_CHUNK]
-        n = chunk.size
-        s2 = (s2 + n * s1 + int(np.dot(chunk, np.arange(n, 0, -1)))) % _ADLER_MOD
-        s1 = (s1 + int(chunk.sum())) % _ADLER_MOD
+    for start in range(0, d.size, _ADLER_GROUP):
+        group = d[start : start + _ADLER_GROUP]
+        m, r = divmod(group.size, _ADLER_NMAX)
+        blocks = group[: m * _ADLER_NMAX].reshape(m, _ADLER_NMAX)
+        tail = group[m * _ADLER_NMAX :]
+        sums = blocks.sum(axis=1, dtype=np.uint32)
+        after = np.arange(m - 1, -1, -1, dtype=np.int64) * _ADLER_NMAX + r
+        weighted = (
+            int((blocks @ _ADLER_WEIGHTS).sum())
+            + int(sums @ after)
+            + int(tail @ _ADLER_WEIGHTS[_ADLER_NMAX - r :])
+        )
+        s2 = (s2 + group.size * s1 + weighted) % _ADLER_MOD
+        s1 = (s1 + int(sums.sum()) + int(tail.sum())) % _ADLER_MOD
     return (s2 << 16) | s1
 
 

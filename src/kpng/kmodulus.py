@@ -5,6 +5,10 @@ When a sample sits exactly halfway between two multiples (residue k/2,
 even k only) the lower multiple wins, and when the closest multiple would
 be 256 or more the largest multiple <= 255 is used instead. Those two
 rules pin the transform completely; everything else is plain rounding.
+
+``kmm_pixel`` holds the only copy of the formula. ``kmm_transform`` fills a
+256-byte table from it, one entry per sample value, and maps the image
+through that table.
 """
 
 from __future__ import annotations
@@ -63,17 +67,17 @@ def kmm_pixel(v: int, k: int) -> int:
 
 
 def kmm_transform(img: RasterImage, k: int) -> RasterImage:
-    """Quantize every sample of ``img``; the input image is left untouched."""
-    check_k(k)
-    v = np.frombuffer(img.samples, dtype=np.uint8).astype(np.int32)
-    r = v % k
-    out = v - r + k * (2 * r > k)
-    np.minimum(out, (255 // k) * k, out=out)
+    """Quantize every sample of ``img``; the input image is left untouched.
+
+    A sample has only 256 values, so ``kmm_pixel`` fills a 256-byte table
+    once per call and ``bytes.translate`` looks every sample up in it.
+    """
+    table = bytes(kmm_pixel(v, k) for v in range(256))
     return RasterImage(
         width=img.width,
         height=img.height,
         channels=img.channels,
-        samples=out.astype(np.uint8).tobytes(),
+        samples=img.samples.translate(table),
     )
 
 

@@ -9,8 +9,10 @@ signed bytes; ``encode_png`` runs it over bands of about 64 KiB of samples,
 the public PNG standard; the compressed stream comes from :mod:`kpng.flate`.
 
 ``decode_png`` has two unfilter paths. AVERAGE and PAETH rows depend on the
-byte to their left, so :func:`unfilter` rebuilds them byte by byte; the
-other types take a numpy step per row. Across rows the dependency is looser:
+byte to their left, so :func:`unfilter` rebuilds them byte by byte; UP and
+SUB rows take one uint8 numpy step per row (an add, or a running sum per
+byte of the pixel), where uint8 arithmetic wraps mod 256 as the filters do,
+and NONE rows are copied. Across rows the dependency is looser:
 pixel (y, x) needs only (y, x-1), (y-1, x) and (y-1, x-1), so a wavefront
 rebuilds every anti-diagonal x + y = d of the image in one numpy step, all
 five filter types at once, in width + height - 1 steps. The decoder counts
@@ -178,7 +180,8 @@ def apply_filter(row: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixe
 
 
 def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
-    """Exact inverse of :func:`apply_filter`."""
+    """Exact inverse of :func:`apply_filter`; ``ftype`` is a
+    :class:`FilterType` or its int value, as ``decode_png`` passes it."""
     f = _check_filter_type(ftype)
     if len(filtered) != len(prior_row):
         raise ParameterError(
@@ -188,16 +191,15 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
     bpp = _check_bpp(bytes_per_pixel)
     if f == FilterType.NONE:
         return bytes(filtered)
+    # UP and SUB add in uint8, which wraps mod 256 as the filters do
     if f == FilterType.UP:
-        fa = np.frombuffer(bytes(filtered), np.uint8).astype(np.int16)
-        pa = np.frombuffer(bytes(prior_row), np.uint8).astype(np.int16)
-        return ((fa + pa) & 0xFF).astype(np.uint8).tobytes()
+        above = np.frombuffer(bytes(prior_row), np.uint8)
+        return (np.frombuffer(bytes(filtered), np.uint8) + above).tobytes()
     if f == FilterType.SUB:
         # byte i adds up bytes i, i - bpp, ...: a column of the row cut into
         # pixels, zero-padded to whole pixels
-        fa = np.frombuffer(bytes(filtered) + bytes(-n % bpp), np.uint8).astype(np.int64)
-        out = np.cumsum(fa.reshape(-1, bpp), axis=0) & 0xFF
-        return out.astype(np.uint8).tobytes()[:n]
+        fa = np.frombuffer(bytes(filtered) + bytes(-n % bpp), np.uint8)
+        return np.cumsum(fa.reshape(-1, bpp), axis=0, dtype=np.uint8).tobytes()[:n]
     # AVERAGE and PAETH reconstruct left-to-right
     fl = list(filtered)
     pr = list(prior_row)
@@ -418,7 +420,7 @@ def decode_png(data: bytes) -> RasterImage:
         rows = bytearray()
         prior = bytes(stride)
         for pos in range(0, expected, stride + 1):
-            prior = unfilter(raw[pos + 1 : pos + 1 + stride], prior, FilterType(raw[pos]), channels)
+            prior = unfilter(raw[pos + 1 : pos + 1 + stride], prior, raw[pos], channels)
             rows += prior
         samples = bytes(rows)
     return RasterImage(width=width, height=height, channels=channels, samples=samples)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +16,8 @@ from kpng.errors import (
     ZlibHeaderError,
 )
 from kpng.flate import (
+    _ADLER_GROUP,
+    _ADLER_NMAX,
     _BLOCK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
@@ -128,12 +131,42 @@ def test_adler32_incremental_equals_one_shot():
 
 @pytest.mark.parametrize("n", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1, (3 << 20) + 7])
 def test_adler32_matches_zlib_across_chunks(n):
-    # all-0xFF bytes give the largest weighted sum a chunk can hold
+    # all-0xFF bytes give the largest weighted sum a block can hold
     for blob in (random.Random(n).randbytes(n), b"\xff" * n):
         assert adler32(blob) == zlib.adler32(blob)
         start = zlib.adler32(blob[:777])
         assert adler32(blob[777:], start) == zlib.adler32(blob[777:], start)
         assert adler32(bytearray(blob), 0xFFF0FFF0) == zlib.adler32(blob, 0xFFF0FFF0)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [m * _ADLER_NMAX + e for m in (1, 2, 3) for e in (-1, 0, 1)]
+    + [_ADLER_GROUP - 1, _ADLER_GROUP, _ADLER_GROUP + 1, 2 * _ADLER_GROUP + 1],
+)
+def test_adler32_matches_zlib_at_block_boundaries(n):
+    assert 255 * _ADLER_NMAX * (_ADLER_NMAX + 1) // 2 < 1 << 32  # no uint32 weighted sum wraps
+    for blob in (random.Random(n).randbytes(n), b"\xff" * n):
+        for start in (1, 0xFFF0FFF0, (1 << 32) - 1):
+            assert adler32(blob, start) == zlib.adler32(blob, start), (n, start)
+
+
+def _adler32_peak_bytes(n: int) -> int:
+    data = b"\xff" * n
+    tracemalloc.start()
+    try:
+        adler32(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adler32_memory_does_not_grow_with_input():
+    """Temporaries are bounded by a group of blocks, whatever the input
+    size: a 2^28-pixel IDAT must not need a copy of itself per numpy pass."""
+    small = _adler32_peak_bytes(8 << 20)
+    large = _adler32_peak_bytes(32 << 20)
+    assert abs(large - small) < 64 << 10, (small, large)
 
 
 _LANES_FROM = _CRC_MIN_LANES * _CRC_LANE
@@ -174,6 +207,8 @@ def test_checksum_start_value_range_ends():
     assert crc32(b"abc", top) == zlib.crc32(b"abc", top)
     assert adler32(b"abc", top) == zlib.adler32(b"abc", top)
     assert crc32(b"", 0) == 0 and adler32(b"", 0) == 0
+    # zlib reduces an unreduced start value mod 65521 even for empty data
+    assert adler32(b"", top) == zlib.adler32(b"", top) == 0x000E000E
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kpng import RasterImage, kmm_pixel, kmm_transform, residual
+from kpng import K_MAX, K_MIN, RasterImage, kmm_pixel, kmm_transform, residual
 from kpng.errors import DimensionMismatchError, ParameterError
 
 from conftest import SAMPLE_BLOCK, SAMPLE_BLOCK_K10
@@ -64,12 +63,12 @@ def test_worked_block_at_k10(sample_block_images):
 
 
 def test_transform_matches_pixel_map():
-    rng = np.random.default_rng(5)
-    data = rng.integers(0, 256, size=300, dtype=np.uint8)
-    img = RasterImage(10, 10, 3, data.tobytes())
-    for k in (2, 7, 10, 13, 25):
+    """Exhaustive: every sample value, in every channel, at every k."""
+    data = bytes(range(256)) * 3
+    img = RasterImage(16, 16, 3, data)
+    for k in range(K_MIN, K_MAX + 1):
         out = kmm_transform(img, k)
-        assert list(out.samples) == [kmm_pixel(v, k) for v in data.tolist()]
+        assert list(out.samples) == [kmm_pixel(v, k) for v in data], k
 
 
 def test_transform_leaves_input_unmodified():

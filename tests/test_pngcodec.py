@@ -126,6 +126,27 @@ def test_unfilter_inverts_apply_filter(row, ftype, bpp, rnd):
     assert unfilter(apply_filter(row, prior, ftype, bpp), prior, ftype, bpp) == row
 
 
+def up_sub_unfilter_bytewise(filtered: bytes, prior: bytes, ftype: FilterType, bpp: int) -> bytes:
+    """Per-byte reference for UP and SUB: add the predictor, keep the low 8 bits."""
+    out = bytearray()
+    for i, x in enumerate(filtered):
+        pred = prior[i] if ftype == FilterType.UP else (out[i - bpp] if i >= bpp else 0)
+        out.append((x + pred) & 0xFF)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("ftype", [FilterType.SUB, FilterType.UP])
+@pytest.mark.parametrize("bpp", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 301])
+def test_unfilter_up_sub_wrap_mod_256(ftype, bpp, n):
+    # bytes of 128 and up make every UP sum and most SUB running sums pass
+    # 255; lengths 1, 2, 7, 8 and 301 are not whole pixels at bpp 3
+    rng = random.Random(n * 10 + bpp)
+    high = bytes(rng.randrange(128, 256) for _ in range(2 * n))
+    for filtered, prior in ((high[:n], high[n:]), (b"\xff" * n, b"\xff" * n)):
+        assert unfilter(filtered, prior, ftype, bpp) == up_sub_unfilter_bytewise(filtered, prior, ftype, bpp)
+
+
 def test_filter_length_mismatch():
     with pytest.raises(ParameterError):
         apply_filter(b"ab", b"abc", FilterType.SUB, 1)
@@ -527,6 +548,25 @@ def png_from_stream(width: int, height: int, color: int, stream: bytes) -> bytes
     ihdr = struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0)
     chunks = [PngChunk.build(b"IHDR", ihdr), PngChunk.build(b"IDAT", stream), PngChunk.build(b"IEND", b"")]
     return _rebuild(chunks)
+
+
+@pytest.mark.parametrize("bpp", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decode_row_path_on_random_scanlines(bpp, seed, monkeypatch):
+    """Random payload and random filter bytes 0..4, sized so the AVERAGE/PAETH
+    rows stay below the wavefront threshold: the row path runs every row."""
+    rng = random.Random(seed)
+    width, height = 48, 40
+    stride = width * bpp
+    assert height * stride <= _WAVEFRONT_STEP_BYTES * (width + height)  # even all-slow rows
+    raw = bytearray(rng.randbytes(height * (stride + 1)))
+    raw[:: stride + 1] = bytes(rng.randrange(5) for _ in range(height))
+    raw = bytes(raw)
+    calls = _spy_unfilter_paths(monkeypatch)
+    img = decode_png(png_from_stream(width, height, 0 if bpp == 1 else 2, zlib.compress(raw)))
+    assert calls == {"wavefront": 0, "rows": height}
+    assert img.samples == reference_unfilter_image(raw, height, width, bpp)
+    assert img.samples == _unfilter_image(raw, height, width, bpp)
 
 
 @pytest.mark.parametrize("ftype", [FilterType.PAETH, FilterType.UP])
