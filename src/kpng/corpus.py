@@ -6,7 +6,8 @@ with a palette of at most 8 colors clustered within +/-4 of two base colors
 whose components are multiples of 10, so k=10 quantization collapses the
 clusters; that is the regime where the pre-pass pays off. The gradient
 generator is the documented failure mode (visible banding), and noise /
-mixed round out the corpus.
+mixed round out the corpus. ``CorpusSpec``'s width, height and colors
+pass :func:`kpng.errors._check_int`, the package's one integer check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_int
 from .raster import RasterImage
 
 GENERATOR_KINDS = ("flat-shapes", "gradient", "noise", "mixed")
@@ -37,10 +38,8 @@ class CorpusSpec:
             raise ParameterError(
                 f"unknown generator {self.kind!r}, expected one of {', '.join(GENERATOR_KINDS)}"
             )
-        if self.width < 1 or self.height < 1:
-            raise ParameterError(f"invalid dimensions {self.width}x{self.height}")
-        if not 2 <= self.colors <= 8:
-            raise ParameterError(f"color count must be in [2, 8], got {self.colors}")
+        for name, lo, hi in (("width", 1, None), ("height", 1, None), ("colors", 2, 8)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo, hi))
 
 
 def _anchor(rng: random.Random) -> tuple[int, int, int]:

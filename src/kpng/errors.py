@@ -2,7 +2,16 @@
 
 Every error raised on purpose derives from :class:`KpngError` so callers
 (notably the CLI) can catch one base class.
+
+Every integer parameter of the package (k, a sample value, the compression
+level, a filter type, bytes per pixel, image dimensions, a checksum start
+value, a token field) passes one check, :func:`_check_int`: a Python int, an
+``IntEnum`` member or a numpy integer scalar in range is taken as a plain
+int; ``bool``, ``np.bool_``, floats, strings and None raise
+:class:`ParameterError`.
 """
+
+import operator
 
 
 class KpngError(Exception):
@@ -11,6 +20,21 @@ class KpngError(Exception):
 
 class ParameterError(KpngError):
     """An argument is outside its documented range (k, level, filter type)."""
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a plain int in [lo, hi], or in [lo, inf) when ``hi`` is None."""
+    # a bool is an int to operator.index, but never a count or a code here
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if v < lo or (hi is not None and v > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ParameterError(f"{name} must be {bound}, got {v}")
+    return v
 
 
 class DimensionMismatchError(KpngError):

@@ -24,12 +24,14 @@ of every level: level 0 is one stored block, level 1 the 64 KiB blocks as
 they are cut. Levels 2-3 price each block as dynamic, fixed and stored,
 then merge neighbours left to right: the block so far absorbs the next one
 whenever the merged span's cheapest coding is smaller than the two coded
-apart (``_plan_blocks``). Each level's search effort comes from a table
-modeled on zlib's ``configuration_table`` (deflate.c): levels 1-2 walk up
-to 128 hash-chain links; level 3 walks up to 256, a quarter of that for the
-lazy search when the pending match is already 32 bytes long
-(``good_length``), and stops at a 258-byte match (``nice_length``,
-``max_lazy``).
+apart (``_plan_blocks``). Search effort follows zlib's
+``configuration_table`` (deflate.c): levels 1-2 match greedily and walk up
+to 128 hash-chain links; level 3 matches lazily and walks up to 256, a
+quarter of that for the lazy search when the pending match is already 32
+bytes long (``_GOOD_LENGTH``). Every search stops at a 258-byte match.
+
+Every integer argument (level, checksum start value, ``max_output``, token
+fields) passes :func:`kpng.errors._check_int`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import (
     ParameterError,
     TruncatedStreamError,
     ZlibHeaderError,
+    _check_int,
 )
 
 WINDOW_SIZE = 32768
@@ -93,22 +96,7 @@ Token = Literal | Match
 
 
 def check_level(level) -> int:
-    if isinstance(level, bool) or not isinstance(level, (int, IntEnum)):
-        raise ParameterError(f"compression level must be an integer 0..3, got {level!r}")
-    lv = int(level)
-    if lv not in (0, 1, 2, 3):
-        raise ParameterError(f"compression level must be 0..3, got {lv}")
-    return lv
-
-
-def _check_uint(name: str, value, hi: int | None = None) -> int:
-    """``value`` if it is an int >= 0, and below ``hi`` when given; a bool
-    is refused like any other non-integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 0 or (hi is not None and value >= hi):
-        raise ParameterError(f"{name} must be in [0, {'inf' if hi is None else hi}), got {value}")
-    return value
+    return _check_int("compression level", level, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +151,7 @@ def crc32(data: bytes, value: int = 0) -> int:
     register over one lane of zero bytes; the tail and shorter inputs take
     the per-byte loop.
     """
-    crc = _check_uint("CRC-32 value", value, 1 << 32) ^ 0xFFFFFFFF
+    crc = _check_int("CRC-32 value", value, 0, 0xFFFFFFFF) ^ 0xFFFFFFFF
     tail = memoryview(data).cast("B")
     lanes = len(tail) // _CRC_LANE
     if lanes >= _CRC_MIN_LANES:
@@ -196,7 +184,7 @@ def adler32(data: bytes, value: int = 1) -> int:
     blocks, then the group's tail of under 5552 bytes, fold in order, each
     block's weighted sum shifted by the bytes after it in the group.
     """
-    _check_uint("Adler-32 value", value, 1 << 32)
+    value = _check_int("Adler-32 value", value, 0, 0xFFFFFFFF)
     # reduced as zlib reduces a start value, even for empty data
     s1 = (value & 0xFFFF) % _ADLER_MOD
     s2 = (value >> 16) % _ADLER_MOD
@@ -364,29 +352,18 @@ _FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NO_DIST)
 # LZ77 tokenizer
 
 
-class _Effort(NamedTuple):
-    """How hard the tokenizer searches, after zlib's ``configuration_table``
-    in deflate.c (lazy matching per RFC 1951 section 4)."""
-
-    max_chain: int  # hash-chain links walked per search
-    good_length: int  # a pending match this long quarters the lazy search's chain
-    nice_length: int  # a match this long ends the search
-    max_lazy: int  # a match this long is emitted without a lazy look; 0 = greedy
+# a pending match this long quarters the lazy search's chain (zlib level 9's
+# good_length in deflate.c ``configuration_table``)
+_GOOD_LENGTH = 32
 
 
-# Levels 1-2 are greedy, so good_length never applies to them. Level 3 has
-# the good/nice/lazy lengths of zlib level 9 and a sixteenth of its chain.
-_LEVEL_EFFORT = {
-    1: _Effort(128, MAX_MATCH, MAX_MATCH, 0),
-    2: _Effort(128, MAX_MATCH, MAX_MATCH, 0),
-    3: _Effort(256, 32, MAX_MATCH, MAX_MATCH),
-}
-
-
-def _tokenize_ops(data: bytes, effort: _Effort) -> np.ndarray:
+def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
-    bytes, a match is ``length << 16 | distance`` (always above 255)."""
-    max_chain, good_length, nice_length, max_lazy = effort
+    bytes, a match is ``length << 16 | distance`` (always above 255).
+    ``lazy`` is level 3's lazy matching (RFC 1951 section 4), a sixteenth of
+    zlib level 9's chain; otherwise matching is greedy."""
+    max_chain = 256 if lazy else 128
+    good_length = _GOOD_LENGTH
     n = len(data)
     ops: list[int] = []
     append = ops.append
@@ -415,7 +392,6 @@ def _tokenize_ops(data: bytes, effort: _Effort) -> np.ndarray:
             # a lazy search only has to beat the pending match
             bl = pend_len or MIN_MATCH - 1
             if j >= floor and bl < max_len:
-                nice = nice_length if nice_length < max_len else max_len
                 bd = 0
                 c = data[i + bl]
                 # the match length is the count of trailing zero bytes of the
@@ -431,7 +407,7 @@ def _tokenize_ops(data: bytes, effort: _Effort) -> np.ndarray:
                         if l > bl:
                             bl = l
                             bd = i - j
-                            if l >= nice:
+                            if l >= max_len:
                                 break
                             c = data[i + l]
                     j = prev[j]
@@ -451,7 +427,7 @@ def _tokenize_ops(data: bytes, effort: _Effort) -> np.ndarray:
         if not best_len:
             append(data[i])
             i += 1
-        elif start == i and best_len < max_lazy:
+        elif lazy and start == i and best_len < MAX_MATCH:
             # hold the match back and see whether the next position beats it
             pend_len, pend_dist = best_len, best_dist
             i += 1
@@ -476,12 +452,8 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     lv = check_level(level)
     if lv < 1:
         raise ParameterError("level 0 is stored-only and produces no token stream")
-    ops = _tokenize_ops(bytes(data), _LEVEL_EFFORT[lv]).tolist()
+    ops = _tokenize_ops(bytes(data), lv == 3).tolist()
     return [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops]
-
-
-def _is_int_in(value, lo: int, hi: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
 def lz77_expand(tokens) -> bytes:
@@ -489,15 +461,10 @@ def lz77_expand(tokens) -> bytes:
     out = bytearray()
     for tok in tokens:
         if isinstance(tok, Literal):
-            if not _is_int_in(tok.value, 0, 255):
-                raise ParameterError(f"literal {tok.value!r} is not a byte value")
-            out.append(tok.value)
+            out.append(_check_int("literal", tok.value, 0, 255))
         elif isinstance(tok, Match):
-            if not _is_int_in(tok.length, MIN_MATCH, MAX_MATCH):
-                raise ParameterError(f"match length {tok.length!r} outside [{MIN_MATCH}, {MAX_MATCH}]")
-            if not _is_int_in(tok.distance, 1, WINDOW_SIZE):
-                raise ParameterError(f"match distance {tok.distance!r} outside [1, {WINDOW_SIZE}]")
-            _copy_match(out, tok.length, tok.distance)
+            length = _check_int("match length", tok.length, MIN_MATCH, MAX_MATCH)
+            _copy_match(out, length, _check_int("match distance", tok.distance, 1, WINDOW_SIZE))
         else:
             raise ParameterError(f"not a token: {tok!r}")
     return bytes(out)
@@ -837,7 +804,7 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     if lv == 0:
         f, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
-        f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[lv]))
+        f = _op_fields(_tokenize_ops(data, lv == 3))
         blocks = _plan_blocks(f) if lv > 1 else [_Block(*cut, 1) for cut in _split_blocks(f.cover)]
     w = _BitWriter(out)
     for i, block in enumerate(blocks):
@@ -975,7 +942,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     held at that point exceeds the limit by at most 258 bytes plus 8 bytes
     per input byte: no match is copied, and no block ends, past the end.
     """
-    limit = sys.maxsize if max_output is None else _check_uint("max_output", max_output)
+    limit = sys.maxsize if max_output is None else _check_int("max_output", max_output, 0)
     data = bytes(data)
     n = len(data)
     if n < 2:

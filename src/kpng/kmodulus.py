@@ -8,17 +8,17 @@ rules pin the transform completely; everything else is plain rounding.
 
 ``kmm_pixel`` holds the only copy of the formula. ``kmm_transform`` fills a
 256-byte table from it, one entry per sample value, and maps the image
-through that table.
+through that table. ``k`` and the sample pass :func:`kpng.errors._check_int`,
+the package's one integer check, so numpy integers work and bools do not.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import _check_int
 from .raster import RasterImage
 
 K_MIN = 2
@@ -27,12 +27,8 @@ DEFAULT_K = 10
 
 
 def check_k(k: int) -> int:
-    """Validate the quantization step; returns it unchanged."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError(f"k must be an integer, got {k!r}")
-    if not K_MIN <= k <= K_MAX:
-        raise ParameterError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
-    return k
+    """Validate the quantization step; returns it as a plain int."""
+    return _check_int("k", k, K_MIN, K_MAX)
 
 
 @dataclass(frozen=True)
@@ -52,15 +48,8 @@ class ResidualGrid:
 
 def kmm_pixel(v: int, k: int) -> int:
     """Quantize one sample to the nearest multiple of k, ties down, clamped to 255."""
-    check_k(k)
-    if isinstance(v, bool):  # refused as check_k refuses a bool k
-        raise ParameterError(f"sample must be an integer, got {v!r}")
-    try:
-        v = operator.index(v)  # accept numpy integer scalars, reject floats
-    except TypeError:
-        raise ParameterError(f"sample must be an integer, got {v!r}") from None
-    if not 0 <= v <= 255:
-        raise ParameterError(f"sample must be in [0, 255], got {v}")
+    k = check_k(k)
+    v = _check_int("sample", v, 0, 255)
     r = v % k
     m = v - r + (k if 2 * r > k else 0)
     return min(m, (255 // k) * k)
@@ -83,11 +72,7 @@ def kmm_transform(img: RasterImage, k: int) -> RasterImage:
 
 def residual(original: RasterImage, transformed: RasterImage) -> ResidualGrid:
     """Per-sample signed difference original - transformed."""
-    if not original.same_shape(transformed):
-        raise DimensionMismatchError(
-            f"shape mismatch: {original.width}x{original.height}x{original.channels} vs "
-            f"{transformed.width}x{transformed.height}x{transformed.channels}"
-        )
+    original.check_same_shape(transformed)
     a = np.frombuffer(original.samples, dtype=np.uint8).astype(np.int16)
     b = np.frombuffer(transformed.samples, dtype=np.uint8).astype(np.int16)
     return ResidualGrid(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import ParameterError
 from .raster import RasterImage
 
 SSIM_WINDOW = 11
@@ -43,14 +43,6 @@ class QualityReport:
     ssim: float
 
 
-def _check_shapes(a: RasterImage, b: RasterImage) -> None:
-    if not a.same_shape(b):
-        raise DimensionMismatchError(
-            f"shape mismatch: {a.width}x{a.height}x{a.channels} vs "
-            f"{b.width}x{b.height}x{b.channels}"
-        )
-
-
 def _mse_of(x: np.ndarray, y: np.ndarray) -> float:
     # each squared difference is an integer <= 65025, so every partial sum
     # is exact in float64 and the layout of x and y cannot change the result
@@ -59,7 +51,7 @@ def _mse_of(x: np.ndarray, y: np.ndarray) -> float:
 
 def mse(a: RasterImage, b: RasterImage) -> float:
     """Mean squared sample difference, all channels pooled."""
-    _check_shapes(a, b)
+    a.check_same_shape(b)
     x = np.frombuffer(a.samples, np.uint8).astype(np.float64)
     y = np.frombuffer(b.samples, np.uint8).astype(np.float64)
     return _mse_of(x, y)
@@ -129,7 +121,7 @@ def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
 
 def ssim(a: RasterImage, b: RasterImage) -> float:
     """Mean local structural similarity; 1.0 means identical."""
-    _check_shapes(a, b)
+    a.check_same_shape(b)
     _check_ssim_size(a)
     return _ssim_of(_planes(a), _planes(b))
 
@@ -137,7 +129,7 @@ def ssim(a: RasterImage, b: RasterImage) -> float:
 def compare(a: RasterImage, b: RasterImage) -> QualityReport:
     """All three quality measures at once, from one float64 conversion of
     each image."""
-    _check_shapes(a, b)
+    a.check_same_shape(b)
     _check_ssim_size(a)
     xa = _planes(a)
     ya = _planes(b)

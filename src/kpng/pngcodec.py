@@ -7,6 +7,8 @@ depends only on unfiltered rows) and picks per row the least sum of absolute
 signed bytes; ``encode_png`` runs it over bands of about 64 KiB of samples,
 ``apply_filter`` and ``choose_filter`` on one row. Filter arithmetic follows
 the public PNG standard; the compressed stream comes from :mod:`kpng.flate`.
+The filter type and bytes per pixel pass :func:`kpng.errors._check_int`,
+the package's one integer check.
 
 ``decode_png`` has two unfilter paths. AVERAGE and PAETH rows depend on the
 byte to their left, so :func:`unfilter` rebuilds them byte by byte; UP and
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import flate
-from .errors import ParameterError, PngCrcError, PngFormatError, UnsupportedImageError
+from .errors import ParameterError, PngCrcError, PngFormatError, UnsupportedImageError, _check_int
 from .flate import CompressionLevel, crc32
 from .raster import RasterImage
 
@@ -75,7 +77,7 @@ class EncodeOptions:
     def __post_init__(self) -> None:
         flate.check_level(self.level)
         if self.filter_strategy is not None:
-            _check_filter_type(self.filter_strategy)
+            _check_int("filter type", self.filter_strategy, 0, 4)
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,6 @@ class PngChunk:
         )
 
 
-def _check_filter_type(ftype) -> int:
-    if isinstance(ftype, bool) or not isinstance(ftype, (int, IntEnum)):
-        raise ParameterError(f"filter type must be an integer 0..4, got {ftype!r}")
-    f = int(ftype)
-    if not 0 <= f <= 4:
-        raise ParameterError(f"filter type must be 0..4, got {f}")
-    return f
-
-
 def paeth_predictor(a: int, b: int, c: int) -> int:
     """Pick whichever of left/above/upper-left is closest to a + b - c;
     ties prefer a, then b."""
@@ -123,12 +116,6 @@ def paeth_predictor(a: int, b: int, c: int) -> int:
     if pb <= pc:
         return b
     return c
-
-
-def _check_bpp(bpp) -> int:
-    if isinstance(bpp, bool) or not isinstance(bpp, (int, np.integer)) or bpp < 1:
-        raise ParameterError(f"bytes per pixel must be an integer >= 1, got {bpp!r}")
-    return int(bpp)
 
 
 def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -166,7 +153,7 @@ def _best_filters(cand: np.ndarray) -> np.ndarray:
 
 def _row_candidates(row: bytes, prior_row: bytes, bytes_per_pixel: int) -> np.ndarray:
     """:func:`_filter_rows` on a one-row block, arguments checked."""
-    bpp = _check_bpp(bytes_per_pixel)
+    bpp = _check_int("bytes per pixel", bytes_per_pixel, 1)
     if len(row) != len(prior_row):
         raise ParameterError(f"row length {len(row)} != prior row length {len(prior_row)}")
     r = np.frombuffer(bytes(row), np.uint8)[np.newaxis]
@@ -175,20 +162,20 @@ def _row_candidates(row: bytes, prior_row: bytes, bytes_per_pixel: int) -> np.nd
 
 def apply_filter(row: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
     """Filter one scanline (mod-256 subtraction of the predictor)."""
-    f = _check_filter_type(ftype)
+    f = _check_int("filter type", ftype, 0, 4)
     return _row_candidates(row, prior_row, bytes_per_pixel)[f, 0].tobytes()
 
 
 def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
     """Exact inverse of :func:`apply_filter`; ``ftype`` is a
     :class:`FilterType` or its int value, as ``decode_png`` passes it."""
-    f = _check_filter_type(ftype)
+    f = _check_int("filter type", ftype, 0, 4)
+    bpp = _check_int("bytes per pixel", bytes_per_pixel, 1)
     if len(filtered) != len(prior_row):
         raise ParameterError(
             f"row length {len(filtered)} != prior row length {len(prior_row)}"
         )
     n = len(filtered)
-    bpp = _check_bpp(bytes_per_pixel)
     if f == FilterType.NONE:
         return bytes(filtered)
     # UP and SUB add in uint8, which wraps mod 256 as the filters do

@@ -1,4 +1,8 @@
-"""In-memory pixel grid shared by every codec and transform in the package."""
+"""In-memory pixel grid shared by every codec and transform in the package.
+
+``width``, ``height`` and ``channels`` pass :func:`kpng.errors._check_int`,
+the package's one integer check, and are stored as plain ints.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionMismatchError, ParameterError, _check_int
 
 
 @dataclass(frozen=True)
@@ -24,10 +28,10 @@ class RasterImage:
     samples: bytes
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ParameterError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        if self.channels not in (1, 3):
-            raise ParameterError(f"channels must be 1 or 3, got {self.channels}")
+        for name, hi in (("width", None), ("height", None), ("channels", 3)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, hi))
+        if self.channels == 2:
+            raise ParameterError("channels must be 1 or 3, got 2")
         if not isinstance(self.samples, bytes):
             try:
                 object.__setattr__(self, "samples", bytes(self.samples))
@@ -72,3 +76,11 @@ class RasterImage:
             and self.height == other.height
             and self.channels == other.channels
         )
+
+    def check_same_shape(self, other: "RasterImage") -> None:
+        """Raise :class:`DimensionMismatchError` unless ``other`` has this shape."""
+        if not self.same_shape(other):
+            raise DimensionMismatchError(
+                f"shape mismatch: {self.width}x{self.height}x{self.channels} vs "
+                f"{other.width}x{other.height}x{other.channels}"
+            )

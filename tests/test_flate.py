@@ -23,7 +23,6 @@ from kpng.flate import (
     _CRC_MIN_LANES,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
-    _LEVEL_EFFORT,
     _NO_DIST,
     Literal,
     Match,
@@ -910,7 +909,7 @@ def _frequency_vectors():
         vecs.append((freqs, max_bits))
     # the histograms of real blocks, at both dynamic levels
     for level in (2, 3):
-        f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), _LEVEL_EFFORT[level]))
+        f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), level == 3))
         for op_s, op_e, _, _ in _split_blocks(f.cover):
             stats = _block_stats(f, op_s, op_e)
             vecs += [(stats.lit_freq.tolist(), 15), (stats.dist_freq.tolist(), 15)]
@@ -969,7 +968,7 @@ MERGE_STREAM_SHA256 = {
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     data = MERGE_INPUTS[name]
-    f = _op_fields(_tokenize_ops(data, _LEVEL_EFFORT[level]))
+    f = _op_fields(_tokenize_ops(data, level == 3))
     cut = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
     blocks = _plan_blocks(f)
     assert len(cut) >= 4
