@@ -19,20 +19,6 @@ from .errors import KpngError, ParameterError
 from .pngcodec import EncodeOptions
 from .raster import RasterImage
 
-CSV_FIELDS = [
-    "name",
-    "width",
-    "height",
-    "bmp_size",
-    "png_size",
-    "png_cr",
-    "kpng_size",
-    "kpng_cr",
-    "mse",
-    "psnr",
-    "ssim",
-]
-
 
 def _fmt_float(x: float) -> str:
     return "inf" if math.isinf(x) else repr(x)
@@ -72,6 +58,9 @@ class BenchRecord:
             except ValueError:
                 raise ParameterError(f"CSV field {f.name} is not {f.type}: {raw!r}") from None
         return cls(**kwargs)
+
+
+CSV_FIELDS = [f.name for f in fields(BenchRecord)]
 
 
 def sanitize_name(name: str) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import bmpcodec, corpus, kmodulus, metrics, pngcodec
 from .bench import fmt4
-from .errors import KpngError, ParameterError, UnsupportedImageError
+from .errors import KpngError, ParameterError, UnsupportedImageError, _check_int
 from .pngcodec import EncodeOptions, FilterType
 from .raster import RasterImage
 
@@ -48,14 +48,8 @@ def _add_encode_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_k_arg(k: int | None) -> int | None:
-    if k is not None:
-        kmodulus.check_k(k)
-    return k
-
-
 def cmd_convert(args) -> int:
-    k = _check_k_arg(args.k)
+    k = None if args.k is None else kmodulus.check_k(args.k)
     img, in_size = load_image(args.input)
     if k is not None:
         img = kmodulus.kmm_transform(img, k)
@@ -103,8 +97,7 @@ def cmd_synth(args) -> int:
         w, h = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise ParameterError(f"--size must look like 512x512, got {args.size!r}")
-    if args.count < 1:
-        raise ParameterError(f"--count must be at least 1, got {args.count}")
+    _check_int("--count", args.count, 1)
     # the first spec checks every field before the directory is made
     first = corpus.CorpusSpec(args.kind, w, h, args.colors, args.seed)
     out_dir = Path(args.out)

@@ -6,8 +6,8 @@ with a palette of at most 8 colors clustered within +/-4 of two base colors
 whose components are multiples of 10, so k=10 quantization collapses the
 clusters; that is the regime where the pre-pass pays off. The gradient
 generator is the documented failure mode (visible banding), and noise /
-mixed round out the corpus. ``CorpusSpec``'s width, height and colors
-pass :func:`kpng.errors._check_int`, the package's one integer check.
+mixed round out the corpus. ``CorpusSpec``'s width, height, colors and
+seed pass :func:`kpng.errors._check_int`, the package's one integer check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class CorpusSpec:
             raise ParameterError(
                 f"unknown generator {self.kind!r}, expected one of {', '.join(GENERATOR_KINDS)}"
             )
-        for name, lo, hi in (("width", 1, None), ("height", 1, None), ("colors", 2, 8)):
+        for name, lo, hi in (("width", 1, None), ("height", 1, None), ("colors", 2, 8), ("seed", 0, None)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo, hi))
 
 

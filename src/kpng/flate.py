@@ -6,6 +6,10 @@ blocks (length-limited codes via package-merge), stored blocks, and a
 table-driven inflater with one bit reader, modeled on libdeflate's
 ``REFILL_BITS``: below 48 buffered bits it ORs in the next 4 bytes, zeros
 past the end of the data, where a stream that consumes bits is truncated.
+Each decode table alone says which codes decode: as in zlib's
+``inftrees.c``, a reserved symbol or a code that is not there is a hole in
+the table, which the inflater reports as an invalid code. Output size is
+checked after every match and at every block end.
 Output is always a zlib stream because that is what PNG IDAT carries.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
@@ -823,12 +827,14 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
 # Decompressor
 
 
-def _build_decode_table(lengths: list[int], allow_incomplete: bool = False):
+def _build_decode_table(lengths: list[int], nsym: int, allow_incomplete: bool = False):
     """Flat decode table: index = next max_bits of the stream (LSB-first),
-    entry = (symbol, code length) or None. Returns (table, max_bits)."""
+    entry = (symbol, code length) for every symbol below ``nsym`` that has a
+    code. Every other index is None, a hole: a reserved symbol's code (the
+    fixed codes' 286-287 and 30-31), or no code at all in an incomplete or
+    empty code. All-zero lengths give ``[None]`` with max_bits 0. Returns
+    (table, max_bits)."""
     max_bits = max(lengths, default=0)
-    if max_bits == 0:
-        return None, 0
     size = 1 << max_bits
     kraft = sum(1 << (max_bits - l) for l in lengths if l)
     if kraft > size:
@@ -836,14 +842,15 @@ def _build_decode_table(lengths: list[int], allow_incomplete: bool = False):
     if kraft < size and not allow_incomplete:
         raise CorruptStreamError("incomplete Huffman code")
     table: list = [None] * size
-    for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
+    # codes come from every length: a reserved symbol still takes its code
+    for sym, (rev, l) in zip(range(nsym), _codes_from_lengths(lengths)):
         if l:
             table[rev :: 1 << l] = [(sym, l)] * (size >> l)
     return table, max_bits
 
 
-_FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS)
-_FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS)
+_FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS, 286)
+_FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS, 30)
 
 # code-length symbols 16, 17 and 18: (extra bits, shortest run)
 _CODELEN_RUNS = ((2, 3), (3, 3), (7, 11))
@@ -882,10 +889,8 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
             cl_lengths[_CODELEN_ORDER[i]] = acc & 7
             acc >>= 3
             cnt -= 3
-        # a complete code (or none): every table entry is a symbol
-        cl_table, cl_bits = _build_decode_table(cl_lengths)
-        if cl_table is None:
-            raise CorruptStreamError("empty code-length code")
+        # a complete code: every table entry is a symbol
+        cl_table, cl_bits = _build_decode_table(cl_lengths, 19)
         cl_mask = (1 << cl_bits) - 1
 
         lengths: list[int] = []
@@ -916,9 +921,10 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
         if lit_lengths[256] == 0:
             raise CorruptStreamError("no end-of-block code")
         # zlib (inftrees.c) takes an incomplete code only when it is a single
-        # 1-bit code: end-of-block's, or a lone distance code
-        lit_table = _build_decode_table(lit_lengths, allow_incomplete=max(lit_lengths) == 1)
-        dist_table = _build_decode_table(dist_lengths, allow_incomplete=max(dist_lengths) == 1)
+        # 1-bit code (end-of-block's, or a lone distance code) or, for
+        # distances, no code at all
+        lit_table = _build_decode_table(lit_lengths, 286, allow_incomplete=max(lit_lengths) == 1)
+        dist_table = _build_decode_table(dist_lengths, 30, allow_incomplete=max(dist_lengths) <= 1)
     except CorruptStreamError:
         if 8 * pos - cnt > 8 * len(data):
             raise TruncatedStreamError("stream ended inside a dynamic block header") from None
@@ -934,11 +940,15 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     Every block is read through one bit reader (:func:`_refill`). The stream
     is truncated exactly when the bits consumed, ``8 * pos - cnt``, exceed
     ``8 * len(data)``, checked before a corrupt code, a match copy or a block end.
+    A code the decode tables do not map to a symbol (a hole) is invalid and
+    raises :class:`CorruptStreamError` with zlib's message: "invalid
+    literal/length code" or "invalid distance code". That covers the fixed
+    codes' reserved symbols and a match in a block with no distance code.
 
     ``max_output`` is None or an int >= 0; anything else raises
     :class:`ParameterError`. When set, raises :class:`CorruptStreamError`
     once the output passes that many bytes. The size is checked after every
-    match, stored block and block end rather than per literal, so the output
+    match and at every block end rather than per literal, so the output
     held at that point exceeds the limit by at most 258 bytes plus 8 bytes
     per input byte: no match is copied, and no block ends, past the end.
     """
@@ -986,71 +996,63 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                 if pos > n:
                     raise TruncatedStreamError("stream ended inside a stored block")
                 out += data[pos - length : pos]
-                if len(out) > limit:
-                    raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
-                continue
-            if btype == 3:
+            elif btype == 3:
                 raise CorruptStreamError("reserved block type 3")
-            if btype == 1:
-                lit_table, lit_bits = _FIXED_LIT_TABLE
-                dist_table, dist_bits = _FIXED_DIST_TABLE
             else:
-                (lit_table, lit_bits), (dist_table, dist_bits), pos, acc, cnt = _read_dynamic_tables(
-                    data, pos, acc, cnt
-                )
-            lit_mask = (1 << lit_bits) - 1
-            dist_mask = (1 << dist_bits) - 1
+                if btype == 1:
+                    lit_table, lit_bits = _FIXED_LIT_TABLE
+                    dist_table, dist_bits = _FIXED_DIST_TABLE
+                else:
+                    (lit_table, lit_bits), (dist_table, dist_bits), pos, acc, cnt = _read_dynamic_tables(
+                        data, pos, acc, cnt
+                    )
+                lit_mask = (1 << lit_bits) - 1
+                dist_mask = (1 << dist_bits) - 1
 
-            while True:
-                while cnt < 48:  # _refill
-                    if pos > stop:
+                while True:
+                    while cnt < 48:  # _refill
+                        if pos > stop:
+                            raise TruncatedStreamError("stream ended inside a block")
+                        acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
+                        pos += 4
+                        cnt += 32
+                    entry = lit_table[acc & lit_mask]
+                    if entry is None:
+                        raise CorruptStreamError("invalid literal/length code")
+                    sym, l = entry
+                    acc >>= l
+                    cnt -= l
+                    if sym < 256:
+                        out.append(sym)
+                        continue
+                    if sym == 256:
+                        break
+                    li = sym - 257
+                    xb = _LENGTH_XBITS[li]
+                    length = _LENGTH_BASES[li]
+                    if xb:
+                        length += acc & ((1 << xb) - 1)
+                        acc >>= xb
+                        cnt -= xb
+
+                    entry = dist_table[acc & dist_mask]
+                    if entry is None:
+                        raise CorruptStreamError("invalid distance code")
+                    dsym, l = entry
+                    acc >>= l
+                    cnt -= l
+                    xb = _DIST_XBITS[dsym]
+                    dist = _DIST_BASES[dsym]
+                    if xb:
+                        dist += acc & ((1 << xb) - 1)
+                        acc >>= xb
+                        cnt -= xb
+
+                    if pos > n and 8 * pos - cnt > end:
                         raise TruncatedStreamError("stream ended inside a block")
-                    acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
-                    pos += 4
-                    cnt += 32
-                entry = lit_table[acc & lit_mask]
-                if entry is None:
-                    raise CorruptStreamError("invalid literal/length code")
-                sym, l = entry
-                acc >>= l
-                cnt -= l
-                if sym < 256:
-                    out.append(sym)
-                    continue
-                if sym == 256:
-                    break
-                if sym > 285:
-                    raise CorruptStreamError(f"reserved length symbol {sym}")
-                li = sym - 257
-                xb = _LENGTH_XBITS[li]
-                length = _LENGTH_BASES[li]
-                if xb:
-                    length += acc & ((1 << xb) - 1)
-                    acc >>= xb
-                    cnt -= xb
-
-                if dist_table is None:
-                    raise CorruptStreamError("length code with no distance code defined")
-                entry = dist_table[acc & dist_mask]
-                if entry is None:
-                    raise CorruptStreamError("invalid distance code")
-                dsym, l = entry
-                acc >>= l
-                cnt -= l
-                if dsym > 29:
-                    raise CorruptStreamError(f"reserved distance symbol {dsym}")
-                xb = _DIST_XBITS[dsym]
-                dist = _DIST_BASES[dsym]
-                if xb:
-                    dist += acc & ((1 << xb) - 1)
-                    acc >>= xb
-                    cnt -= xb
-
-                if pos > n and 8 * pos - cnt > end:
-                    raise TruncatedStreamError("stream ended inside a block")
-                _copy_match(out, length, dist)
-                if len(out) > limit:
-                    raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
+                    _copy_match(out, length, dist)
+                    if len(out) > limit:
+                        raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
             if 8 * pos - cnt > end:
                 raise TruncatedStreamError("stream ended inside a block")
             if len(out) > limit:

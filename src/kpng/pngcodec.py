@@ -268,18 +268,10 @@ def _unfilter_image(raw, height: int, width: int, bpp: int) -> bytes:
     return out.reshape(height + 1, row)[1:, bpp:].tobytes()
 
 
-def _color_type(channels: int) -> int:
-    if channels == 1:
-        return 0
-    if channels == 3:
-        return 2
-    raise UnsupportedImageError(f"cannot encode {channels}-channel images")
-
-
 def encode_png(img: RasterImage, options: EncodeOptions | None = None) -> bytes:
     """Encode to a complete PNG byte string (signature through IEND)."""
     opts = options or EncodeOptions()
-    color = _color_type(img.channels)
+    color = 0 if img.channels == 1 else 2
     bpp = img.channels
     stride = img.width * img.channels
 
@@ -346,7 +338,7 @@ def decode_png(data: bytes) -> RasterImage:
     """Decode a PNG produced by this encoder's feature subset
     (8-bit, color type 0 or 2, non-interlaced) of at most 2^28 pixels."""
     chunks = parse_chunks(bytes(data))
-    if not chunks or chunks[0].type_code != b"IHDR":
+    if chunks[0].type_code != b"IHDR":
         raise PngFormatError("first chunk is not IHDR")
     ihdr = chunks[0].data
     if len(ihdr) != 13:

@@ -76,6 +76,8 @@ def test_spec_validation():
         CorpusSpec("flat-shapes", colors=1)
     with pytest.raises(ParameterError):
         CorpusSpec("flat-shapes", colors=9)
+    with pytest.raises(ParameterError):
+        CorpusSpec("noise", seed=-1)  # random.Random(-1) would alias seed 1
 
 
 def test_default_corpus_composition():

@@ -574,8 +574,35 @@ def test_match_with_no_distance_code():
     p.put_code_msb(0b10, 2)                # dist 0: length 0 -> no distance code
     # block data: litlen symbol 257 (canonical code 1) = match length 3
     p.put_code_msb(1, 1)
-    with pytest.raises(CorruptStreamError, match="no distance code"):
-        inflate(p.to_zlib())
+    stream = p.to_zlib()
+    # zlib takes the empty distance code and refuses the match that needs it
+    with pytest.raises(zlib.error, match="invalid distance code"):
+        zlib.decompress(stream)
+    with pytest.raises(CorruptStreamError, match="invalid distance code"):
+        inflate(stream)
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        pytest.param([(0b11000110, 8)], "invalid literal/length code", id="litlen-286"),
+        pytest.param([(0b11000111, 8)], "invalid literal/length code", id="litlen-287"),
+        pytest.param([(0b0000001, 7), (30, 5)], "invalid distance code", id="distance-30"),
+        pytest.param([(0b0000001, 7), (31, 5)], "invalid distance code", id="distance-31"),
+    ],
+)
+def test_reserved_fixed_symbols_are_invalid_codes(codes, message):
+    # the fixed codes give lit/len 286-287 and distances 30-31 codes that
+    # "will never actually occur" (RFC 1951 section 3.2.6); the distance
+    # cases follow litlen 257 (code 0000001), a match of length 3
+    p = BitPacker().put(1, 1).put(1, 2)  # final, fixed
+    for code, nbits in codes:
+        p.put_code_msb(code, nbits)
+    stream = p.to_zlib()
+    with pytest.raises(zlib.error, match=message):
+        zlib.decompress(stream)
+    with pytest.raises(CorruptStreamError, match=message):
+        inflate(stream)
 
 
 @pytest.mark.parametrize(
@@ -819,16 +846,28 @@ def test_split_blocks_matches_per_op_loop(cover):
 
 @pytest.mark.parametrize(
     "lengths",
-    [_FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS, [1, 1], [2, 1, 3, 3], [0, 4, 0, 2, 4, 4, 4, 3, 3, 0], [0, 0, 3]],
+    [
+        _FIXED_LIT_LENGTHS,
+        _FIXED_DIST_LENGTHS,
+        [1, 1],
+        [2, 1, 3, 3],
+        [0, 4, 0, 2, 4, 4, 4, 3, 3, 0],
+        [0, 0, 3],
+        [0] * 19,
+    ],
 )
 def test_decode_table_matches_per_index_fill(lengths):
-    table, max_bits = _build_decode_table(lengths, allow_incomplete=True)
-    want = [None] * (1 << max_bits)
-    for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
-        if l:
-            for idx in range(rev, 1 << max_bits, 1 << l):
-                want[idx] = (sym, l)
-    assert table == want
+    # every symbol decodes, then the last two are reserved, as the fixed
+    # tables leave out lit/len 286-287 (nsym=286) and distances 30-31; the
+    # all-zero code is the one-entry table [None]
+    for nsym in (len(lengths), len(lengths) - 2):
+        table, max_bits = _build_decode_table(lengths, nsym, allow_incomplete=True)
+        want = [None] * (1 << max_bits)
+        for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
+            if l and sym < nsym:
+                for idx in range(rev, 1 << max_bits, 1 << l):
+                    want[idx] = (sym, l)
+        assert table == want
 
 
 # ---------------------------------------------------------------------------

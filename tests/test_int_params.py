@@ -35,6 +35,7 @@ INT_PARAMS = {
     "CorpusSpec.width": (lambda x: _corpus(width=x), 6),
     "CorpusSpec.height": (lambda x: _corpus(height=x), 6),
     "CorpusSpec.colors": (lambda x: _corpus(colors=x), 4),
+    "CorpusSpec.seed": (lambda x: _corpus(seed=x), 5),
     "kmm_pixel.v": (lambda x: kmm_pixel(x, 10), 15),
     "kmm_pixel.k": (lambda x: kmm_pixel(15, x), 10),
     "kmm_transform.k": (lambda x: kmm_transform(IMG, x), 10),
