@@ -174,7 +174,7 @@ def markdown_table(records: list[BenchRecord]) -> str:
         mean_png = sum(r.png_cr for r in records) / len(records)
         mean_kpng = sum(r.kpng_cr for r in records) / len(records)
         rows.append(["mean", "", "", "", f"{mean_png:.1f}", "", f"{mean_kpng:.1f}", "", "", ""])
-    widths = [max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))]
+    widths = [max([len(header[i])] + [len(row[i]) for row in rows]) for i in range(len(header))]
     out = io.StringIO()
     out.write("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |\n")
     out.write("|" + "|".join("-" * (w + 2) for w in widths) + "|\n")

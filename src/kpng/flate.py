@@ -5,11 +5,14 @@ window (hash chains keyed on 3-byte prefixes), fixed and dynamic Huffman
 blocks (length-limited codes via package-merge), stored blocks, and a
 table-driven inflater with one bit reader, modeled on libdeflate's
 ``REFILL_BITS``: below 48 buffered bits it ORs in the next 4 bytes, zeros
-past the end of the data, where a stream that consumes bits is truncated.
-Each decode table alone says which codes decode: as in zlib's
-``inftrees.c``, a reserved symbol or a code that is not there is a hole in
-the table, which the inflater reports as an invalid code. Output size is
-checked after every match and at every block end.
+past the end of the data. One exception handler decides whether a stream
+was cut: an error raised after more bits than the data holds were consumed
+is a truncation. As in zlib's ``inftrees.c``, each decode table entry says
+everything about its code: its value (a byte, end-of-block, a base length
+or a base distance), its length and its extra bits. A reserved symbol or a
+code that is not there is a hole in the table, which the inflater reports
+as an invalid code. Output size is checked after every match and at every
+block end.
 Output is always a zlib stream because that is what PNG IDAT carries.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
@@ -124,22 +127,13 @@ _CRC_TABLE_U32 = np.array(_CRC_TABLE, np.uint32)
 def _make_crc_shift_tables() -> tuple[list[int], ...]:
     """Four 256-entry tables, one per register byte, whose XOR advances a
     CRC register over ``_CRC_LANE`` zero bytes. The register step is linear
-    over GF(2), so each entry is the XOR of the shifted images of its bits
-    (the step behind zlib's ``crc32_combine``)."""
-    basis = []
-    for bit in range(32):
-        c = 1 << bit
-        for _ in range(_CRC_LANE):
-            c = (c >> 8) ^ _CRC_TABLE[c & 0xFF]
-        basis.append(c)
-    v = np.arange(256, dtype=np.int64)
-    tables = []
-    for k in range(4):
-        t = np.zeros(256, np.int64)
-        for j in range(8):
-            t ^= ((v >> j) & 1) * basis[8 * k + j]
-        tables.append(t.tolist())
-    return tuple(tables)
+    over GF(2) (the step behind zlib's ``crc32_combine``), so entry v of
+    table k is the register ``v << 8k`` run through ``crc32``'s lane step
+    over that many zero bytes."""
+    regs = np.arange(256, dtype=np.uint32) << np.arange(0, 32, 8, dtype=np.uint32)[:, None]
+    for _ in range(_CRC_LANE):
+        regs = (regs >> 8) ^ _CRC_TABLE_U32[regs & 0xFF]
+    return tuple(regs.tolist())
 
 
 _CRC_SHIFT = _make_crc_shift_tables()
@@ -827,12 +821,13 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
 # Decompressor
 
 
-def _build_decode_table(lengths: list[int], nsym: int, allow_incomplete: bool = False):
+def _build_decode_table(lengths: list[int], meanings: list[tuple[int, int]], allow_incomplete: bool = False):
     """Flat decode table: index = next max_bits of the stream (LSB-first),
-    entry = (symbol, code length) for every symbol below ``nsym`` that has a
-    code. Every other index is None, a hole: a reserved symbol's code (the
-    fixed codes' 286-287 and 30-31), or no code at all in an incomplete or
-    empty code. All-zero lengths give ``[None]`` with max_bits 0. Returns
+    entry = (value, code length, extra bits) for every symbol that has a
+    code and a meaning, ``meanings[sym]`` = (value, extra bits). Every other
+    index is None, a hole: a symbol past ``len(meanings)`` (the fixed codes'
+    reserved 286-287 and 30-31), or no code at all in an incomplete or empty
+    code. All-zero lengths give ``[None]`` with max_bits 0. Returns
     (table, max_bits)."""
     max_bits = max(lengths, default=0)
     size = 1 << max_bits
@@ -843,17 +838,22 @@ def _build_decode_table(lengths: list[int], nsym: int, allow_incomplete: bool = 
         raise CorruptStreamError("incomplete Huffman code")
     table: list = [None] * size
     # codes come from every length: a reserved symbol still takes its code
-    for sym, (rev, l) in zip(range(nsym), _codes_from_lengths(lengths)):
+    for (value, xb), (rev, l) in zip(meanings, _codes_from_lengths(lengths)):
         if l:
-            table[rev :: 1 << l] = [(sym, l)] * (size >> l)
+            table[rev :: 1 << l] = [(value, l, xb)] * (size >> l)
     return table, max_bits
 
 
-_FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS, 286)
-_FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS, 30)
+# (value, extra bits) per symbol. A literal byte b is (b, 0), end-of-block
+# (256, 0), a length code 256 + its base length and a distance code its base
+# distance; a code-length symbol is itself, 16-18 with their run's extra bits
+_LIT_MEANINGS = [(b, 0) for b in range(257)] + [(256 + b, x) for b, x in zip(_LENGTH_BASES, _LENGTH_XBITS)]
+_DIST_MEANINGS = list(zip(_DIST_BASES, _DIST_XBITS))
+_CODELEN_MEANINGS = [(s, 0) for s in range(16)] + [(16, 2), (17, 3), (18, 7)]
+_CODELEN_RUNS = (3, 3, 11)  # shortest run of code-length symbols 16, 17 and 18
 
-# code-length symbols 16, 17 and 18: (extra bits, shortest run)
-_CODELEN_RUNS = ((2, 3), (3, 3), (7, 11))
+_FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS, _LIT_MEANINGS)
+_FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS, _DIST_MEANINGS)
 
 
 def _refill(data: bytes, pos: int, acc: int, cnt: int) -> tuple[int, int, int]:
@@ -890,21 +890,20 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
             acc >>= 3
             cnt -= 3
         # a complete code: every table entry is a symbol
-        cl_table, cl_bits = _build_decode_table(cl_lengths, 19)
+        cl_table, cl_bits = _build_decode_table(cl_lengths, _CODELEN_MEANINGS)
         cl_mask = (1 << cl_bits) - 1
 
         lengths: list[int] = []
         total = hlit + hdist
         while len(lengths) < total:
             pos, acc, cnt = _refill(data, pos, acc, cnt)
-            sym, l = cl_table[acc & cl_mask]
+            sym, l, xb = cl_table[acc & cl_mask]
             acc >>= l
             cnt -= l
             if sym < 16:
                 lengths.append(sym)
                 continue
-            xb, run = _CODELEN_RUNS[sym - 16]
-            run += acc & ((1 << xb) - 1)
+            run = _CODELEN_RUNS[sym - 16] + (acc & ((1 << xb) - 1))
             acc >>= xb
             cnt -= xb
             if sym > 16:
@@ -923,8 +922,8 @@ def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
         # zlib (inftrees.c) takes an incomplete code only when it is a single
         # 1-bit code (end-of-block's, or a lone distance code) or, for
         # distances, no code at all
-        lit_table = _build_decode_table(lit_lengths, 286, allow_incomplete=max(lit_lengths) == 1)
-        dist_table = _build_decode_table(dist_lengths, 30, allow_incomplete=max(dist_lengths) <= 1)
+        lit_table = _build_decode_table(lit_lengths, _LIT_MEANINGS, allow_incomplete=max(lit_lengths) == 1)
+        dist_table = _build_decode_table(dist_lengths, _DIST_MEANINGS, allow_incomplete=max(dist_lengths) <= 1)
     except CorruptStreamError:
         if 8 * pos - cnt > 8 * len(data):
             raise TruncatedStreamError("stream ended inside a dynamic block header") from None
@@ -937,11 +936,17 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     conforming encoder. Verifies the Adler-32 trailer and rejects trailing
     garbage.
 
-    Every block is read through one bit reader (:func:`_refill`). The stream
-    is truncated exactly when the bits consumed, ``8 * pos - cnt``, exceed
-    ``8 * len(data)``, checked before a corrupt code, a match copy or a block end.
-    A code the decode tables do not map to a symbol (a hole) is invalid and
-    raises :class:`CorruptStreamError` with zlib's message: "invalid
+    Every block is read through one bit reader (:func:`_refill`), which
+    reads zeros past the end of the data. One exception handler around the
+    block loop judges a cut stream: a :class:`CorruptStreamError` or
+    :class:`DistanceTooFarError` raised once the bits consumed,
+    ``8 * pos - cnt``, exceed ``8 * len(data)`` becomes
+    :class:`TruncatedStreamError`. A block that ends past the end is caught
+    at the next header, which reads as a stored block that fails its length
+    check, or at the trailer; the refill bound stops the reader at most 10
+    zero bytes past the data. Each decode table entry carries its code's
+    value and extra bits. A code the tables do not map (a hole) is invalid
+    and raises :class:`CorruptStreamError` with zlib's message: "invalid
     literal/length code" or "invalid distance code". That covers the fixed
     codes' reserved symbols and a match in a block with no distance code.
 
@@ -950,7 +955,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     once the output passes that many bytes. The size is checked after every
     match and at every block end rather than per literal, so the output
     held at that point exceeds the limit by at most 258 bytes plus 8 bytes
-    per input byte: no match is copied, and no block ends, past the end.
+    per input byte, counting the at most 10 zero bytes read past the data.
     """
     limit = sys.maxsize if max_output is None else _check_int("max_output", max_output, 0)
     data = bytes(data)
@@ -993,8 +998,6 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                 if length ^ 0xFFFF != nlen:
                     raise CorruptStreamError("stored-block length check failed")
                 pos += length
-                if pos > n:
-                    raise TruncatedStreamError("stream ended inside a stored block")
                 out += data[pos - length : pos]
             elif btype == 3:
                 raise CorruptStreamError("reserved block type 3")
@@ -1019,17 +1022,15 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                     entry = lit_table[acc & lit_mask]
                     if entry is None:
                         raise CorruptStreamError("invalid literal/length code")
-                    sym, l = entry
+                    value, l, xb = entry
                     acc >>= l
                     cnt -= l
-                    if sym < 256:
-                        out.append(sym)
+                    if value < 256:
+                        out.append(value)
                         continue
-                    if sym == 256:
+                    if value == 256:
                         break
-                    li = sym - 257
-                    xb = _LENGTH_XBITS[li]
-                    length = _LENGTH_BASES[li]
+                    length = value - 256
                     if xb:
                         length += acc & ((1 << xb) - 1)
                         acc >>= xb
@@ -1038,26 +1039,19 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                     entry = dist_table[acc & dist_mask]
                     if entry is None:
                         raise CorruptStreamError("invalid distance code")
-                    dsym, l = entry
+                    dist, l, xb = entry
                     acc >>= l
                     cnt -= l
-                    xb = _DIST_XBITS[dsym]
-                    dist = _DIST_BASES[dsym]
                     if xb:
                         dist += acc & ((1 << xb) - 1)
                         acc >>= xb
                         cnt -= xb
-
-                    if pos > n and 8 * pos - cnt > end:
-                        raise TruncatedStreamError("stream ended inside a block")
                     _copy_match(out, length, dist)
                     if len(out) > limit:
                         raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
-            if 8 * pos - cnt > end:
-                raise TruncatedStreamError("stream ended inside a block")
             if len(out) > limit:
                 raise CorruptStreamError(f"inflated data exceeds {limit} bytes")
-    except CorruptStreamError:
+    except (CorruptStreamError, DistanceTooFarError):
         if 8 * pos - cnt > end:
             raise TruncatedStreamError("stream ended inside a block") from None
         raise

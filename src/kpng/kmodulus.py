@@ -79,5 +79,5 @@ def residual(original: RasterImage, transformed: RasterImage) -> ResidualGrid:
         width=original.width,
         height=original.height,
         channels=original.channels,
-        residuals=tuple(int(x) for x in a - b),
+        residuals=tuple((a - b).tolist()),
     )

@@ -87,6 +87,14 @@ def test_markdown_table_format(small_records):
     assert "." in cells[4] and len(cells[4].split(".")[1]) == 1
 
 
+
+def test_markdown_table_of_no_records_is_its_header():
+    lines = markdown_table([]).splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("| name | dims |") and lines[0].endswith("| ssim |")
+    assert set(lines[1]) == {"|", "-"}
+
+
 def test_sanitize_name():
     assert sanitize_name("a b,c|d") == "a-b-c-d"
     assert sanitize_name("img_01.v2-x") == "img_01.v2-x"

@@ -774,6 +774,27 @@ def test_packer_matches_scalar_writer(pending, kind, dynamic):
     assert_written(w, pending_bits + head + reference_block_bits(ops, lit_lengths, dist_lengths))
 
 
+@pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
+def test_inflate_decodes_every_length_and_distance_symbol(dynamic):
+    # every length and distance symbol at its base and at its largest extra
+    # value (49 lengths x 56 distances; code 284 stops at 257), after a 32 KiB
+    # literal prefix so every distance reaches back into the output
+    lengths = sorted({v for b, x in zip(LEN_BASES, LEN_XBITS) for v in (b, min(b + (1 << x) - 1, 257))} | {258})
+    distances = sorted({v for b, x in zip(DIST_BASES, DIST_XBITS) for v in (b, b + (1 << x) - 1)})
+    assert (len(lengths), len(distances)) == (49, 56)
+    prefix = list(random.Random(11).randbytes(32768))
+    matches = [(l, d) for l in lengths for d in distances]
+    ops = prefix + [l << 16 | d for l, d in matches]
+    want = lz77_expand([Literal(b) for b in prefix] + [Match(l, d) for l, d in matches])
+    f = _op_fields(np.array(ops, np.int64))
+    plan = _DynamicPlan(*_block_stats(f, 0, len(ops))) if dynamic else None
+    w = _BitWriter(bytearray(b"\x78\x01"))
+    _emit_block(w, f, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), True)
+    w.align()
+    stream = bytes(w.out) + adler32(want).to_bytes(4, "big")
+    assert inflate(stream) == zlib.decompress(stream) == want
+
+
 def test_pack_writes_values_of_every_width():
     # successive calls carry the pending bits; widths reach 64, past the
     # 48-bit op values, so values span word boundaries at every offset
@@ -858,15 +879,17 @@ def test_split_blocks_matches_per_op_loop(cover):
 )
 def test_decode_table_matches_per_index_fill(lengths):
     # every symbol decodes, then the last two are reserved, as the fixed
-    # tables leave out lit/len 286-287 (nsym=286) and distances 30-31; the
+    # tables give lit/len 286-287 and distances 30-31 no meaning; the
     # all-zero code is the one-entry table [None]
+    meanings = [(1000 + sym, sym % 14) for sym in range(len(lengths))]
     for nsym in (len(lengths), len(lengths) - 2):
-        table, max_bits = _build_decode_table(lengths, nsym, allow_incomplete=True)
+        table, max_bits = _build_decode_table(lengths, meanings[:nsym], allow_incomplete=True)
         want = [None] * (1 << max_bits)
         for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
             if l and sym < nsym:
+                value, xb = meanings[sym]
                 for idx in range(rev, 1 << max_bits, 1 << l):
-                    want[idx] = (sym, l)
+                    want[idx] = (value, l, xb)
         assert table == want
 
 

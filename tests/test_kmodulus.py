@@ -104,6 +104,7 @@ def test_residual_identity_and_single_pixel():
     assert all(r == 0 for r in residual(img, img).residuals)
     one = residual(RasterImage(1, 1, 1, bytes([137])), RasterImage(1, 1, 1, bytes([140])))
     assert list(one.residuals) == [-3]
+    assert type(one.residuals[0]) is int
 
 
 def test_residual_shape_mismatch():
