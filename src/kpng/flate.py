@@ -36,6 +36,11 @@ apart (``_plan_blocks``). Search effort follows zlib's
 to 128 hash-chain links; level 3 matches lazily and walks up to 256, a
 quarter of that for the lazy search when the pending match is already 32
 bytes long (``_GOOD_LENGTH``). Every search stops at a 258-byte match.
+Level 3 then drops a match of length 3 farther than 256 bytes or of length
+4 farther than 4096 (``_FAR_LIMIT``), after zlib's ``TOO_FAR`` in
+``deflate_slow``, which drops length 3 beyond 4096: on noisy content such a
+match's codes and extra bits cost more than its literals. Levels 1-2 take
+every match.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`.
@@ -353,15 +358,26 @@ _FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NO_DIST)
 # a pending match this long quarters the lazy search's chain (zlib level 9's
 # good_length in deflate.c ``configuration_table``)
 _GOOD_LENGTH = 32
+# the farthest distance at which the lazy parse takes a match of length 3
+# or 4, indexed by length. zlib's ``TOO_FAR`` drops only length 3 beyond
+# 4096; these limits give smaller output on noisy k=10 content (ROADMAP
+# item 1 has the measurements)
+_FAR_LIMIT = (0, 0, 0, 256, 4096)
 
 
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
     bytes, a match is ``length << 16 | distance`` (always above 255).
     ``lazy`` is level 3's lazy matching (RFC 1951 section 4), a sixteenth of
-    zlib level 9's chain; otherwise matching is greedy."""
+    zlib level 9's chain; after the chain walk it drops a match of length 3
+    farther than 256 bytes or of length 4 farther than 4096 (``_FAR_LIMIT``,
+    after zlib's ``TOO_FAR``), so the position is a literal or lets the
+    pending match commit. Otherwise matching is greedy and takes every
+    match."""
     max_chain = 256 if lazy else 128
     good_length = _GOOD_LENGTH
+    far_limit = _FAR_LIMIT if lazy else ()
+    far_lengths = len(far_limit)
     n = len(data)
     ops: list[int] = []
     append = ops.append
@@ -409,7 +425,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                                 break
                             c = data[i + l]
                     j = prev[j]
-                if bd:
+                if bd and (bl >= far_lengths or bd <= far_limit[bl]):
                     best_len = bl
                     best_dist = bd
 

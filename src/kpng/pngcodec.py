@@ -204,6 +204,10 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
                 a = 0
                 c = 0
             b = pr[i]
+            if b == c:
+                # p = a, so pa = 0 and a wins: most bytes of flat content
+                out[i] = (fl[i] + a) & 0xFF
+                continue
             p = a + b - c
             pa = p - a if p >= a else a - p
             pb = p - b if p >= b else b - p

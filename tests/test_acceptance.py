@@ -35,7 +35,7 @@ from test_pngcodec import hand_assembled_1x1_png
 from test_bmpcodec import hand_bmp
 from test_corpus import SHAPES_01_BMP_SHA256
 
-SHAPES_01_PNG_SHA256 = "41895daa15d3d1286545f70c67f35e63e96fc913e485491b76c998841fbf89e5"
+SHAPES_01_PNG_SHA256 = "003912fe05fe61078a989ba64d76d3542ff8b451c2b98a55cf770d5e1ab059be"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -240,3 +240,14 @@ def test_kpng_shapes_near_zlib_9(seed):
     the statistics allow puts it within 25%."""
     kimg = kmm_transform(generate(CorpusSpec("flat-shapes", seed=seed)), 10)
     assert idat_vs_zlib_9(kimg, encode_png(kimg)) <= 1.25
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kpng_noise_at_most_zlib_9(seed):
+    """On k=10 noise most repeats are 3-4 bytes far back, which cost more as
+    a match than as literals; level 3 drops them, as zlib -9 drops length 3
+    beyond 4096, and its IDAT is no larger than zlib -9 on the scanlines it
+    inflates to (2.6-2.8% larger when every such match was kept)."""
+    kimg = kmm_transform(generate(CorpusSpec("noise", 128, 128, seed=seed)), 10)
+    idat = b"".join(c.data for c in parse_chunks(encode_png(kimg)) if c.type_code == b"IDAT")
+    assert len(idat) <= len(zlib.compress(zlib.decompress(idat), 9))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kpng import kmm_transform
+from kpng.corpus import CorpusSpec, generate
 from kpng.errors import (
     ChecksumMismatchError,
     CorruptStreamError,
@@ -253,6 +255,30 @@ def test_tokenize_matches_stay_in_window():
     assert produced == len(data)
 
 
+def far_short_matches(tokens) -> list[Match]:
+    """Matches of length 3 farther than 256 bytes and of length 4 farther
+    than 4096, whose codes cost more than their literals on noisy input."""
+    return [
+        t for t in tokens
+        if isinstance(t, Match) and (t.length == 3 and t.distance > 256 or t.length == 4 and t.distance > 4096)
+    ]
+
+
+def test_lazy_parse_drops_short_far_matches():
+    data = kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples
+    lazy = lz77_tokenize(data, 3)
+    greedy = lz77_tokenize(data, 2)
+    assert far_short_matches(lazy) == []
+    # the rule is level 3's: the greedy parse takes such matches
+    assert {3, 4} <= {m.length for m in far_short_matches(greedy)}
+    # short near matches are still taken
+    assert any(isinstance(t, Match) and t.length == 3 for t in lazy)
+    for level in (2, 3):
+        stream = deflate_compress(data, level)
+        assert zlib.decompress(stream) == data
+        assert inflate(stream) == data
+
+
 def test_expand_rejects_bad_tokens():
     with pytest.raises(DistanceTooFarError):
         lz77_expand([Literal(5), Match(3, 2)])
@@ -314,7 +340,7 @@ GREEDY_LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
     1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
     2: "7e29bccb271500b2f5904db881f979a4e4f147fb37089c29ea814b923f615ad9",
-    3: "a4574ce546ee6d77e02c5a63c3c48468ba68bb1ff43729a1c69230455a0a8327",
+    3: "c4f3466c386c16ecbf672fc72daa7338a74d5e430cdfbbb6ab9842fe6684663b",
 }
 
 
@@ -1022,7 +1048,7 @@ MERGE_INPUTS = {
 
 # a stream whose plan holds a stored block between dynamic ones
 MERGE_STREAM_SHA256 = {
-    ("stored-stretch", 3): "26922e309eea90932d06e4bc56135013e1509c92a9056746ec14247ad6e4fe35",
+    ("stored-stretch", 3): "b9df67c50e82b942d10b04650e4a181b34c23d1bdb3a69c5e242335ea4be717d",
 }
 
 

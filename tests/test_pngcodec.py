@@ -147,6 +147,39 @@ def test_unfilter_up_sub_wrap_mod_256(ftype, bpp, n):
         assert unfilter(filtered, prior, ftype, bpp) == up_sub_unfilter_bytewise(filtered, prior, ftype, bpp)
 
 
+def runs_row(rng: random.Random, n: int) -> bytes:
+    """n bytes in runs of 1-16 drawn from a small alphabet, as rows of flat
+    content are."""
+    row = bytearray()
+    while len(row) < n:
+        row += bytes([rng.choice((0, 40, 41, 200, 255))]) * rng.randint(1, 16)
+    return bytes(row[:n])
+
+
+def paeth_unfilter_bytewise(filtered: bytes, prior: bytes, bpp: int) -> bytes:
+    """Per-byte reference for PAETH on :func:`paeth_predictor`."""
+    out = bytearray()
+    for i, x in enumerate(filtered):
+        a, c = (out[i - bpp], prior[i - bpp]) if i >= bpp else (0, 0)
+        out.append((x + paeth_predictor(a, prior[i], c)) & 0xFF)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("bpp", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_unfilter_paeth_on_runs(bpp, seed):
+    """Priors in runs make above equal upper-left (the predictor is then the
+    left byte) at most positions but not all; random priors almost never do."""
+    rng = random.Random(seed)
+    n = 301
+    prior = runs_row(rng, n)
+    upleft = bytes(bpp) + prior[:-bpp]
+    same = sum(b == c for b, c in zip(prior, upleft))
+    assert n // 2 < same < n
+    for filtered in (runs_row(rng, n), rng.randbytes(n)):
+        assert unfilter(filtered, prior, FilterType.PAETH, bpp) == paeth_unfilter_bytewise(filtered, prior, bpp)
+
+
 def test_filter_length_mismatch():
     with pytest.raises(ParameterError):
         apply_filter(b"ab", b"abc", FilterType.SUB, 1)
