@@ -20,8 +20,11 @@ match is ``length << 16 | distance``. The Huffman stage derives per-op
 symbol and extra-bit arrays once, cuts blocks at about 64 KiB of input with
 ``cumsum`` and ``searchsorted`` and counts each block's symbols with
 ``np.bincount``. One numpy packer, ``_BitWriter.pack``, writes every bit: a
-fixed or dynamic block's header, ops and end-of-block in one call
-(``_emit_block``), a stored block's 3-bit header (``_emit_stored``).
+fixed or dynamic block's header, its ops at most ``_EMIT_OPS`` per call and
+its end-of-block (``_emit_block``), a stored block's 3-bit header
+(``_emit_stored``). Merged blocks can span the whole input, so the cap keeps
+the packer's temporary arrays, a dozen uint64 per op, the same size
+whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
@@ -41,6 +44,19 @@ Level 3 then drops a match of length 3 farther than 256 bytes or of length
 ``deflate_slow``, which drops length 3 beyond 4096: on noisy content such a
 match's codes and extra bits cost more than its literals. Levels 1-2 take
 every match.
+
+The tokenizer builds every 3-byte key in one numpy pass, a stride-1
+big-endian uint32 view of the data masked to 24 bits, and reads it through
+a ``memoryview``; the chain links ``prev`` are an int32 array, so no Python
+int stays alive per linked position. A lone position, one whose key has no
+earlier position inside the window, cannot match: with no match pending it
+starts a literal run that takes every lone position after it too. The run
+only updates ``head``; its ``prev`` links stay -1, which ends a later walk
+at the same link as the earlier position, below the window floor, would.
+Every chain candidate shares the position's 3 bytes, and a walk visits them
+nearest first, so while level 3's walk holds nothing, a candidate farther
+than 256 bytes whose fourth byte differs is a match ``_FAR_LIMIT`` drops:
+the walk passes over it without building the 258-byte compare.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`.
@@ -73,6 +89,7 @@ MAX_MATCH = 258
 _BLOCK_INPUT = 65536  # input bytes per Huffman block
 _STORED_MAX = 65535  # LEN is 16 bits
 _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
+_EMIT_OPS = 1 << 16  # ops coded per _BitWriter.pack call
 
 _ADLER_MOD = 65521
 # zlib's NMAX (adler32.c): the most bytes whose weighted sum, 255 * 5552 *
@@ -373,20 +390,38 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     farther than 256 bytes or of length 4 farther than 4096 (``_FAR_LIMIT``,
     after zlib's ``TOO_FAR``), so the position is a literal or lets the
     pending match commit. Otherwise matching is greedy and takes every
-    match."""
+    match.
+
+    ``keys[i]`` is the 3-byte key at ``i``; ``head`` maps a key to its
+    latest position and ``prev[i]`` links ``i`` to the previous position
+    with its key (int32, -1 for none). With no match pending, a lone
+    position (its ``head`` entry is below the window floor) and the lone
+    positions after it are taken as one literal run that writes ``head``
+    only: their ``prev`` stays -1 instead of the key's earlier position,
+    which is below the floor, and a walk stops at either. The walk's set-up
+    (``max_len``, ``bl``) waits for a candidate, and ``here``, the bytes at
+    ``i`` as one integer, for a candidate that passes the one-byte
+    reject. While the lazy walk holds nothing, a candidate farther than
+    ``_FAR_LIMIT[3]`` whose fourth byte differs is passed over without a
+    compare: it is a length-3 match the walk would take and then drop."""
     max_chain = 256 if lazy else 128
     good_length = _GOOD_LENGTH
     far_limit = _FAR_LIMIT if lazy else ()
     far_lengths = len(far_limit)
+    far3 = far_limit[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
     n = len(data)
     ops: list[int] = []
     append = ops.append
     if n == 0:
         return np.zeros(0, np.int64)
+    limit = n - 2  # positions below this have a full 3-byte prefix
+    # every 3-byte key at once: a big-endian uint32 at each byte offset of
+    # the data behind one zero byte, masked to its low 24 bits
+    keys = memoryview(np.ndarray((max(limit, 0),), ">u4", b"\0" + data, 0, (1,)) & 0xFFFFFF)
     head: dict[int, int] = {}
     get = head.get
-    prev = [-1] * n
-    limit = n - 2  # last position with a full 3-byte prefix
+    unseen = -WINDOW_SIZE - 1  # the head entry of a new key: outside every window
+    prev = memoryview(np.full(n, -1, np.int32 if n < 1 << 31 else np.int64))
 
     i = 0
     pend_len = 0
@@ -395,39 +430,67 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
         best_len = 0
         best_dist = 0
         if i < limit:
-            t = (data[i] << 16) | (data[i + 1] << 8) | data[i + 2]
-            j = get(t, -1)
-            prev[i] = j
+            t = keys[i]
+            j = get(t, unseen)
             head[t] = i
-            max_len = n - i
-            if max_len > MAX_MATCH:
-                max_len = MAX_MATCH
-            floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
-            # a lazy search only has to beat the pending match
-            bl = pend_len or MIN_MATCH - 1
-            if j >= floor and bl < max_len:
-                bd = 0
-                c = data[i + bl]
-                # the match length is the count of trailing zero bytes of the
-                # two windows XORed as little-endian integers
-                here = int.from_bytes(data[i : i + max_len], "little")
-                for _ in range(max_chain >> 2 if pend_len >= good_length else max_chain):
-                    if j < floor:
+            if j >= i - WINDOW_SIZE:
+                prev[i] = j
+                floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
+                max_len = n - i
+                if max_len > MAX_MATCH:
+                    max_len = MAX_MATCH
+                # a lazy search only has to beat the pending match
+                bl = pend_len or MIN_MATCH - 1
+                if bl < max_len:
+                    bd = 0
+                    c = data[i + bl]
+                    here = None
+                    for _ in range(max_chain >> 2 if pend_len >= good_length else max_chain):
+                        if j < floor:
+                            break
+                        # cheap reject: candidate must beat the current best length
+                        if data[j + bl] == c:
+                            if bl == 2 and i - j > far3 and (max_len < 4 or data[j + 3] != data[i + 3]):
+                                # nothing is held and this is a length-3
+                                # match too far to keep. Every later
+                                # candidate is farther and must be 4 long
+                                # anyway, so passing it over leaves the
+                                # walk's result as it was
+                                j = prev[j]
+                                continue
+                            # the match length is the count of trailing zero
+                            # bytes of the two windows XORed as little-endian
+                            # integers
+                            if here is None:
+                                here = int.from_bytes(data[i : i + max_len], "little")
+                            x = here ^ int.from_bytes(data[j : j + max_len], "little")
+                            l = ((x & -x).bit_length() - 1) >> 3 if x else max_len
+                            if l > bl:
+                                bl = l
+                                bd = i - j
+                                if l >= max_len:
+                                    break
+                                c = data[i + l]
+                        j = prev[j]
+                    if bd and (bl >= far_lengths or bd <= far_limit[bl]):
+                        best_len = bl
+                        best_dist = bd
+            elif not pend_len:
+                # a lone position: no earlier position with its key is in the
+                # window, so it is a literal, and so is every lone position
+                # after it. They go into head only: a walk that reaches one
+                # reads prev -1 and stops there, as it would at the earlier
+                # position with its key, which is below the floor
+                e = i + 1
+                while e < limit:
+                    t = keys[e]
+                    if get(t, unseen) >= e - WINDOW_SIZE:
                         break
-                    # cheap reject: candidate must beat the current best length
-                    if data[j + bl] == c:
-                        x = here ^ int.from_bytes(data[j : j + max_len], "little")
-                        l = ((x & -x).bit_length() - 1) >> 3 if x else max_len
-                        if l > bl:
-                            bl = l
-                            bd = i - j
-                            if l >= max_len:
-                                break
-                            c = data[i + l]
-                    j = prev[j]
-                if bd and (bl >= far_lengths or bd <= far_limit[bl]):
-                    best_len = bl
-                    best_dist = bd
+                    head[t] = e
+                    e += 1
+                ops.extend(data[i:e])
+                i = e
+                continue
 
         start = i
         if pend_len:
@@ -450,7 +513,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
             end = start + best_len
             lo = i + 1 if best_len <= _INSERT_CAP else max(i + 1, end - 2)
             for p in range(lo, min(end, limit)):
-                t = (data[p] << 16) | (data[p + 1] << 8) | data[p + 2]
+                t = keys[p]
                 prev[p] = get(t, -1)
                 head[t] = p
             i = end
@@ -757,7 +820,8 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
 
 
 def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None:
-    """A fixed or dynamic block in one ``pack`` call: header, ops, end-of-block.
+    """A fixed or dynamic block: its header, its ops in ``pack`` calls of at
+    most ``_EMIT_OPS`` ops, and its end-of-block.
 
     A dynamic header (RFC 1951 section 3.2.7) is BFINAL|BTYPE, HLIT, HDIST,
     HCLEN, the HCLEN code-length code lengths, then one value per code-length
@@ -779,18 +843,21 @@ def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None
         ))
         head_nb = np.concatenate((_uint64(3, 5, 5, 4, *[3] * plan.hclen), cl_nb[rle_sym] + rle_xb))
 
-    ops = slice(block.op_start, block.op_end)
-    sym = f.sym[ops]
-    dsym = f.dsym[ops]
-    v = lit_code[sym]
-    nb = lit_nb[sym]
-    v |= f.len_xv[ops] << nb
-    nb += f.len_xb[ops]
-    v |= dist_code[dsym] << nb
-    nb += dist_nb[dsym]
-    v |= f.dist_xv[ops] << nb
-    nb += f.dist_xb[ops]
-    w.pack(np.concatenate((head, v, lit_code[256:257])), np.concatenate((head_nb, nb, lit_nb[256:257])))
+    w.pack(head, head_nb)
+    for start in range(block.op_start, block.op_end, _EMIT_OPS):
+        ops = slice(start, min(start + _EMIT_OPS, block.op_end))
+        sym = f.sym[ops]
+        dsym = f.dsym[ops]
+        v = lit_code[sym]
+        nb = lit_nb[sym]
+        v |= f.len_xv[ops] << nb
+        nb += f.len_xb[ops]
+        v |= dist_code[dsym] << nb
+        nb += dist_nb[dsym]
+        v |= f.dist_xv[ops] << nb
+        nb += f.dist_xb[ops]
+        w.pack(v, nb)
+    w.pack(lit_code[256:257], lit_nb[256:257])
 
 
 def _emit_stored(w: _BitWriter, data: bytes, start: int, end: int, final: bool) -> None:

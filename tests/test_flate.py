@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpng import kmm_transform
+from kpng import flate, kmm_transform
 from kpng.corpus import CorpusSpec, generate
 from kpng.errors import (
     ChecksumMismatchError,
@@ -23,9 +23,12 @@ from kpng.flate import (
     _BLOCK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
+    _EMIT_OPS,
+    _FAR_LIMIT,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
     _NO_DIST,
+    WINDOW_SIZE,
     Literal,
     Match,
     _BitWriter,
@@ -277,6 +280,84 @@ def test_lazy_parse_drops_short_far_matches():
         stream = deflate_compress(data, level)
         assert zlib.decompress(stream) == data
         assert inflate(stream) == data
+
+
+def repeat_at(distance: int, size: int = 16) -> bytes:
+    """A ``size``-byte marker that recurs ``distance`` bytes after it starts,
+    with random bytes between and after; the byte after the second copy
+    differs from the byte after the first, so the repeat is ``size`` long."""
+    rng = random.Random(distance * 100 + size)
+    marker = rng.randbytes(size)
+    between = rng.randbytes(distance - size)
+    return marker + between + marker + bytes([between[0] ^ 1]) + rng.randbytes(99)
+
+
+TOKENIZE_INPUTS = {
+    # below 3 bytes there is no key
+    **{f"length-{n}": b"aaaa"[:n] for n in range(5)},
+    # 49,152 bytes of 26 sample values: 865 positions last saw their key
+    # more than a window back, so runs of literals cross the window floor
+    "noise-k10": kmm_transform(generate(CorpusSpec("noise", 128, 128, seed=3)), 10).samples,
+    # matches of 258 bytes, longer than _INSERT_CAP
+    "long-matches": b"\x00" * 1000 + random.Random(5).randbytes(300) * 3 + b"ab" * 400 + bytes(range(256)) * 4,
+    "distance-32768": repeat_at(WINDOW_SIZE),
+    "distance-32769": repeat_at(WINDOW_SIZE + 1),
+}
+
+# the op arrays of the greedy (False) and lazy (True) parse, so a change to
+# how the tokenizer searches shows even where the stream would not move
+TOKENIZE_OPS_SHA256 = {
+    ("distance-32768", False): "170fda1da5bb3f620aaaddf511117c5e5f40b5f428085a2e09b4afc786e3e10b",
+    ("distance-32768", True): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
+    ("distance-32769", False): "73ec70c0bf0d6201141a79cfdd18a35063cde49fac710478fd7d4f141fc7e39a",
+    ("distance-32769", True): "dc890e08179027fad09b26d385011b202ef91fdbe01875306b46085adeb2bcaf",
+    ("length-0", False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("length-0", True): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("length-1", False): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
+    ("length-1", True): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
+    ("length-2", False): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
+    ("length-2", True): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
+    ("length-3", False): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
+    ("length-3", True): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
+    ("length-4", False): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("length-4", True): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("long-matches", False): "3472ac4c0253ff357a6119659f6491fb9f9288e738bd59d0f6819ba7853cb879",
+    ("long-matches", True): "3472ac4c0253ff357a6119659f6491fb9f9288e738bd59d0f6819ba7853cb879",
+    ("noise-k10", False): "ce49d3338575a5f1d1e87eead3cc20643d1eaa5a355103ee00366ac3a937cc17",
+    ("noise-k10", True): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
+}
+
+
+@pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
+def test_tokenize_ops_are_pinned(name, lazy):
+    data = TOKENIZE_INPUTS[name]
+    ops = _tokenize_ops(data, lazy)
+    assert hashlib.sha256(ops.tobytes()).hexdigest() == TOKENIZE_OPS_SHA256[name, lazy]
+    tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
+    assert lz77_expand(tokens) == data
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_tokenize_reaches_exactly_one_window_back(lazy):
+    def longest_distance(distance):
+        ops = _tokenize_ops(repeat_at(distance), lazy)
+        return int((ops[ops > 255] & 0xFFFF).max(initial=0))
+
+    # the marker at WINDOW_SIZE matches its first copy; one byte later the
+    # first copy has left the window
+    assert longest_distance(WINDOW_SIZE) == WINDOW_SIZE
+    assert longest_distance(WINDOW_SIZE + 1) < WINDOW_SIZE
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_lazy_parse_takes_short_matches_up_to_the_far_limit(size):
+    # level 3 takes a repeat of 3 bytes at distance 256 and one of 4 bytes
+    # at 4096; one byte farther it drops the repeat, which level 2 takes
+    limit = _FAR_LIMIT[size]
+    assert Match(size, limit) in lz77_tokenize(repeat_at(limit, size), 3)
+    beyond = repeat_at(limit + 1, size)
+    assert Match(size, limit + 1) in lz77_tokenize(beyond, 2)
+    assert Match(size, limit + 1) not in lz77_tokenize(beyond, 3)
 
 
 def test_expand_rejects_bad_tokens():
@@ -798,6 +879,49 @@ def test_packer_matches_scalar_writer(pending, kind, dynamic):
     w.pack(np.array(pending_bits, np.uint64), np.ones(pending, np.uint64))
     _emit_block(w, f, _Block(start, end, 0, 0, 2 if dynamic else 1, plan=plan), final)
     assert_written(w, pending_bits + head + reference_block_bits(ops, lit_lengths, dist_lengths))
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_emit_block_in_pieces_writes_the_same_bits(cap, dynamic, monkeypatch):
+    # the ops go to pack at most _EMIT_OPS at a time; the pending bits carry
+    # across each seam, so the bits equal the scalar writer's at any cap
+    monkeypatch.setattr(flate, "_EMIT_OPS", cap)
+    ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
+    f = _op_fields(np.array(ops, np.int64))
+    if dynamic:
+        plan = _DynamicPlan(*_block_stats(f, 0, len(ops)))
+        lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
+        head = reference_dynamic_header(0, lit_lengths, dist_lengths, plan.cl_lengths)
+    else:
+        plan = None
+        lit_lengths, dist_lengths = _FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS
+        head = BitPacker().put(0, 1).put(1, 2).bits
+    w = _BitWriter(bytearray())
+    w.pack(np.array([1, 0, 1], np.uint64), np.ones(3, np.uint64))
+    _emit_block(w, f, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), False)
+    assert_written(w, [1, 0, 1] + head + reference_block_bits(ops, lit_lengths, dist_lengths))
+
+
+def _emit_block_peak_bytes(nops: int) -> int:
+    ops = np.array(random.Random(nops).choices(range(256), k=nops), np.int64)
+    f = _op_fields(ops)
+    block = _Block(0, nops, 0, 0, 2, plan=_DynamicPlan(*_block_stats(f, 0, nops)))
+    tracemalloc.start()
+    try:
+        _emit_block(_BitWriter(bytearray()), f, block, True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emit_block_memory_does_not_grow_with_block():
+    """Merged blocks may span the whole input. The packer's temporaries, a
+    dozen uint64 per op it is given, stay bounded by _EMIT_OPS whatever the
+    block; only the written stream grows, here about a byte per op."""
+    small = _emit_block_peak_bytes(2 * _EMIT_OPS)
+    large = _emit_block_peak_bytes(10 * _EMIT_OPS)
+    assert large - small < 3 * 8 * _EMIT_OPS, (small, large)
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
