@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import BmpFormatError, UnsupportedImageError
+from .errors import BmpFormatError, UnsupportedImageError, _check_bytes
 from .raster import RasterImage
 
 _FILE_HEADER = struct.Struct("<2sIHHI")  # magic, file size, reserved x2, pixel offset
@@ -46,7 +46,7 @@ def encode_bmp(img: RasterImage) -> bytes:
 
 def decode_bmp(data: bytes) -> RasterImage:
     """Read a 24-bit uncompressed BMP into a 3-channel top-down image."""
-    data = bytes(data)
+    data = _check_bytes("data", data)
     if len(data) < _HEADERS_SIZE:
         raise BmpFormatError(f"file is {len(data)} bytes, smaller than the BMP headers")
     magic, _file_size, _r1, _r2, pixel_offset = _FILE_HEADER.unpack_from(data, 0)

@@ -14,14 +14,7 @@ from .errors import KpngError, ParameterError, UnsupportedImageError, _check_int
 from .pngcodec import EncodeOptions, FilterType
 from .raster import RasterImage
 
-_FILTER_NAMES = {
-    "none": FilterType.NONE,
-    "sub": FilterType.SUB,
-    "up": FilterType.UP,
-    "average": FilterType.AVERAGE,
-    "paeth": FilterType.PAETH,
-    "adaptive": None,
-}
+_FILTER_NAMES = {t.name.lower(): t for t in FilterType} | {"adaptive": None}
 
 
 def load_image(path: str | Path) -> tuple[RasterImage, int]:

@@ -8,7 +8,10 @@ level, a filter type, bytes per pixel, image dimensions, a checksum start
 value, a token field) passes one check, :func:`_check_int`: a Python int, an
 ``IntEnum`` member or a numpy integer scalar in range is taken as a plain
 int; ``bool``, ``np.bool_``, floats, strings and None raise
-:class:`ParameterError`.
+:class:`ParameterError`. Every byte-string argument (image samples, data
+to compress, a stream or file to decode) passes :func:`_check_bytes`: what
+``bytes()`` does not convert raises :class:`ParameterError`, and so does an
+integer, which it would read as that many zero bytes.
 """
 
 import operator
@@ -35,6 +38,20 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ParameterError(f"{name} must be {bound}, got {v}")
     return v
+
+
+def _check_bytes(name: str, value) -> bytes:
+    """``bytes(value)``, or :class:`ParameterError` for a value it does not
+    convert and for an int, bool or numpy integer, which it would read as
+    that many zero bytes."""
+    try:
+        operator.index(value)
+    except TypeError:
+        try:
+            return bytes(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{name} are not 8-bit values: {exc}") from None
+    raise ParameterError(f"{name} must be a byte string, got {value!r}")
 
 
 class DimensionMismatchError(KpngError):

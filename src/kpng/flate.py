@@ -5,14 +5,16 @@ window (hash chains keyed on 3-byte prefixes), fixed and dynamic Huffman
 blocks (length-limited codes via package-merge), stored blocks, and a
 table-driven inflater with one bit reader, modeled on libdeflate's
 ``REFILL_BITS``: below 48 buffered bits it ORs in the next 4 bytes, zeros
-past the end of the data. One exception handler decides whether a stream
-was cut: an error raised after more bits than the data holds were consumed
-is a truncation. As in zlib's ``inftrees.c``, each decode table entry says
-everything about its code: its value (a byte, end-of-block, a base length
-or a base distance), its length and its extra bits. A reserved symbol or a
-code that is not there is a hole in the table, which the inflater reports
-as an invalid code. Output size is checked after every match and at every
-block end.
+past the end of the data. As in zlib's ``inflate.c``, one loop reads every
+block header, a dynamic block's counts, code-length code and code lengths
+included, and every symbol, so one exception handler decides whether a
+stream was cut, wherever the cut falls: an error raised after more bits
+than the data holds were consumed is a truncation. As in zlib's
+``inftrees.c``, each decode table entry says everything about its code: its
+value (a byte, end-of-block, a base length or a base distance), its length
+and its extra bits. A reserved symbol or a code that is not there is a hole
+in the table, which the inflater reports as an invalid code. Output size is
+checked after every match and at every block end.
 Output is always a zlib stream because that is what PNG IDAT carries.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
@@ -59,7 +61,9 @@ than 256 bytes whose fourth byte differs is a match ``_FAR_LIMIT`` drops:
 the walk passes over it without building the 258-byte compare.
 
 Every integer argument (level, checksum start value, ``max_output``, token
-fields) passes :func:`kpng.errors._check_int`.
+fields) passes :func:`kpng.errors._check_int`, and the data given to
+``lz77_tokenize``, ``deflate_compress`` and ``inflate`` passes
+:func:`kpng.errors._check_bytes`.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ from .errors import (
     ParameterError,
     TruncatedStreamError,
     ZlibHeaderError,
+    _check_bytes,
     _check_int,
 )
 
@@ -529,7 +534,7 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     lv = check_level(level)
     if lv < 1:
         raise ParameterError("level 0 is stored-only and produces no token stream")
-    ops = _tokenize_ops(bytes(data), lv == 3).tolist()
+    ops = _tokenize_ops(_check_bytes("data", data), lv == 3).tolist()
     return [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops]
 
 
@@ -873,7 +878,7 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     """Compress ``data`` into a zlib stream (2-byte header, DEFLATE blocks,
     big-endian Adler-32 trailer). Deterministic for a given (data, level)."""
     lv = check_level(level)
-    data = bytes(data)
+    data = _check_bytes("data", data)
 
     out = bytearray()
     cmf = 0x78  # CM=8, CINFO=7 (32 KiB window)
@@ -954,76 +959,17 @@ def _refill(data: bytes, pos: int, acc: int, cnt: int) -> tuple[int, int, int]:
     return pos, acc, cnt
 
 
-def _read_dynamic_tables(data: bytes, pos: int, acc: int, cnt: int):
-    """Both decode tables of a dynamic block (RFC 1951 section 3.2.7), then the reader."""
-    try:
-        pos, acc, cnt = _refill(data, pos, acc, cnt)
-        hlit = 257 + (acc & 31)
-        hdist = 1 + (acc >> 5 & 31)
-        hclen = 4 + (acc >> 10 & 15)
-        acc >>= 14
-        cnt -= 14
-        if hlit > 286 or hdist > 30:
-            raise CorruptStreamError(f"bad code counts HLIT={hlit} HDIST={hdist}")
-
-        cl_lengths = [0] * 19
-        for i in range(hclen):
-            pos, acc, cnt = _refill(data, pos, acc, cnt)
-            cl_lengths[_CODELEN_ORDER[i]] = acc & 7
-            acc >>= 3
-            cnt -= 3
-        # a complete code: every table entry is a symbol
-        cl_table, cl_bits = _build_decode_table(cl_lengths, _CODELEN_MEANINGS)
-        cl_mask = (1 << cl_bits) - 1
-
-        lengths: list[int] = []
-        total = hlit + hdist
-        while len(lengths) < total:
-            pos, acc, cnt = _refill(data, pos, acc, cnt)
-            sym, l, xb = cl_table[acc & cl_mask]
-            acc >>= l
-            cnt -= l
-            if sym < 16:
-                lengths.append(sym)
-                continue
-            run = _CODELEN_RUNS[sym - 16] + (acc & ((1 << xb) - 1))
-            acc >>= xb
-            cnt -= xb
-            if sym > 16:
-                lengths += [0] * run
-            elif lengths:
-                lengths += lengths[-1:] * run
-            else:
-                raise CorruptStreamError("repeat with no previous code length")
-        if len(lengths) > total:
-            raise CorruptStreamError("code-length run overflows the declared counts")
-
-        lit_lengths = lengths[:hlit]
-        dist_lengths = lengths[hlit:]
-        if lit_lengths[256] == 0:
-            raise CorruptStreamError("no end-of-block code")
-        # zlib (inftrees.c) takes an incomplete code only when it is a single
-        # 1-bit code (end-of-block's, or a lone distance code) or, for
-        # distances, no code at all
-        lit_table = _build_decode_table(lit_lengths, _LIT_MEANINGS, allow_incomplete=max(lit_lengths) == 1)
-        dist_table = _build_decode_table(dist_lengths, _DIST_MEANINGS, allow_incomplete=max(dist_lengths) <= 1)
-    except CorruptStreamError:
-        if 8 * pos - cnt > 8 * len(data):
-            raise TruncatedStreamError("stream ended inside a dynamic block header") from None
-        raise
-    return lit_table, dist_table, pos, acc, cnt
-
-
 def inflate(data: bytes, max_output: int | None = None) -> bytes:
     """Decompress a zlib stream produced by :func:`deflate_compress` or any
     conforming encoder. Verifies the Adler-32 trailer and rejects trailing
     garbage.
 
-    Every block is read through one bit reader (:func:`_refill`), which
-    reads zeros past the end of the data. One exception handler around the
-    block loop judges a cut stream: a :class:`CorruptStreamError` or
-    :class:`DistanceTooFarError` raised once the bits consumed,
-    ``8 * pos - cnt``, exceed ``8 * len(data)`` becomes
+    The block loop reads every block header, a dynamic block's code lengths
+    included, and every symbol through one bit reader (:func:`_refill`),
+    which reads zeros past the end of the data. One exception handler around
+    the block loop judges a cut stream, in a header or in the data: a
+    :class:`CorruptStreamError` or :class:`DistanceTooFarError` raised once
+    the bits consumed, ``8 * pos - cnt``, exceed ``8 * len(data)`` becomes
     :class:`TruncatedStreamError`. A block that ends past the end is caught
     at the next header, which reads as a stored block that fails its length
     check, or at the trailer; the refill bound stops the reader at most 10
@@ -1041,7 +987,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     per input byte, counting the at most 10 zero bytes read past the data.
     """
     limit = sys.maxsize if max_output is None else _check_int("max_output", max_output, 0)
-    data = bytes(data)
+    data = _check_bytes("data", data)
     n = len(data)
     if n < 2:
         raise TruncatedStreamError("zlib stream shorter than its header")
@@ -1089,8 +1035,60 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                     lit_table, lit_bits = _FIXED_LIT_TABLE
                     dist_table, dist_bits = _FIXED_DIST_TABLE
                 else:
-                    (lit_table, lit_bits), (dist_table, dist_bits), pos, acc, cnt = _read_dynamic_tables(
-                        data, pos, acc, cnt
+                    # dynamic block header (RFC 1951 section 3.2.7)
+                    pos, acc, cnt = _refill(data, pos, acc, cnt)
+                    hlit = 257 + (acc & 31)
+                    hdist = 1 + (acc >> 5 & 31)
+                    hclen = 4 + (acc >> 10 & 15)
+                    acc >>= 14
+                    cnt -= 14
+                    if hlit > 286 or hdist > 30:
+                        raise CorruptStreamError(f"bad code counts HLIT={hlit} HDIST={hdist}")
+
+                    cl_lengths = [0] * 19
+                    for i in range(hclen):
+                        pos, acc, cnt = _refill(data, pos, acc, cnt)
+                        cl_lengths[_CODELEN_ORDER[i]] = acc & 7
+                        acc >>= 3
+                        cnt -= 3
+                    # a complete code: every table entry is a symbol
+                    cl_table, cl_bits = _build_decode_table(cl_lengths, _CODELEN_MEANINGS)
+                    cl_mask = (1 << cl_bits) - 1
+
+                    lengths: list[int] = []
+                    total = hlit + hdist
+                    while len(lengths) < total:
+                        pos, acc, cnt = _refill(data, pos, acc, cnt)
+                        sym, l, xb = cl_table[acc & cl_mask]
+                        acc >>= l
+                        cnt -= l
+                        if sym < 16:
+                            lengths.append(sym)
+                            continue
+                        run = _CODELEN_RUNS[sym - 16] + (acc & ((1 << xb) - 1))
+                        acc >>= xb
+                        cnt -= xb
+                        if sym > 16:
+                            lengths += [0] * run
+                        elif lengths:
+                            lengths += lengths[-1:] * run
+                        else:
+                            raise CorruptStreamError("repeat with no previous code length")
+                    if len(lengths) > total:
+                        raise CorruptStreamError("code-length run overflows the declared counts")
+
+                    lit_lengths = lengths[:hlit]
+                    dist_lengths = lengths[hlit:]
+                    if lit_lengths[256] == 0:
+                        raise CorruptStreamError("no end-of-block code")
+                    # zlib (inftrees.c) takes an incomplete code only when it is a
+                    # single 1-bit code (end-of-block's, or a lone distance code)
+                    # or, for distances, no code at all
+                    lit_table, lit_bits = _build_decode_table(
+                        lit_lengths, _LIT_MEANINGS, allow_incomplete=max(lit_lengths) == 1
+                    )
+                    dist_table, dist_bits = _build_decode_table(
+                        dist_lengths, _DIST_MEANINGS, allow_incomplete=max(dist_lengths) <= 1
                     )
                 lit_mask = (1 << lit_bits) - 1
                 dist_mask = (1 << dist_bits) - 1

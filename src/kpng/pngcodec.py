@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import flate
-from .errors import ParameterError, PngCrcError, PngFormatError, UnsupportedImageError, _check_int
+from .errors import ParameterError, PngCrcError, PngFormatError, UnsupportedImageError, _check_bytes, _check_int
 from .flate import CompressionLevel, crc32
 from .raster import RasterImage
 
@@ -341,7 +341,7 @@ def parse_chunks(data: bytes) -> list[PngChunk]:
 def decode_png(data: bytes) -> RasterImage:
     """Decode a PNG produced by this encoder's feature subset
     (8-bit, color type 0 or 2, non-interlaced) of at most 2^28 pixels."""
-    chunks = parse_chunks(bytes(data))
+    chunks = parse_chunks(_check_bytes("data", data))
     if chunks[0].type_code != b"IHDR":
         raise PngFormatError("first chunk is not IHDR")
     ihdr = chunks[0].data

@@ -1,7 +1,8 @@
 """In-memory pixel grid shared by every codec and transform in the package.
 
 ``width``, ``height`` and ``channels`` pass :func:`kpng.errors._check_int`,
-the package's one integer check, and are stored as plain ints.
+the package's one integer check, and are stored as plain ints; ``samples``
+that are not ``bytes`` pass :func:`kpng.errors._check_bytes`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, _check_int
+from .errors import DimensionMismatchError, ParameterError, _check_bytes, _check_int
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,7 @@ class RasterImage:
         if self.channels == 2:
             raise ParameterError("channels must be 1 or 3, got 2")
         if not isinstance(self.samples, bytes):
-            try:
-                object.__setattr__(self, "samples", bytes(self.samples))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"samples are not 8-bit values: {exc}") from None
+            object.__setattr__(self, "samples", _check_bytes("samples", self.samples))
         expected = self.width * self.height * self.channels
         if len(self.samples) != expected:
             raise ParameterError(

@@ -43,7 +43,6 @@ from kpng.flate import (
     _op_fields,
     _plan_blocks,
     _priced_block,
-    _read_dynamic_tables,
     _rle_code_lengths,
     _split_blocks,
     _tokenize_ops,
@@ -557,15 +556,22 @@ def test_every_proper_prefix_is_truncated():
     text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
     # literal 0 is the most frequent symbol, so the dynamic code's all-zero
     # code is a literal: the zero bits past a cut decode as literals
-    skewed = deflate_compress(bytes(rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600)), 2)
+    skewed_src = bytes(rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600))
+    skewed = deflate_compress(skewed_src, 2)
     assert skewed[2] & 7 == 0b101  # one final dynamic block
-    (lit_table, _), *_ = _read_dynamic_tables(skewed, 3, skewed[2] >> 3, 5)
-    assert lit_table[0][0] < 256
+    (block,) = _plan_blocks(_op_fields(_tokenize_ops(skewed_src, False)))
+    lit_lengths = block.plan.lit_lengths
+    # the canonical all-zero code is the first symbol of the shortest length
+    assert lit_lengths.index(min(l for l in lit_lengths if l)) < 256
     zeros = bytes(_BLOCK_INPUT + 4000)  # two blocks
+    # a non-final dynamic block, then a second dynamic header to cut inside
+    c = zlib.compressobj(9)
+    synced = c.compress(text) + c.flush(zlib.Z_SYNC_FLUSH) + c.compress(text[::-1]) + c.flush()
+    assert synced[2] & 7 == 0b100
     corpus = (
         [deflate_compress(text, level) for level in ALL_LEVELS]
         + [zlib.compress(text, level) for level in (0, 1, 9)]
-        + [deflate_compress(b"", 2), skewed, deflate_compress(zeros, 1), zlib.compress(zeros, 9)]
+        + [deflate_compress(b"", 2), skewed, deflate_compress(zeros, 1), zlib.compress(zeros, 9), synced]
     )
     for stream in corpus:
         assert inflate(stream) == zlib.decompress(stream)

@@ -2,17 +2,20 @@
 
 Python ints, ``IntEnum`` members and numpy integer scalars are accepted and
 give the same result; ``bool``, ``np.bool_``, floats, strings and None raise
-``ParameterError`` (None is left out where it selects a default).
+``ParameterError`` (None is left out where it selects a default). Where a
+byte string belongs, a value ``bytes()`` does not convert, or an integer
+it would read as that many zero bytes, raises ``ParameterError``.
 """
 
 import numpy as np
 import pytest
 
+from kpng.bmpcodec import decode_bmp, encode_bmp
 from kpng.corpus import CorpusSpec, generate
 from kpng.errors import ParameterError
 from kpng.flate import Literal, Match, adler32, crc32, deflate_compress, inflate, lz77_expand, lz77_tokenize
 from kpng.kmodulus import kmm_pixel, kmm_transform
-from kpng.pngcodec import EncodeOptions, apply_filter, choose_filter, encode_png, unfilter
+from kpng.pngcodec import EncodeOptions, apply_filter, choose_filter, decode_png, encode_png, unfilter
 from kpng.raster import RasterImage
 
 IMG = RasterImage(4, 2, 3, bytes(range(0, 240, 10)))
@@ -80,3 +83,30 @@ def test_numpy_integer_same_as_int(name):
     # repr also tells a stored numpy scalar from the plain int
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+# entry point -> (call with the byte string under test, a valid byte string)
+BYTES_PARAMS = {
+    "RasterImage.samples": (lambda x: RasterImage(5, 1, 1, x), bytes(range(5))),
+    "lz77_tokenize.data": (lz77_tokenize, TEXT),
+    "deflate_compress.data": (deflate_compress, TEXT),
+    "inflate.data": (inflate, STREAM),
+    "decode_png.data": (decode_png, encode_png(IMG)),
+    "decode_bmp.data": (decode_bmp, encode_bmp(IMG)),
+}
+# an integer would read as that many zero bytes; the rest do not convert
+NOT_BYTES = [5, True, np.int64(3), "abc", None, 1.5, [300]]
+
+
+@pytest.mark.parametrize("name", sorted(BYTES_PARAMS))
+@pytest.mark.parametrize("bad", NOT_BYTES, ids=repr)
+def test_non_bytes_refused(name, bad):
+    call, _ = BYTES_PARAMS[name]
+    with pytest.raises(ParameterError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(BYTES_PARAMS))
+def test_list_of_ints_same_as_bytes(name):
+    call, good = BYTES_PARAMS[name]
+    assert call(list(good)) == call(good)
