@@ -9,9 +9,11 @@ value, a token field) passes one check, :func:`_check_int`: a Python int, an
 ``IntEnum`` member or a numpy integer scalar in range is taken as a plain
 int; ``bool``, ``np.bool_``, floats, strings and None raise
 :class:`ParameterError`. Every byte-string argument (image samples, data
-to compress, a stream or file to decode) passes :func:`_check_bytes`: what
-``bytes()`` does not convert raises :class:`ParameterError`, and so does an
-integer, which it would read as that many zero bytes.
+to compress, a stream or file to decode, data to checksum) passes
+:func:`_check_bytes`: what ``bytes()`` does not convert raises
+:class:`ParameterError`, and so does an integer, which it would read as that
+many zero bytes, and a buffer whose items are not unsigned bytes, which it
+would read as raw memory.
 """
 
 import operator
@@ -42,11 +44,18 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
 def _check_bytes(name: str, value) -> bytes:
     """``bytes(value)``, or :class:`ParameterError` for a value it does not
-    convert and for an int, bool or numpy integer, which it would read as
-    that many zero bytes."""
+    convert, for an int, bool or numpy integer, which it would read as that
+    many zero bytes, and for a buffer of anything but unsigned bytes (a
+    float, bool or int8 array or scalar), which it would read as raw memory."""
     try:
         operator.index(value)
     except TypeError:
+        try:
+            fmt = memoryview(value).format
+        except TypeError:
+            fmt = "B"  # not a buffer: bytes() takes an iterable of ints
+        if fmt != "B":
+            raise ParameterError(f"{name} must be unsigned bytes, got a buffer of format {fmt!r}")
         try:
             return bytes(value)
         except (TypeError, ValueError) as exc:

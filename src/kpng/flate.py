@@ -4,7 +4,7 @@ Implements RFC 1950/1951 from scratch: an LZ77 tokenizer over a 32 KiB
 window (hash chains keyed on 3-byte prefixes), fixed and dynamic Huffman
 blocks (length-limited codes via package-merge), stored blocks, and a
 table-driven inflater with one bit reader, modeled on libdeflate's
-``REFILL_BITS``: below 48 buffered bits it ORs in the next 4 bytes, zeros
+``REFILL_BITS``: below 48 buffered bits it ORs in the next 16 bytes, zeros
 past the end of the data. As in zlib's ``inflate.c``, one loop reads every
 block header, a dynamic block's counts, code-length code and code lengths
 included, and every symbol, so one exception handler decides whether a
@@ -62,8 +62,8 @@ the walk passes over it without building the 258-byte compare.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
-``lz77_tokenize``, ``deflate_compress`` and ``inflate`` passes
-:func:`kpng.errors._check_bytes`.
+``crc32``, ``adler32``, ``lz77_tokenize``, ``deflate_compress`` and
+``inflate`` passes :func:`kpng.errors._check_bytes`.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def crc32(data: bytes, value: int = 0) -> int:
     the per-byte loop.
     """
     crc = _check_int("CRC-32 value", value, 0, 0xFFFFFFFF) ^ 0xFFFFFFFF
-    tail = memoryview(data).cast("B")
+    tail = memoryview(_check_bytes("data", data))
     lanes = len(tail) // _CRC_LANE
     if lanes >= _CRC_MIN_LANES:
         cols = np.frombuffer(tail, np.uint8, lanes * _CRC_LANE).reshape(lanes, _CRC_LANE)
@@ -213,7 +213,7 @@ def adler32(data: bytes, value: int = 1) -> int:
     # reduced as zlib reduces a start value, even for empty data
     s1 = (value & 0xFFFF) % _ADLER_MOD
     s2 = (value >> 16) % _ADLER_MOD
-    d = np.frombuffer(data, np.uint8)
+    d = np.frombuffer(_check_bytes("data", data), np.uint8)
     for start in range(0, d.size, _ADLER_GROUP):
         group = d[start : start + _ADLER_GROUP]
         m, r = divmod(group.size, _ADLER_NMAX)
@@ -391,11 +391,11 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
     bytes, a match is ``length << 16 | distance`` (always above 255).
     ``lazy`` is level 3's lazy matching (RFC 1951 section 4), a sixteenth of
-    zlib level 9's chain; after the chain walk it drops a match of length 3
-    farther than 256 bytes or of length 4 farther than 4096 (``_FAR_LIMIT``,
-    after zlib's ``TOO_FAR``), so the position is a literal or lets the
-    pending match commit. Otherwise matching is greedy and takes every
-    match.
+    zlib level 9's chain; it drops a match of length 3 farther than 256
+    bytes or of length 4 farther than 4096 (``_FAR_LIMIT``, after zlib's
+    ``TOO_FAR``), so the position is a literal or lets the pending match
+    commit. Length 3 is checked in the walk and length 4 after it.
+    Otherwise matching is greedy and takes every match.
 
     ``keys[i]`` is the 3-byte key at ``i``; ``head`` maps a key to its
     latest position and ``prev[i]`` links ``i`` to the previous position
@@ -411,9 +411,8 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     compare: it is a length-3 match the walk would take and then drop."""
     max_chain = 256 if lazy else 128
     good_length = _GOOD_LENGTH
-    far_limit = _FAR_LIMIT if lazy else ()
-    far_lengths = len(far_limit)
-    far3 = far_limit[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
+    far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
+    far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
     n = len(data)
     ops: list[int] = []
     append = ops.append
@@ -477,7 +476,8 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                                     break
                                 c = data[i + l]
                         j = prev[j]
-                    if bd and (bl >= far_lengths or bd <= far_limit[bl]):
+                    # no length-3 test: far ones were passed over, and a held match is only ever lengthened
+                    if bd and (bl > 4 or bd <= far4):
                         best_len = bl
                         best_dist = bd
             elif not pend_len:
@@ -945,17 +945,18 @@ _FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS, _DIST_MEANINGS)
 
 
 def _refill(data: bytes, pos: int, acc: int, cnt: int) -> tuple[int, int, int]:
-    """The bit reader's one refill, inlined in ``inflate``'s symbol loop: ``acc``
-    holds ``cnt`` bits, first bit lowest (RFC 1951 section 3.1.1). Below 48
-    bits, a length/distance pair (15 + 5 + 15 + 13), the next 4 bytes go in
-    above them, zeros past the end of ``data``. A refill that starts more than
-    6 bytes past the end raises: more than ``8 * len(data)`` bits were consumed."""
-    while cnt < 48:
+    """The bit reader's one refill, for the headers and the symbol loop:
+    ``acc`` holds ``cnt`` bits, first bit lowest (RFC 1951 section 3.1.1).
+    Below 48 bits, a length/distance pair (15 + 5 + 15 + 13), the next 16
+    bytes go in above them, zeros past the end of ``data``. A refill that
+    starts more than 6 bytes past the end raises: more than ``8 * len(data)``
+    bits were consumed. So at most 22 zero bytes are read past the data."""
+    if cnt < 48:
         if pos > len(data) + 6:
             raise TruncatedStreamError("stream ended inside a block")
-        acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
-        pos += 4
-        cnt += 32
+        acc |= int.from_bytes(data[pos : pos + 16], "little") << cnt
+        pos += 16
+        cnt += 128
     return pos, acc, cnt
 
 
@@ -972,7 +973,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     the bits consumed, ``8 * pos - cnt``, exceed ``8 * len(data)`` becomes
     :class:`TruncatedStreamError`. A block that ends past the end is caught
     at the next header, which reads as a stored block that fails its length
-    check, or at the trailer; the refill bound stops the reader at most 10
+    check, or at the trailer; the refill bound stops the reader at most 22
     zero bytes past the data. Each decode table entry carries its code's
     value and extra bits. A code the tables do not map (a hole) is invalid
     and raises :class:`CorruptStreamError` with zlib's message: "invalid
@@ -984,7 +985,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     once the output passes that many bytes. The size is checked after every
     match and at every block end rather than per literal, so the output
     held at that point exceeds the limit by at most 258 bytes plus 8 bytes
-    per input byte, counting the at most 10 zero bytes read past the data.
+    per input byte, counting the at most 22 zero bytes read past the data.
     """
     limit = sys.maxsize if max_output is None else _check_int("max_output", max_output, 0)
     data = _check_bytes("data", data)
@@ -1004,7 +1005,6 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
 
     out = bytearray()
     end = 8 * n  # bits in data
-    stop = n + 6  # a refill that starts past this byte raises
     pos = 2
     acc = 0
     cnt = 0
@@ -1094,12 +1094,8 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                 dist_mask = (1 << dist_bits) - 1
 
                 while True:
-                    while cnt < 48:  # _refill
-                        if pos > stop:
-                            raise TruncatedStreamError("stream ended inside a block")
-                        acc |= int.from_bytes(data[pos : pos + 4], "little") << cnt
-                        pos += 4
-                        cnt += 32
+                    if cnt < 48:
+                        pos, acc, cnt = _refill(data, pos, acc, cnt)
                     entry = lit_table[acc & lit_mask]
                     if entry is None:
                         raise CorruptStreamError("invalid literal/length code")
@@ -1145,9 +1141,10 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
     pos += 4
     if pos != n:
         raise CorruptStreamError(f"{n - pos} trailing bytes after the zlib stream")
+    out = bytes(out)
     actual = adler32(out)
     if actual != stored_sum:
         raise ChecksumMismatchError(
             f"Adler-32 mismatch: stream says {stored_sum:#010x}, payload is {actual:#010x}"
         )
-    return bytes(out)
+    return out

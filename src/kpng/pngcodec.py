@@ -307,6 +307,7 @@ def encode_png(img: RasterImage, options: EncodeOptions | None = None) -> bytes:
 
 def parse_chunks(data: bytes) -> list[PngChunk]:
     """Split a PNG byte string into chunks, verifying every CRC."""
+    data = _check_bytes("data", data)
     if len(data) < 8 or data[:8] != SIGNATURE:
         raise PngFormatError("bad PNG signature")
     chunks = []
@@ -341,7 +342,7 @@ def parse_chunks(data: bytes) -> list[PngChunk]:
 def decode_png(data: bytes) -> RasterImage:
     """Decode a PNG produced by this encoder's feature subset
     (8-bit, color type 0 or 2, non-interlaced) of at most 2^28 pixels."""
-    chunks = parse_chunks(_check_bytes("data", data))
+    chunks = parse_chunks(data)
     if chunks[0].type_code != b"IHDR":
         raise PngFormatError("first chunk is not IHDR")
     ihdr = chunks[0].data

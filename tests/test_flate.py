@@ -580,6 +580,41 @@ def test_every_proper_prefix_is_truncated():
                 inflate(stream[:cut])
 
 
+def test_stored_blocks_after_huffman_blocks_at_every_bit_offset():
+    # the reader holds up to 21 whole bytes past the bits it has used, and
+    # pushes them back before a stored block's LEN/NLEN and the trailer
+    streams = []
+    for size in range(1, 15):
+        # distinct bytes >= 144: no match, 9-bit fixed literal codes, so the
+        # empty stored block of the sync flush starts at bit 10 + 9 * size
+        c = zlib.compressobj(9)
+        stream = c.compress(bytes(range(144, 144 + size))) + c.flush(zlib.Z_SYNC_FLUSH) + c.flush()
+        assert stream[2] & 7 == 0b010  # a non-final fixed block
+        assert len(stream) == 2 + (10 + 9 * size + 3 + 7) // 8 + 4 + 2 + 4
+        streams.append(stream)
+    assert {(10 + 9 * size) % 8 for size in range(1, 15)} == set(range(8))
+    for stream in streams:
+        assert inflate(stream) == zlib.decompress(stream)
+        for cut in range(len(stream)):
+            with pytest.raises(TruncatedStreamError):
+                inflate(stream[:cut])
+    # stored blocks between two dynamic blocks: a block is cut at 64 KiB of
+    # input, so one of pure noise needs more than 128 KiB. Every prefix would
+    # cost minutes; cut within 24 bytes of where the stored data starts and
+    # ends, and of the trailer
+    text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
+    src = text + random.Random(3).randbytes(140_000) + text
+    _, stored, _ = blocks = _plan_blocks(_op_fields(_tokenize_ops(src, False)))
+    assert [b.btype for b in blocks] == [2, 0, 2]
+    stream = deflate_compress(src, 2)
+    assert inflate(stream) == src
+    start = stream.find(src[stored.byte_start : stored.byte_start + 64])
+    end = stream.find(src[stored.byte_end - 64 : stored.byte_end]) + 64
+    for cut in {*range(start - 24, start + 24), *range(end - 24, end + 24), *range(len(stream) - 24, len(stream))}:
+        with pytest.raises(TruncatedStreamError):
+            inflate(stream[:cut])
+
+
 # ---------------------------------------------------------------------------
 # hand-packed dynamic blocks exercising rare decoder paths
 

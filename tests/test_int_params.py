@@ -3,8 +3,10 @@
 Python ints, ``IntEnum`` members and numpy integer scalars are accepted and
 give the same result; ``bool``, ``np.bool_``, floats, strings and None raise
 ``ParameterError`` (None is left out where it selects a default). Where a
-byte string belongs, a value ``bytes()`` does not convert, or an integer
-it would read as that many zero bytes, raises ``ParameterError``.
+byte string belongs, a value ``bytes()`` does not convert, an integer it
+would read as that many zero bytes, or a buffer of anything but unsigned
+bytes, which it would read as raw memory, raises ``ParameterError``; a
+list of ints, a ``bytearray`` and a uint8 array give what ``bytes`` gives.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from kpng.corpus import CorpusSpec, generate
 from kpng.errors import ParameterError
 from kpng.flate import Literal, Match, adler32, crc32, deflate_compress, inflate, lz77_expand, lz77_tokenize
 from kpng.kmodulus import kmm_pixel, kmm_transform
-from kpng.pngcodec import EncodeOptions, apply_filter, choose_filter, decode_png, encode_png, unfilter
+from kpng.pngcodec import EncodeOptions, apply_filter, choose_filter, decode_png, encode_png, parse_chunks, unfilter
 from kpng.raster import RasterImage
 
 IMG = RasterImage(4, 2, 3, bytes(range(0, 240, 10)))
@@ -93,9 +95,15 @@ BYTES_PARAMS = {
     "inflate.data": (inflate, STREAM),
     "decode_png.data": (decode_png, encode_png(IMG)),
     "decode_bmp.data": (decode_bmp, encode_bmp(IMG)),
+    "crc32.data": (crc32, TEXT),
+    "adler32.data": (adler32, TEXT),
+    "parse_chunks.data": (parse_chunks, encode_png(IMG)),
 }
-# an integer would read as that many zero bytes; the rest do not convert
-NOT_BYTES = [5, True, np.int64(3), "abc", None, 1.5, [300]]
+# an integer would read as that many zero bytes and a buffer of anything but
+# unsigned bytes as its raw memory; the rest do not convert
+NOT_BYTES = [5, True, np.int64(3), np.uint8(3), "abc", None, 1.5, [300],
+             np.float64(1.5), np.True_, np.array([1.5, 2.0]), np.array([True, False]),
+             np.array([1, 2], np.int8)]
 
 
 @pytest.mark.parametrize("name", sorted(BYTES_PARAMS))
@@ -109,4 +117,6 @@ def test_non_bytes_refused(name, bad):
 @pytest.mark.parametrize("name", sorted(BYTES_PARAMS))
 def test_list_of_ints_same_as_bytes(name):
     call, good = BYTES_PARAMS[name]
-    assert call(list(good)) == call(good)
+    expected = call(good)
+    for same in (list(good), bytearray(good), np.frombuffer(good, np.uint8)):
+        assert call(same) == expected

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -236,3 +237,18 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # numpy itself loads zlib and binascii, so sys.modules cannot tell; read
+    # every import statement, function-level ones included. zlib stays a
+    # test oracle only
+    top = set()
+    for path in Path(kpng.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                top.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                top.add(node.module.split(".")[0])
+    assert top - sys.stdlib_module_names == {"numpy"}
+    assert not top & {"zlib", "binascii", "gzip"}
