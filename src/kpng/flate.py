@@ -17,6 +17,12 @@ in the table, which the inflater reports as an invalid code. Output size is
 checked after every match and at every block end.
 Output is always a zlib stream because that is what PNG IDAT carries.
 
+Every Huffman code has one form: an int64 array of code lengths (from
+package-merge, or the fixed lengths) and the uint64 array of its canonical
+codes, bit-reversed for LSB-first bits, that one numpy function,
+``_codes_from_lengths``, builds from it. The packer, the block plan and
+inflate's decode tables all read that pair.
+
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
 symbol and extra-bit arrays once, cuts blocks at about 64 KiB of input with
@@ -273,20 +279,12 @@ _DIST_BASE = np.array(_DIST_BASES + [0], np.uint16)
 
 _CODELEN_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
 
-_FIXED_LIT_LENGTHS = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
-_FIXED_DIST_LENGTHS = [5] * 32
+_FIXED_LIT_LENGTHS = np.repeat(np.array([8, 9, 7, 8], np.int64), [144, 112, 24, 8])
+_FIXED_DIST_LENGTHS = np.full(32, 5, np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Huffman code construction
-
-
-def _reverse_bits(code: int, nbits: int) -> int:
-    r = 0
-    for _ in range(nbits):
-        r = (r << 1) | (code & 1)
-        code >>= 1
-    return r
 
 
 # package-merge item key: weight << 20 | first symbol << 1 | 1 if single
@@ -337,36 +335,36 @@ def _limited_code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
     return lengths
 
 
-def _codes_from_lengths(lengths: list[int]) -> list[tuple[int, int]]:
-    """Canonical codes per RFC 1951, bit-reversed ready for LSB-first writing.
+# a code of length l takes 2^(15 - l) of the 15-bit code space; no code, none
+_CODE_SPAN = np.array([0] + [1 << (15 - l) for l in range(1, 16)], np.int64)
+# every 15-bit value, its bits reversed
+_REVERSE_15 = sum((np.arange(1 << 15, dtype=np.uint64) >> b & 1) << 14 - b for b in range(15))
 
-    Returns (code, nbits) per symbol; unused symbols get (0, 0).
+
+def _codes_from_lengths(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codes (RFC 1951 section 3.2.2) of an int64 array of code
+    lengths, bit-reversed for LSB-first writing, as a uint64 array; a symbol
+    of length 0 gets 0.
+
+    In (length, symbol) order, each code read as a 15-bit fraction is the
+    sum of the spans ``2^(15 - l)`` of the codes before it, and reversing
+    its 15 bits leaves its own l bits at the bottom, already reversed. The
+    lengths must satisfy the Kraft inequality, spans summing to at most
+    ``2^15``: on an oversubscribed code the sum runs past the reversal table
+    and the lookup raises ``IndexError``, so a decoder checks it first.
     """
-    max_bits = max(lengths, default=0)
-    codes = [(0, 0)] * len(lengths)
-    if max_bits == 0:
-        return codes
-    bl_count = [0] * (max_bits + 1)
-    for l in lengths:
-        if l:
-            bl_count[l] += 1
-    next_code = [0] * (max_bits + 1)
-    code = 0
-    for bits in range(1, max_bits + 1):
-        code = (code + bl_count[bits - 1]) << 1
-        next_code[bits] = code
-    for sym, l in enumerate(lengths):
-        if l:
-            codes[sym] = (_reverse_bits(next_code[l], l), l)
-            next_code[l] += 1
+    order = np.argsort(lengths, kind="stable")
+    span = _CODE_SPAN[lengths[order]]
+    codes = np.empty(len(lengths), np.uint64)
+    codes[order] = _REVERSE_15[np.cumsum(span) - span]
     return codes
 
 
-def _code_arrays(lengths: list[int], nsym: int) -> tuple[np.ndarray, np.ndarray]:
+def _code_arrays(lengths: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
     """(codes, nbits) as uint64 arrays for symbols 0..nsym-1, plus one empty
     code at index nsym for ops that have no such field."""
-    codes, nbits = zip(*_codes_from_lengths(lengths)[:nsym], (0, 0))
-    return np.array(codes, np.uint64), np.array(nbits, np.uint64)
+    codes = np.append(_codes_from_lengths(lengths)[:nsym], np.uint64(0))
+    return codes, np.append(lengths[:nsym], 0).astype(np.uint64)
 
 
 _FIXED_LIT_CODES = _code_arrays(_FIXED_LIT_LENGTHS, 286)
@@ -747,21 +745,18 @@ class _DynamicPlan:
         bits = 3 + 14 + 3 * hclen + sum(rle_xb) + int(cl_freq @ cl_lengths)
         bits += int(lit_freq @ lit_lengths) + int(dist_freq @ dist_lengths) + extra
 
-        self.lit_lengths = lit_lengths.tolist()
-        self.dist_lengths = dist_lengths.tolist()
+        self.lit_lengths = lit_lengths
+        self.dist_lengths = dist_lengths
         self.hlit = hlit
         self.hdist = hdist
         self.hclen = hclen
         self.rle = rle
-        self.cl_lengths = cl_lengths.tolist()
+        self.cl_lengths = cl_lengths
         self.bits = bits
 
 
-_FIXED_LIT_LENGTHS_I64 = np.array(_FIXED_LIT_LENGTHS[:286], np.int64)
-
-
 def _fixed_bits(lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int) -> int:
-    return 3 + extra + int(lit_freq @ _FIXED_LIT_LENGTHS_I64) + 5 * int(dist_freq.sum())
+    return 3 + extra + int(lit_freq @ _FIXED_LIT_LENGTHS[:286]) + 5 * int(dist_freq.sum())
 
 
 def _stored_bits_upper(nbytes: int) -> int:
@@ -843,7 +838,7 @@ def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None
         rle_sym, rle_xv, rle_xb = np.array(plan.rle, np.uint64).T
         head = np.concatenate((
             _uint64(final | 2 << 1, plan.hlit - 257, plan.hdist - 1, plan.hclen - 4),
-            np.array(plan.cl_lengths, np.uint64)[_CODELEN_ORDER[: plan.hclen]],
+            cl_nb[_CODELEN_ORDER[: plan.hclen]],
             cl_code[rle_sym] | rle_xv << cl_nb[rle_sym],
         ))
         head_nb = np.concatenate((_uint64(3, 5, 5, 4, *[3] * plan.hclen), cl_nb[rle_sym] + rle_xb))
@@ -909,7 +904,8 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
 # Decompressor
 
 
-def _build_decode_table(lengths: list[int], meanings: list[tuple[int, int]], allow_incomplete: bool = False):
+def _build_decode_table(lengths: list[int] | np.ndarray, meanings: list[tuple[int, int]],
+                        allow_incomplete: bool = False):
     """Flat decode table: index = next max_bits of the stream (LSB-first),
     entry = (value, code length, extra bits) for every symbol that has a
     code and a meaning, ``meanings[sym]`` = (value, extra bits). Every other
@@ -917,16 +913,19 @@ def _build_decode_table(lengths: list[int], meanings: list[tuple[int, int]], all
     reserved 286-287 and 30-31), or no code at all in an incomplete or empty
     code. All-zero lengths give ``[None]`` with max_bits 0. Returns
     (table, max_bits)."""
-    max_bits = max(lengths, default=0)
-    size = 1 << max_bits
-    kraft = sum(1 << (max_bits - l) for l in lengths if l)
-    if kraft > size:
+    lengths = np.asarray(lengths, np.int64)
+    # the Kraft check comes first: _codes_from_lengths needs a code that fits
+    kraft = int(_CODE_SPAN[lengths].sum())
+    if kraft > 1 << 15:
         raise CorruptStreamError("oversubscribed Huffman code")
-    if kraft < size and not allow_incomplete:
+    if kraft < 1 << 15 and not allow_incomplete:
         raise CorruptStreamError("incomplete Huffman code")
+    lens = lengths.tolist()
+    max_bits = max(lens, default=0)
+    size = 1 << max_bits
     table: list = [None] * size
     # codes come from every length: a reserved symbol still takes its code
-    for (value, xb), (rev, l) in zip(meanings, _codes_from_lengths(lengths)):
+    for (value, xb), rev, l in zip(meanings, _codes_from_lengths(lengths).tolist(), lens):
         if l:
             table[rev :: 1 << l] = [(value, l, xb)] * (size >> l)
     return table, max_bits

@@ -90,10 +90,10 @@ class PngChunk:
 
     @classmethod
     def build(cls, type_code: bytes, data: bytes) -> "PngChunk":
-        return cls(type_code, data, crc32(type_code + data))
+        return cls(type_code, data, crc32(data, crc32(type_code)))
 
     def crc_ok(self) -> bool:
-        return self.crc == crc32(self.type_code + self.data)
+        return self.crc == crc32(self.data, crc32(self.type_code))
 
     def encoded(self) -> bytes:
         return (

@@ -35,7 +35,6 @@ from kpng.flate import (
     _Block,
     _block_stats,
     _build_decode_table,
-    _code_arrays,
     _codes_from_lengths,
     _DynamicPlan,
     _emit_block,
@@ -562,7 +561,7 @@ def test_every_proper_prefix_is_truncated():
     (block,) = _plan_blocks(_op_fields(_tokenize_ops(skewed_src, False)))
     lit_lengths = block.plan.lit_lengths
     # the canonical all-zero code is the first symbol of the shortest length
-    assert lit_lengths.index(min(l for l in lit_lengths if l)) < 256
+    assert np.flatnonzero(lit_lengths == lit_lengths[lit_lengths > 0].min())[0] < 256
     zeros = bytes(_BLOCK_INPUT + 4000)  # two blocks
     # a non-final dynamic block, then a second dynamic header to cut inside
     c = zlib.compressobj(9)
@@ -650,16 +649,6 @@ class BitPacker:
         return bytes(out)
 
 
-def test_oversubscribed_code_length_code():
-    p = BitPacker()
-    p.put(1, 1).put(2, 2)          # final, dynamic
-    p.put(0, 5).put(0, 5).put(15, 4)  # HLIT=257, HDIST=1, HCLEN=19
-    for _ in range(19):
-        p.put(1, 3)                # nineteen 1-bit code lengths: oversubscribed
-    with pytest.raises(CorruptStreamError):
-        inflate(p.to_zlib())
-
-
 def _dynamic_header(codelen_lengths, hlit=257, hdist=1):
     """Start a dynamic block with the given code counts and code-length-code
     lengths (list of 19 ints in transmission order)."""
@@ -669,6 +658,49 @@ def _dynamic_header(codelen_lengths, hlit=257, hdist=1):
     for l in codelen_lengths:
         p.put(l, 3)
     return p
+
+
+def _oversubscribed_stream(code):
+    """A dynamic block whose code-length, literal/length or distance code
+    gives three symbols 1-bit codes; the other codes are complete, or one
+    1-bit code, which inflaters accept."""
+    if code == "code-length":
+        return _dynamic_header([1] * 19).to_zlib()  # nineteen 1-bit code lengths
+    # code-length code: symbols 0, 1, 2 and 18 -> codes 00, 01, 10, 11
+    cl = [0] * 19
+    cl[2] = cl[3] = cl[15] = cl[17] = 2
+    if code == "litlen":
+        p = _dynamic_header(cl, hlit=257, hdist=1)
+        p.put_code_msb(0b01, 2).put_code_msb(0b01, 2)  # litlen 0, 1: length 1
+        p.put_code_msb(0b11, 2).put(138 - 11, 7)       # 138 zeros (litlen 2..139)
+        p.put_code_msb(0b11, 2).put(116 - 11, 7)       # 116 zeros (litlen 140..255)
+        p.put_code_msb(0b01, 2)                        # litlen 256: length 1
+        p.put_code_msb(0b01, 2)                        # dist 0: length 1
+    else:
+        p = _dynamic_header(cl, hlit=257, hdist=3)
+        p.put_code_msb(0b01, 2)                        # litlen 0: length 1
+        p.put_code_msb(0b11, 2).put(138 - 11, 7)       # 138 zeros (litlen 1..138)
+        p.put_code_msb(0b11, 2).put(117 - 11, 7)       # 117 zeros (litlen 139..255)
+        p.put_code_msb(0b01, 2)                        # litlen 256: length 1
+        for _ in range(3):
+            p.put_code_msb(0b01, 2)                    # dist 0, 1, 2: length 1
+    return p.to_zlib()
+
+
+@pytest.mark.parametrize(
+    "code, zlib_message",
+    [
+        pytest.param("code-length", "invalid code lengths set", id="code-length"),
+        pytest.param("litlen", "invalid literal/lengths set", id="litlen"),
+        pytest.param("distance", "invalid distances set", id="distance"),
+    ],
+)
+def test_oversubscribed_code(code, zlib_message):
+    stream = _oversubscribed_stream(code)
+    with pytest.raises(zlib.error, match=zlib_message):
+        zlib.decompress(stream)
+    with pytest.raises(CorruptStreamError, match="oversubscribed Huffman code"):
+        inflate(stream)
 
 
 # transmission order is 16 17 18 0 8 7 9 6 10 5 11 4 12 3 13 2 14 1 15;
@@ -828,6 +860,11 @@ def canonical_codes(lengths):
         if l:
             next_code[l] += 1
     return codes
+
+
+def reversed_bits(value, nbits):
+    """``value``'s low ``nbits`` bits in reverse order; 0 when nbits is 0."""
+    return sum((value >> i & 1) << (nbits - 1 - i) for i in range(nbits))
 
 
 def reference_block_bits(ops, lit_lengths, dist_lengths):
@@ -1076,12 +1113,25 @@ def test_decode_table_matches_per_index_fill(lengths):
     for nsym in (len(lengths), len(lengths) - 2):
         table, max_bits = _build_decode_table(lengths, meanings[:nsym], allow_incomplete=True)
         want = [None] * (1 << max_bits)
-        for sym, (rev, l) in enumerate(_codes_from_lengths(lengths)):
+        for sym, (code, l) in enumerate(zip(canonical_codes(lengths), lengths)):
             if l and sym < nsym:
                 value, xb = meanings[sym]
-                for idx in range(rev, 1 << max_bits, 1 << l):
+                for idx in range(reversed_bits(code, l), 1 << max_bits, 1 << l):
                     want[idx] = (value, l, xb)
         assert table == want
+
+
+def test_codes_from_lengths_match_canonical_codes():
+    # used symbols get their canonical code bit-reversed, unused ones 0; the
+    # incomplete and empty codes are those inflate accepts
+    cases = [_FIXED_LIT_LENGTHS, _FIXED_DIST_LENGTHS, [0, 0, 3], [1], [0, 1], [0] * 30, [*range(1, 16), 15]]
+    cases += [_limited_code_lengths(np.array(freqs, np.int64), max_bits) for freqs, max_bits in _frequency_vectors()]
+    for lengths in cases:
+        lengths = np.array(lengths, np.int64)
+        codes = _codes_from_lengths(lengths)
+        assert codes.dtype == np.uint64
+        want = [reversed_bits(code, l) for code, l in zip(canonical_codes(lengths.tolist()), lengths.tolist())]
+        assert codes.tolist() == want
 
 
 # ---------------------------------------------------------------------------

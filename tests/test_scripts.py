@@ -31,3 +31,11 @@ def test_inflate_parity_against_itself_finds_no_difference():
     out = _run("inflate_parity.py", "--against", kpng.flate.__file__, "--mutants", "200", "--seed", "3")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[1:] == ["same 200", "same class, other message 0", "differ 0"]
+
+
+def test_deflate_parity_against_itself_finds_no_difference():
+    out = _run("deflate_parity.py", "--against", kpng.flate.__file__, "--seed", "3")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "inputs 18, levels 0-3, seed 3"
+    assert lines[1:] == ["same 72", "differ 0"]
