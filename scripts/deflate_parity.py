@@ -14,16 +14,22 @@ both and compares the streams. The corpus:
   one byte past it;
 - runs that make 258-byte matches far longer than ``_INSERT_CAP``.
 
-``--seed`` picks the tiles and the random bytes. Prints how many (input,
-level) pairs gave the same bytes and how many differ, and the first that
-differs. Exits 1 when any differ.
+``--seed`` picks the tiles and the random bytes. ``--bench-seed S`` adds the
+benchmark's inputs: the filtered scanlines of three 512x512 images of every
+workload, as ``kpngbench/workloads.py``'s ``set_up(workload, S, count=3)``
+makes them (the module is imported, nothing under ``kpngbench/`` is
+written). Prints how many (input, level) pairs gave the same bytes and how
+many differ, and the first that differs. Exits 1 when any differ.
 
     git show HEAD~1:src/kpng/flate.py > /tmp/parent_flate.py
     python scripts/deflate_parity.py --against /tmp/parent_flate.py
+    python scripts/deflate_parity.py --against /tmp/parent_flate.py --bench-seed 7
 """
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
 from inflate_parity import load_flate
 from kpng.corpus import GENERATOR_KINDS, CorpusSpec, generate
@@ -56,16 +62,31 @@ def corpus(seed: int) -> list[tuple[str, bytes]]:
     return inputs
 
 
+def bench_inputs(seed: int) -> list[tuple[str, bytes]]:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "kpngbench"))
+    sys.dont_write_bytecode = True  # leave no __pycache__ in kpngbench/
+    import workloads
+
+    inputs = []
+    for name, workload in workloads.WORKLOADS.items():
+        items, _ = workloads.set_up(workload, seed, count=3)
+        inputs += [(f"{name} {item.name}", item.filtered) for item in items]
+    return inputs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--against", required=True, metavar="PATH", help="the flate.py to compare with")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--bench-seed", type=int, metavar="S", help="add the benchmark's inputs at seed S")
     args = parser.parse_args()
 
     other = load_flate(args.against).deflate_compress
     same = 0
     differ = []
     inputs = corpus(args.seed)
+    if args.bench_seed is not None:
+        inputs += bench_inputs(args.bench_seed)
     for name, data in inputs:
         for level in LEVELS:
             if deflate_compress(data, level) == other(data, level):
@@ -73,7 +94,8 @@ def main() -> int:
             else:
                 differ.append((name, level))
 
-    print(f"inputs {len(inputs)}, levels {LEVELS[0]}-{LEVELS[-1]}, seed {args.seed}")
+    bench = "" if args.bench_seed is None else f", bench seed {args.bench_seed}"
+    print(f"inputs {len(inputs)}, levels {LEVELS[0]}-{LEVELS[-1]}, seed {args.seed}{bench}")
     print(f"same {same}")
     print(f"differ {len(differ)}")
     if differ:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -18,10 +17,6 @@ from . import bmpcodec, corpus, kmodulus, metrics, pngcodec
 from .errors import KpngError, ParameterError
 from .pngcodec import EncodeOptions
 from .raster import RasterImage
-
-
-def _fmt_float(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(x)
 
 
 @dataclass(frozen=True)
@@ -41,11 +36,7 @@ class BenchRecord:
     ssim: float
 
     def to_csv_row(self) -> list[str]:
-        row = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            row.append(_fmt_float(v) if isinstance(v, float) else str(v))
-        return row
+        return [str(getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "BenchRecord":
@@ -104,7 +95,8 @@ def run_synthetic(k: int = kmodulus.DEFAULT_K, options: EncodeOptions | None = N
 
 def run_directory(path: str | Path, k: int = kmodulus.DEFAULT_K,
                   options: EncodeOptions | None = None) -> tuple[list[BenchRecord], list[tuple[str, str]]]:
-    """Benchmark every .bmp file in a directory.
+    """Benchmark every regular file in a directory whose suffix is ``.bmp``
+    in any case, in name order.
 
     Per-file failures are collected, not raised; returns (records, failures).
     """
@@ -113,7 +105,8 @@ def run_directory(path: str | Path, k: int = kmodulus.DEFAULT_K,
         raise ParameterError(f"{root} is not a directory")
     records = []
     failures = []
-    for p in sorted(root.glob("*.bmp")):
+    bmps = sorted(p for p in root.iterdir() if p.suffix.lower() == ".bmp" and p.is_file())
+    for p in bmps:
         try:
             data = p.read_bytes()
             img = bmpcodec.decode_bmp(data)
@@ -147,7 +140,7 @@ def _kb(nbytes: int) -> str:
 
 def fmt4(x: float) -> str:
     """A metric value at 4 decimals, or ``inf``."""
-    return "inf" if math.isinf(x) else f"{x:.4f}"
+    return f"{x:.4f}"
 
 
 def markdown_table(records: list[BenchRecord]) -> str:

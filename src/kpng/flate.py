@@ -11,11 +11,18 @@ included, and every symbol, so one exception handler decides whether a
 stream was cut, wherever the cut falls: an error raised after more bits
 than the data holds were consumed is a truncation. As in zlib's
 ``inftrees.c``, each decode table entry says everything about its code: its
-value (a byte, end-of-block, a base length or a base distance), its length
-and its extra bits. A reserved symbol or a code that is not there is a hole
-in the table, which the inflater reports as an invalid code. Output size is
-checked after every match and at every block end.
+value, its length and its extra bits. A reserved symbol or a code that is
+not there is a hole in the table, which the inflater reports as an invalid
+code. Output size is checked after every match and at every block end.
 Output is always a zlib stream because that is what PNG IDAT carries.
+
+Each alphabet has one table, indexed by symbol, as zlib's ``trees.c`` keeps
+one per alphabet: ``_LIT_VALUE`` and ``_LIT_XB`` (a byte, end-of-block 256 or
+256 + a base length, and its extra bits), ``_DIST_BASE`` and ``_DIST_XB``,
+and ``_CODELEN_REPEATS``, the shortest run and extra bits of code-length
+symbols 16-18. The encoder's length and distance lookups are ``np.repeat``
+over each symbol's span, inflate's decode meanings are a ``zip`` of the same
+arrays, and the code-length runs take their limits from the repeat table.
 
 Every Huffman code has one form: an int64 array of code lengths (from
 package-merge, or the fixed lengths) and the uint64 array of its canonical
@@ -238,44 +245,38 @@ def adler32(data: bytes, value: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Symbol tables (RFC 1951 section 3.2.5)
+# Alphabets (RFC 1951 sections 3.2.5 and 3.2.7), one table each by symbol
 
-_LENGTH_XBITS = [0] * 8 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5] * 4  # codes 257..284
-_LENGTH_BASES = []
-_b = 3
-for _x in _LENGTH_XBITS:
-    _LENGTH_BASES.append(_b)
-    _b += 1 << _x
-_LENGTH_XBITS.append(0)  # code 285: length 258 exactly
-_LENGTH_BASES.append(258)
 
-_DIST_XBITS = [0, 0, 0, 0] + [x for x in range(1, 14) for _ in (0, 1)]  # codes 0..29
-_DIST_BASES = []
-_b = 1
-for _x in _DIST_XBITS:
-    _DIST_BASES.append(_b)
-    _b += 1 << _x
+def _base_values(first: int, xb: np.ndarray) -> np.ndarray:
+    """Base of each code in a run of codes that take 2^xb values each, from
+    ``first`` up; in int64, since ``1 << xb`` on uint8 stays uint8."""
+    span = 1 << xb.astype(np.int64)
+    return first + np.cumsum(span) - span
 
-# length -> (symbol, extra bits, base), indexed by match length 3..258. A
-# literal's length is 0, which has no symbol, extra bits or base. Code 285
-# comes last and takes length 258 from code 284's range.
-_LEN_SYM = np.zeros(259, np.uint16)
-_LEN_XB = np.zeros(259, np.uint8)
-_LEN_BASE = np.zeros(259, np.uint16)
-for _s, (_base, _x) in enumerate(zip(_LENGTH_BASES, _LENGTH_XBITS)):
-    _LEN_SYM[_base : _base + (1 << _x)] = 257 + _s
-    _LEN_XB[_base : _base + (1 << _x)] = _x
-    _LEN_BASE[_base : _base + (1 << _x)] = _base
 
-# distance -> symbol, indexed by distance 1..32768. A literal's distance is
-# 0 and maps to _NO_DIST, past the 30 real symbols, with no extra bits or
-# base and, in every code table, an empty code.
+# literal/length symbol -> value and extra bits; code 285 is length 258 alone
+_LIT_XB = np.repeat(np.array([0, 1, 2, 3, 4, 5, 0], np.uint8), [265, 4, 4, 4, 4, 4, 1])
+_LIT_VALUE = np.concatenate((np.arange(257), 256 + _base_values(MIN_MATCH, _LIT_XB[257:285]), [256 + MAX_MATCH]))
+# distance symbol -> base and extra bits; _NO_DIST, a literal's, has an empty code
 _NO_DIST = 30
-_DIST_SYM = np.concatenate(
-    ([_NO_DIST], np.repeat(np.arange(_NO_DIST), [1 << x for x in _DIST_XBITS]))
-).astype(np.uint8)
-_DIST_XB = np.array(_DIST_XBITS + [0], np.uint8)
-_DIST_BASE = np.array(_DIST_BASES + [0], np.uint16)
+_DIST_XB = np.append(np.repeat(np.arange(14, dtype=np.uint8), [4] + [2] * 13), np.uint8(0))
+_DIST_BASE = np.append(_base_values(1, _DIST_XB[:_NO_DIST]), 0)
+# code-length symbols 16 (the previous length) and 17, 18 (zero) -> (shortest run, extra bits)
+_CODELEN_REPEATS = ((3, 2), (3, 3), (11, 7))
+
+# match length -> length symbol, extra bits and base; 0-2 (a literal's 0) map to end-of-block
+_LEN_SYM = np.repeat(np.arange(256, 286, dtype=np.uint16), np.diff(_LIT_VALUE[256:], append=257 + MAX_MATCH))
+_LEN_XB = _LIT_XB[_LEN_SYM]
+_LEN_BASE = (_LIT_VALUE[_LEN_SYM] - 256).astype(np.uint16)
+# distance -> distance symbol; a literal's distance 0 is _NO_DIST
+_DIST_SYM = np.append(np.uint8(_NO_DIST), np.repeat(np.arange(_NO_DIST, dtype=np.uint8),
+                                                    np.diff(_DIST_BASE[:_NO_DIST], append=WINDOW_SIZE + 1)))
+
+# inflate's (value, extra bits) per symbol, as Python ints
+_LIT_MEANINGS = list(zip(_LIT_VALUE.tolist(), _LIT_XB.tolist()))
+_DIST_MEANINGS = list(zip(_DIST_BASE[:_NO_DIST].tolist(), _DIST_XB[:_NO_DIST].tolist()))
+_CODELEN_MEANINGS = [(s, 0) for s in range(16)] + [(sym, xb) for sym, (_, xb) in enumerate(_CODELEN_REPEATS, 16)]
 
 _CODELEN_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
 
@@ -685,25 +686,30 @@ def _block_stats(f: _OpFields, start: int, end: int) -> _BlockStats:
 
 
 def _rle_code_lengths(lengths: list[int]) -> list[tuple[int, int, int]]:
-    """Run-length encode a code-length sequence into (symbol, extra, extra_bits)."""
+    """Run-length encode a code-length sequence into (symbol, extra, extra_bits):
+    zeros as 18s, then a 17; another length as itself, then 16s. A repeat
+    covers runs from its shortest in ``_CODELEN_REPEATS`` to shortest + 2^xb - 1."""
+    (lo16, xb16), (lo17, xb17), (lo18, xb18) = _CODELEN_REPEATS
+    hi16, hi17, hi18 = lo16 + (1 << xb16) - 1, lo17 + (1 << xb17) - 1, lo18 + (1 << xb18) - 1
     out = []
     for v, run in groupby(lengths):
         r = len(list(run))
         if v == 0:
-            while r >= 11:
-                take = min(r, 138)
-                out.append((18, take - 11, 7))
+            while r >= lo18:
+                take = min(r, hi18)
+                out.append((18, take - lo18, xb18))
                 r -= take
-            if r >= 3:
-                out.append((17, r - 3, 3))
-                r = 0
+            while r >= lo17:
+                take = min(r, hi17)
+                out.append((17, take - lo17, xb17))
+                r -= take
         else:
             # runs are maximal, so the previous length always differs
             out.append((v, 0, 0))
             r -= 1
-            while r >= 3:
-                take = min(r, 6)
-                out.append((16, take - 3, 2))
+            while r >= lo16:
+                take = min(r, hi16)
+                out.append((16, take - lo16, xb16))
                 r -= take
         out += [(v, 0, 0)] * r
     return out
@@ -931,14 +937,6 @@ def _build_decode_table(lengths: list[int] | np.ndarray, meanings: list[tuple[in
     return table, max_bits
 
 
-# (value, extra bits) per symbol. A literal byte b is (b, 0), end-of-block
-# (256, 0), a length code 256 + its base length and a distance code its base
-# distance; a code-length symbol is itself, 16-18 with their run's extra bits
-_LIT_MEANINGS = [(b, 0) for b in range(257)] + [(256 + b, x) for b, x in zip(_LENGTH_BASES, _LENGTH_XBITS)]
-_DIST_MEANINGS = list(zip(_DIST_BASES, _DIST_XBITS))
-_CODELEN_MEANINGS = [(s, 0) for s in range(16)] + [(16, 2), (17, 3), (18, 7)]
-_CODELEN_RUNS = (3, 3, 11)  # shortest run of code-length symbols 16, 17 and 18
-
 _FIXED_LIT_TABLE = _build_decode_table(_FIXED_LIT_LENGTHS, _LIT_MEANINGS)
 _FIXED_DIST_TABLE = _build_decode_table(_FIXED_DIST_LENGTHS, _DIST_MEANINGS)
 
@@ -1064,7 +1062,7 @@ def inflate(data: bytes, max_output: int | None = None) -> bytes:
                         if sym < 16:
                             lengths.append(sym)
                             continue
-                        run = _CODELEN_RUNS[sym - 16] + (acc & ((1 << xb) - 1))
+                        run = _CODELEN_REPEATS[sym - 16][0] + (acc & ((1 << xb) - 1))
                         acc >>= xb
                         cnt -= xb
                         if sym > 16:

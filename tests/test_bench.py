@@ -111,6 +111,17 @@ def test_run_directory_collects_failures(tmp_path):
     assert len(failures) == 1 and failures[0][0] == "broken.bmp"
 
 
+def test_run_directory_takes_bmp_files_in_any_case(tmp_path):
+    rng = np.random.default_rng(2)
+    for name in ("a.bmp", "B.BMP", "c.Bmp"):
+        (tmp_path / name).write_bytes(encode_bmp(random_image(rng, 16, 16, 3)))
+    (tmp_path / "notes.txt").write_text("not an image")
+    (tmp_path / "d.bmp").mkdir()  # not a regular file: neither a record nor a failure
+    records, failures = run_directory(tmp_path)
+    assert [r.name for r in records] == ["B", "a", "c"]
+    assert failures == []
+
+
 def test_run_directory_empty(tmp_path):
     records, failures = run_directory(tmp_path)
     assert records == [] and failures == []

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kpng
 from kpng import decode_bmp, decode_png, encode_bmp
 from kpng.bench import read_csv
 from kpng.cli import main
@@ -177,3 +183,28 @@ def test_synth_bad_spec_writes_nothing(tmp_path, capsys, flags):
     assert main(["synth", "--kind", "noise", *flags, "-o", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _python_m_kpng(*args: str) -> subprocess.CompletedProcess:
+    """``python -m kpng ARGS`` in a new process, with this kpng on its path."""
+    src = str(Path(kpng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kpng", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_kpng_writes_an_image(tmp_path):
+    done = _python_m_kpng("synth", "--kind", "noise", "--size", "16x16", "-o", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    [bmp] = tmp_path.iterdir()
+    img = decode_bmp(bmp.read_bytes())
+    assert (img.width, img.height) == (16, 16)
+    assert done.stdout == f"wrote {bmp}\n"
+
+
+def test_python_m_kpng_reports_an_error_without_a_traceback(tmp_path):
+    done = _python_m_kpng("synth", "--kind", "noise", "--size", "huge", "-o", str(tmp_path / "x"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x").exists()

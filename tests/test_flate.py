@@ -1038,6 +1038,21 @@ def test_pack_writes_values_of_every_width():
     assert_written(w, p.bits)
 
 
+def test_op_fields_of_every_literal_length_and_distance():
+    # every byte as a literal, then each distance 1..32768 once, its length
+    # cycling through 3..258, so every length comes 128 times
+    dists = range(1, WINDOW_SIZE + 1)
+    lengths = [3 + d % 256 for d in dists]
+    ops = list(range(256)) + [l << 16 | d for l, d in zip(lengths, dists)]
+    want = [(b, 0, 0, _NO_DIST, 0, 0, 1) for b in range(256)]
+    for l, d in zip(lengths, dists):
+        li = symbol_index(l, LEN_BASES)
+        di = symbol_index(d, DIST_BASES)
+        want.append((257 + li, l - LEN_BASES[li], LEN_XBITS[li], di, d - DIST_BASES[di], DIST_XBITS[di], l))
+    f = _op_fields(np.array(ops, np.int64))
+    assert [a.tolist() for a in f] == [list(col) for col in zip(*want)]
+
+
 def test_block_stats_match_per_op_count():
     ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
     lit_freq = [0] * 286
