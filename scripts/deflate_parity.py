@@ -21,9 +21,16 @@ makes them (the module is imported, nothing under ``kpngbench/`` is
 written). Prints how many (input, level) pairs gave the same bytes and how
 many differ, and the first that differs. Exits 1 when any differ.
 
+``--sizes`` checks a change that moves bytes on purpose at levels 2-3. It
+prints, per level, the total stream bytes on both sides, how many inputs
+differ and how many came out larger than the other side's, and the first
+input that fails. Exits 1 when any input differs at levels 0-1 or comes out
+larger at levels 2-3.
+
     git show HEAD~1:src/kpng/flate.py > /tmp/parent_flate.py
     python scripts/deflate_parity.py --against /tmp/parent_flate.py
     python scripts/deflate_parity.py --against /tmp/parent_flate.py --bench-seed 7
+    python scripts/deflate_parity.py --against /tmp/parent_flate.py --sizes --bench-seed 7
 """
 
 import argparse
@@ -79,29 +86,42 @@ def main() -> int:
     parser.add_argument("--against", required=True, metavar="PATH", help="the flate.py to compare with")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bench-seed", type=int, metavar="S", help="add the benchmark's inputs at seed S")
+    parser.add_argument("--sizes", action="store_true",
+                        help="compare sizes: same bytes at levels 0-1, no larger stream at levels 2-3")
     args = parser.parse_args()
 
     other = load_flate(args.against).deflate_compress
-    same = 0
-    differ = []
     inputs = corpus(args.seed)
     if args.bench_seed is not None:
         inputs += bench_inputs(args.bench_seed)
+    # (input, level, this side's bytes, the other side's, whether they are the same)
+    results = []
     for name, data in inputs:
         for level in LEVELS:
-            if deflate_compress(data, level) == other(data, level):
-                same += 1
-            else:
-                differ.append((name, level))
+            ours, theirs = deflate_compress(data, level), other(data, level)
+            results.append((name, level, len(ours), len(theirs), ours == theirs))
 
     bench = "" if args.bench_seed is None else f", bench seed {args.bench_seed}"
     print(f"inputs {len(inputs)}, levels {LEVELS[0]}-{LEVELS[-1]}, seed {args.seed}{bench}")
-    print(f"same {same}")
-    print(f"differ {len(differ)}")
-    if differ:
-        name, level = differ[0]
-        print(f"  first: {name} at level {level}")
-    return 1 if differ else 0
+    if not args.sizes:
+        differ = [(name, level) for name, level, _, _, same in results if not same]
+        print(f"same {len(results) - len(differ)}")
+        print(f"differ {len(differ)}")
+        if differ:
+            print("  first: {} at level {}".format(*differ[0]))
+        return 1 if differ else 0
+
+    failed = []
+    for level in LEVELS:
+        rows = [r for r in results if r[1] == level]
+        differ = [name for name, _, _, _, same in rows if not same]
+        larger = [name for name, _, ours, theirs, _ in rows if ours > theirs]
+        print(f"level {level}: bytes {sum(r[2] for r in rows)} here, {sum(r[3] for r in rows)} there, "
+              f"{len(differ)} differ, {len(larger)} larger")
+        failed += [(name, level, "differs") for name in differ] if level < 2 else [(name, level, "is larger") for name in larger]
+    if failed:
+        print("  first: {} at level {} {}".format(*failed[0]))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

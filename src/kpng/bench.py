@@ -3,13 +3,15 @@
 Each corpus row compares three byte counts for the same image: the
 uncompressed BMP baseline, a straight PNG re-encode, and the PNG of the
 k-quantized image (the "k-PNG"). Compression ratios divide the BMP size by
-each PNG size, using whole-file byte counts including headers.
+each PNG size, using whole-file byte counts including headers. An image
+smaller than the 11x11 SSIM window still gets its row, with SSIM as NaN.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -65,7 +67,10 @@ def measure(name: str, img: RasterImage, bmp_size: int, k: int = kmodulus.DEFAUL
     png_size = len(pngcodec.encode_png(img, opts))
     kimg = kmodulus.kmm_transform(img, k)
     kpng_size = len(pngcodec.encode_png(kimg, opts))
-    report = metrics.compare(img, kimg)
+    if min(img.width, img.height) < metrics.SSIM_WINDOW:
+        report = metrics.QualityReport(mse=metrics.mse(img, kimg), psnr=metrics.psnr(img, kimg), ssim=math.nan)
+    else:
+        report = metrics.compare(img, kimg)
     return BenchRecord(
         name=sanitize_name(name),
         width=img.width,
@@ -139,7 +144,7 @@ def _kb(nbytes: int) -> str:
 
 
 def fmt4(x: float) -> str:
-    """A metric value at 4 decimals, or ``inf``."""
+    """A metric value at 4 decimals, or ``inf`` or ``nan``."""
     return f"{x:.4f}"
 
 

@@ -32,24 +32,34 @@ inflate's decode tables all read that pair.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
-symbol and extra-bit arrays once, cuts blocks at about 64 KiB of input with
-``cumsum`` and ``searchsorted`` and counts each block's symbols with
-``np.bincount``. One numpy packer, ``_BitWriter.pack``, writes every bit: a
-fixed or dynamic block's header, its ops at most ``_EMIT_OPS`` per call and
-its end-of-block (``_emit_block``), a stored block's 3-bit header
-(``_emit_stored``). Merged blocks can span the whole input, so the cap keeps
-the packer's temporary arrays, a dozen uint64 per op, the same size
-whatever the blocks.
+symbol and extra-bit arrays once and places the blocks (below), each priced
+from its symbol histograms. One numpy packer, ``_BitWriter.pack``, writes
+every bit: a fixed or dynamic block's header, its ops at most ``_EMIT_OPS``
+per call and its end-of-block (``_emit_block``), a stored block's 3-bit
+header (``_emit_stored``). Merged blocks can span the whole input, so the
+cap keeps the packer's temporary arrays, a dozen uint64 per op, the same
+size whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
 dynamic codes; 3 lazy matching + dynamic codes. One loop writes the blocks
-of every level: level 0 is one stored block, level 1 the 64 KiB blocks as
-they are cut. Levels 2-3 price each block as dynamic, fixed and stored,
-then merge neighbours left to right: the block so far absorbs the next one
-whenever the merged span's cheapest coding is smaller than the two coded
-apart (``_plan_blocks``). Search effort follows zlib's
+of every level: level 0 is one stored block, level 1 blocks cut at about 64
+KiB of input with ``cumsum`` and ``searchsorted`` (``_split_blocks``).
+Levels 2-3 place their boundaries by cost (``_plan_blocks``), after zopfli's
+``ZopfliBlockSplitLZ77`` (blocksplitter.c). The ops are cut into chunks of
+2 KiB of input, whose symbol histograms come from one ``np.bincount`` and
+are summed into prefix sums, so any span of chunks has its histogram in one
+subtraction. A span is split at the point where an estimate is least, and
+the sides in turn, while splitting beats not splitting: the estimate is the
+order-0 entropy of the literal/length and distance symbols, plus a flat
+header guess and a little per symbol, plus the exact extra bits, or the
+exact fixed or stored size when smaller, computed at every split point of
+a span at once. The spans kept are priced exactly as dynamic, fixed and
+stored, then neighbours merge left to right: the block so far absorbs the
+next one whenever the merged span's cheapest coding is smaller than the two
+coded apart. If the 64 KiB cut costs fewer bits in all, it is the plan.
+Search effort follows zlib's
 ``configuration_table`` (deflate.c): levels 1-2 match greedily and walk up
 to 128 hash-chain links; level 3 matches lazily and walks up to 256, a
 quarter of that for the lazy search when the pending match is already 32
@@ -85,7 +95,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -104,10 +113,23 @@ from .errors import (
 WINDOW_SIZE = 32768
 MIN_MATCH = 3
 MAX_MATCH = 258
-_BLOCK_INPUT = 65536  # input bytes per Huffman block
+_BLOCK_INPUT = 65536  # input bytes per level 1 block; levels 2-3 never cost more than this cut
 _STORED_MAX = 65535  # LEN is 16 bits
 _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 _EMIT_OPS = 1 << 16  # ops coded per _BitWriter.pack call
+# levels 2-3 place block boundaries by estimated cost (_plan_blocks)
+_CHUNK_INPUT = 2048  # input bytes per chunk, the grain of a boundary
+_MIN_BLOCK = 16384  # input bytes a split leaves on each side, at least
+_SPLIT_DEPTH = 16  # the most nested splits of one span of chunks
+# a dynamic block's estimated bits above the order-0 entropy and extra bits:
+# a flat header guess, and the bits per coded symbol a Huffman code spends
+# above the entropy. On the benchmark's images measured headers average
+# 584-883 bits and the excess 0.024-0.027 bits per symbol. The guess sits
+# above the headers: below about 900 bits, text of one vocabulary throughout
+# is split where the LZ77 window is still filling at its start
+_HEADER_GUESS = 1000
+_REDUNDANCY = 0.025
+_MERGE_SLACK = 300  # bits: a merge is priced when estimated at most this much dearer
 
 _ADLER_MOD = 65521
 # zlib's NMAX (adler32.c): the most bytes whose weighted sum, 255 * 5552 *
@@ -298,10 +320,11 @@ def _limited_code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
 
     Level 1 lists the used symbols by (weight, symbol); each later level
     merges them with the packages of consecutive pairs of the level before.
-    An item is one int key (weight, then first symbol, then whether it is a
-    single): items of equal weight never share a first symbol unless both are
-    packages, and packages keep the order they were made in, so sorting the
-    keys orders each level as sorting (weight, symbol tuple) pairs does.
+    An item is one int64 key (weight, then first symbol, then whether it is
+    a single): items of equal weight never share a first symbol unless both
+    are packages, and packages keep the order they were made in, so sorting
+    the keys orders each level as sorting (weight, symbol tuple) pairs does.
+    Each level is one numpy sort.
 
     The cheapest 2(n-1) items of the last level are chosen. The packages
     among a level's chosen prefix expand to the prefix of the level below
@@ -310,7 +333,8 @@ def _limited_code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
     symbol's length is the number of levels that chose it.
     """
     syms = freqs.nonzero()[0]
-    singles = sorted((freqs[syms] << 20 | syms << 1 | 1).tolist())
+    singles = freqs[syms] << 20 | syms << 1 | 1
+    singles.sort()
     n = len(singles)
     lengths = np.zeros(len(freqs), np.int64)
     if n < 2:
@@ -319,20 +343,22 @@ def _limited_code_lengths(freqs: np.ndarray, max_bits: int) -> np.ndarray:
     levels = [singles]
     for _ in range(max_bits - 1):
         prev = levels[-1]
-        level = sorted([(a + b) & _WEIGHT_MASK | a & _FIRST_SYMBOL_MASK for a, b in zip(prev[::2], prev[1::2])]
-                       + singles)
-        if level == prev:
+        first = prev[: len(prev) - 1 : 2]
+        level = np.concatenate(((first + prev[1::2]) & _WEIGHT_MASK | first & _FIRST_SYMBOL_MASK, singles))
+        level.sort()
+        if len(level) == len(prev) and (level == prev).all():
             break  # every later level is this list again
         levels.append(level)
     levels += [levels[-1]] * (max_bits - len(levels))
     chose = [0] * (n + 1)  # chose[c]: levels whose chosen prefix holds c singles
     take = 2 * (n - 1)
+    keys = singles.tolist()
     for level in reversed(levels):
-        c = bisect_left(singles, level[take]) if take < len(level) else n
+        c = bisect_left(keys, int(level[take])) if take < len(level) else n
         chose[c] += 1
         take = 2 * (take - c)
     # the single of rank r is chosen by every level that chose more than r
-    lengths[[k >> 1 & 511 for k in singles]] = list(accumulate(chose[:0:-1]))[::-1]
+    lengths[singles >> 1 & 511] = np.cumsum(chose[:0:-1])[::-1]
     return lengths
 
 
@@ -685,15 +711,17 @@ def _block_stats(f: _OpFields, start: int, end: int) -> _BlockStats:
     return _BlockStats(lit_freq, dist_freq, extra)
 
 
-def _rle_code_lengths(lengths: list[int]) -> list[tuple[int, int, int]]:
-    """Run-length encode a code-length sequence into (symbol, extra, extra_bits):
-    zeros as 18s, then a 17; another length as itself, then 16s. A repeat
-    covers runs from its shortest in ``_CODELEN_REPEATS`` to shortest + 2^xb - 1."""
+def _rle_code_lengths(lengths) -> list[tuple[int, int, int]]:
+    """Run-length encode a code-length sequence, an int array or list, into
+    (symbol, extra, extra_bits): zeros as 18s, then a 17; another length as
+    itself, then 16s. A repeat covers runs from its shortest in
+    ``_CODELEN_REPEATS`` to shortest + 2^xb - 1. The runs are found in numpy."""
     (lo16, xb16), (lo17, xb17), (lo18, xb18) = _CODELEN_REPEATS
     hi16, hi17, hi18 = lo16 + (1 << xb16) - 1, lo17 + (1 << xb17) - 1, lo18 + (1 << xb18) - 1
+    lengths = np.asarray(lengths, np.int64)
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1))
     out = []
-    for v, run in groupby(lengths):
-        r = len(list(run))
+    for v, r in zip(lengths[starts].tolist(), np.diff(starts, append=len(lengths)).tolist()):
         if v == 0:
             while r >= lo18:
                 take = min(r, hi18)
@@ -740,7 +768,7 @@ class _DynamicPlan:
         dist_used = dist_freq.nonzero()[0]
         hlit = max(257, int(lit_freq.nonzero()[0][-1]) + 1)
         hdist = int(dist_used[-1]) + 1 if len(dist_used) else 1
-        rle = _rle_code_lengths(np.concatenate((lit_lengths[:hlit], dist_lengths[:hdist])).tolist())
+        rle = _rle_code_lengths(np.concatenate((lit_lengths[:hlit], dist_lengths[:hdist])))
 
         rle_syms, _, rle_xb = zip(*rle)
         cl_freq = np.bincount(rle_syms, minlength=19)
@@ -765,8 +793,9 @@ def _fixed_bits(lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int) -> int:
     return 3 + extra + int(lit_freq @ _FIXED_LIT_LENGTHS[:286]) + 5 * int(dist_freq.sum())
 
 
-def _stored_bits_upper(nbytes: int) -> int:
-    nchunks = max(1, -(-nbytes // _STORED_MAX))
+def _stored_bits_upper(nbytes):
+    """Stored bits of ``nbytes`` input bytes, a numpy int or int array."""
+    nchunks = np.maximum(1, -(-nbytes // _STORED_MAX))
     return 7 + 40 * nchunks + 8 * nbytes  # worst-case padding
 
 
@@ -797,7 +826,7 @@ class _Block(NamedTuple):
 def _priced_block(op_start: int, op_end: int, byte_start: int, byte_end: int, stats: _BlockStats) -> _Block:
     plan = _DynamicPlan(*stats)
     fixed = _fixed_bits(*stats)
-    stored = _stored_bits_upper(byte_end - byte_start)
+    stored = int(_stored_bits_upper(byte_end - byte_start))
     if stored < plan.bits and stored < fixed:
         btype, bits = 0, stored
     elif plan.bits < fixed:
@@ -807,21 +836,148 @@ def _priced_block(op_start: int, op_end: int, byte_start: int, byte_end: int, st
     return _Block(op_start, op_end, byte_start, byte_end, btype, bits, stats, plan)
 
 
+# a chunk histogram's columns: 286 literal/length symbols, then 30 distance symbols
+_NSYM = 286 + _NO_DIST
+# per column: its extra bits, and its fixed code's bits plus the extra bits
+_SYM_XB = np.concatenate((_LIT_XB[:286], _DIST_XB[:_NO_DIST])).astype(np.int64)
+_SYM_FIXED_BITS = np.concatenate((_FIXED_LIT_LENGTHS[:286], _FIXED_DIST_LENGTHS[:_NO_DIST])) + _SYM_XB
+
+
+class _ChunkSums(NamedTuple):
+    """Prefix sums over chunks of ops, row k summing the chunks before chunk
+    k. Chunks start at the first op at or past each ``_CHUNK_INPUT`` bytes
+    of input, and at each given op. Only the symbols that occur have a
+    column."""
+
+    op: np.ndarray  # int64, first op of each chunk, then the op count
+    byte: np.ndarray  # int64, first input byte of each chunk, then the input size
+    cols: np.ndarray  # the _NSYM columns of the symbols that occur, ascending
+    freq: np.ndarray  # int64 (chunks + 1, len(cols)) symbol counts, end-of-block not counted
+    xlogx: np.ndarray  # float64, c * log2(c) for every count c a column reaches
+
+
+def _chunk_sums(f: _OpFields, starts: list[int]) -> _ChunkSums:
+    """The chunk prefix sums of the ops, a chunk also starting at each op in
+    ``starts``."""
+    ends = np.cumsum(f.cover, dtype=np.int64)
+    n = len(ends)
+    # op i starts at byte ends[i - 1], so the first op at or past byte b is
+    # one past the first op to end there. A match is shorter than a chunk,
+    # so only a last stretch of input can hold no op start
+    grid = np.searchsorted(ends, np.arange(_CHUNK_INPUT, ends[-1] if n else 0, _CHUNK_INPUT)) + 1
+    op = np.sort(np.concatenate((starts, grid[grid < n], [0, n])))
+    op = op[np.append(op[:-1] < op[1:], True)] if n else np.zeros(2, np.int64)
+    nchunks = len(op) - 1
+    # one bincount: a literal/length symbol s counts at column s of its
+    # chunk's row, a match's distance symbol d at column 286 + d
+    row = np.repeat(np.arange(nchunks) * _NSYM, np.diff(op))
+    match = np.flatnonzero(f.sym > 256)
+    hist = np.bincount(np.concatenate((row + f.sym, row[match] + 286 + f.dsym[match])), minlength=nchunks * _NSYM)
+    hist = hist.reshape(nchunks, _NSYM)
+    cols = np.flatnonzero(hist.any(axis=0))
+    freq = np.zeros((nchunks + 1, len(cols)), np.int64)
+    np.cumsum(hist[:, cols], axis=0, out=freq[1:])
+    c = np.arange(freq[-1].max(initial=0) + 1)
+    return _ChunkSums(op, np.append(0, ends)[op], cols, freq, c * np.log2(np.maximum(c, 1)))
+
+
+def _estimated_bits(sums: _ChunkSums, a, b) -> np.ndarray:
+    """Estimated bits of each span of chunks [a, b), ints or int arrays: the
+    cheapest of stored, fixed, and dynamic priced as the order-0 entropy of
+    its literal/length and distance symbols plus ``_REDUNDANCY`` per symbol
+    and ``_HEADER_GUESS``. Extra bits, stored and fixed sizes are exact."""
+    counts = np.atleast_2d(sums.freq[b] - sums.freq[a])
+    nlit = int(np.searchsorted(sums.cols, 286))
+    xlogx = sums.xlogx[counts]
+    nl = counts[:, :nlit].sum(axis=1) + 1  # end-of-block
+    nd = counts[:, nlit:].sum(axis=1)
+    entropy = (nl * np.log2(nl) - xlogx[:, :nlit].sum(axis=1)
+               + nd * np.log2(np.maximum(nd, 1)) - xlogx[:, nlit:].sum(axis=1))
+    dynamic = entropy + _REDUNDANCY * (nl + nd) + _HEADER_GUESS + counts @ _SYM_XB[sums.cols]
+    fixed = 3 + 7 + counts @ _SYM_FIXED_BITS[sums.cols]  # header and end-of-block
+    return np.minimum(np.minimum(dynamic, fixed), _stored_bits_upper(sums.byte[b] - sums.byte[a]))
+
+
+def _cost_cuts(sums: _ChunkSums, a: int, b: int, whole: float, depth: int = 0,
+               look: bool = True) -> tuple[float, list[int]]:
+    """The least estimated bits of chunks [a, b) as blocks, and the chunks
+    where those blocks start, by a recursive split after zopfli's
+    ``ZopfliBlockSplitLZ77``. A span is cut at its point of least estimated
+    cost, among those that leave ``_MIN_BLOCK`` input bytes on each side,
+    and both sides are split in turn, at most ``_SPLIT_DEPTH`` cuts deep.
+    The cut stays where the sides' blocks are estimated below ``whole``, the
+    span's own estimate. A cut that does not pay by itself is looked past
+    one level (``look``): a span cut in three, such as a stored stretch
+    between two coded ends, can pay where no cut in two does. Every split
+    point of a span is estimated at once."""
+    byte = sums.byte
+    mid = np.arange(a + 1, b)
+    mid = mid[(byte[mid] - byte[a] >= _MIN_BLOCK) & (byte[b] - byte[mid] >= _MIN_BLOCK)]
+    if not len(mid) or depth == _SPLIT_DEPTH:
+        return whole, [a]
+    left = _estimated_bits(sums, a, mid)
+    right = _estimated_bits(sums, mid, b)
+    i = int(np.argmin(left + right))
+    pays = left[i] + right[i] < whole
+    if not (pays or look):
+        return whole, [a]
+    s = int(mid[i])
+    left_bits, left_cuts = _cost_cuts(sums, a, s, left[i], depth + 1, pays)
+    right_bits, right_cuts = _cost_cuts(sums, s, b, right[i], depth + 1, pays)
+    if left_bits + right_bits < whole:
+        return left_bits + right_bits, left_cuts + right_cuts
+    return whole, [a]
+
+
+def _chunk_block(sums: _ChunkSums, a: int, b: int) -> _Block:
+    """Chunks [a, b) as a priced block."""
+    freq = np.zeros(_NSYM, np.int64)
+    freq[sums.cols] = sums.freq[b] - sums.freq[a]
+    lit_freq, dist_freq = freq[:286], freq[286:]
+    lit_freq[256] = 1
+    return _priced_block(int(sums.op[a]), int(sums.op[b]), int(sums.byte[a]), int(sums.byte[b]),
+                         _BlockStats(lit_freq, dist_freq, int(freq @ _SYM_XB)))
+
+
 def _plan_blocks(f: _OpFields) -> list[_Block]:
     """Block boundaries for levels 2-3, placed by cost (RFC 1951 leaves them
-    to the compressor). Start from the ~64 KiB cut of ``_split_blocks`` and
-    merge left to right: the block so far absorbs the next one whenever the
-    merged span's cheapest coding is smaller than the two coded apart, which
-    saves a dynamic header wherever the statistics allow one code."""
+    to the compressor).
+
+    The ops are cut into chunks (``_chunk_sums``) at every ``_CHUNK_INPUT``
+    bytes of input and at every block start of the ~64 KiB cut of
+    ``_split_blocks``. ``_cost_cuts`` splits the chunks where the estimate
+    says a new code pays. Each span it keeps is priced exactly as dynamic,
+    fixed and stored, and neighbours merge left to right: the block so far
+    absorbs the next span whenever the merged span's cheapest coding is
+    smaller than the two coded apart. A merge is priced only when the
+    estimate puts the span and the one before it together within
+    ``_MERGE_SLACK`` bits of the two apart. The 64 KiB cut is priced too,
+    from the same prefix sums, and when it costs fewer bits in all it is
+    the plan, so the plan never costs more than that cut.
+
+    A split leaves at least ``_MIN_BLOCK`` bytes on each side, so the exact
+    codes built (``_DynamicPlan``, the bulk of the time) are at most one per
+    kept span, one per merge tried and one per block of the cut: at most
+    2.25 per 16 KiB of input, and one more."""
+    cut_starts = [span[0] for span in _split_blocks(f.cover)]
+    sums = _chunk_sums(f, cut_starts)
+    nchunks = len(sums.op) - 1
+    bounds = np.array(_cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks])
+    apart = _estimated_bits(sums, bounds[:-1], bounds[1:])
+    worth = _estimated_bits(sums, bounds[:-2], bounds[2:]) < apart[:-1] + apart[1:] + _MERGE_SLACK
     blocks: list[_Block] = []
-    for op_s, op_e, byte_s, byte_e in _split_blocks(f.cover):
-        nxt = _priced_block(op_s, op_e, byte_s, byte_e, _block_stats(f, op_s, op_e))
-        if blocks:
+    for i, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        nxt = _chunk_block(sums, a, b)
+        if i and worth[i - 1]:
             merged = blocks[-1].merged(nxt)
             if merged.bits < blocks[-1].bits + nxt.bits:
                 blocks[-1] = merged
                 continue
         blocks.append(nxt)
+    cut_bounds = np.searchsorted(sums.op, cut_starts).tolist() + [len(sums.op) - 1]
+    cut = [_chunk_block(sums, a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
+    if sum(b.bits for b in cut) < sum(b.bits for b in blocks):
+        return cut
     return blocks
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,3 +147,28 @@ def test_csv_fields_match_dataclass(small_records):
     assert len(row) == len(CSV_FIELDS)
     rebuilt = BenchRecord.from_csv_row(row)
     assert rebuilt == small_records[0]
+
+
+def test_image_smaller_than_the_ssim_window_gets_a_row(tmp_path):
+    img = random_image(np.random.default_rng(8), 8, 8, 3)
+    bmp = encode_bmp(img)
+    (tmp_path / "tiny.bmp").write_bytes(bmp)
+    records, failures = run_directory(tmp_path)
+    assert failures == []
+    (rec,) = records
+    assert (rec.name, rec.width, rec.height, rec.bmp_size) == ("tiny", 8, 8, len(bmp))
+    assert rec.png_cr == pytest.approx(rec.bmp_size / rec.png_size)
+    assert rec.kpng_cr == pytest.approx(rec.bmp_size / rec.kpng_size)
+    assert 0 < rec.mse < 26 and math.isfinite(rec.psnr)  # k=10 moves a sample at most 5
+    assert math.isnan(rec.ssim)
+
+    path = tmp_path / "tiny.csv"
+    write_csv(records, path)
+    (back,) = read_csv(path)
+    assert math.isnan(back.ssim)
+    assert dataclasses.replace(back, ssim=0.0) == dataclasses.replace(rec, ssim=0.0)
+
+    row = markdown_table(records).splitlines()[2]
+    cells = [c.strip() for c in row.strip("|").split("|")]
+    assert cells[0] == "tiny" and cells[1] == "8x8"
+    assert cells[7:] == [f"{rec.mse:.4f}", f"{rec.psnr:.4f}", "nan"]

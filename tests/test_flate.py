@@ -21,12 +21,14 @@ from kpng.flate import (
     _ADLER_GROUP,
     _ADLER_NMAX,
     _BLOCK_INPUT,
+    _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
     _EMIT_OPS,
     _FAR_LIMIT,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
+    _MIN_BLOCK,
     _NO_DIST,
     WINDOW_SIZE,
     Literal,
@@ -35,6 +37,7 @@ from kpng.flate import (
     _Block,
     _block_stats,
     _build_decode_table,
+    _chunk_sums,
     _codes_from_lengths,
     _DynamicPlan,
     _emit_block,
@@ -418,8 +421,8 @@ def test_deterministic_output():
 GREEDY_LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
     1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
-    2: "7e29bccb271500b2f5904db881f979a4e4f147fb37089c29ea814b923f615ad9",
-    3: "c4f3466c386c16ecbf672fc72daa7338a74d5e430cdfbbb6ab9842fe6684663b",
+    2: "beacaa7b5556edbe1812177114644da5c3ea100a5e7659e14bc3561752fd8730",
+    3: "552c0b5daa978f07e2d524793aed4e599a2f22abe8f4c92509c55acc65265ad1",
 }
 
 
@@ -597,10 +600,10 @@ def test_stored_blocks_after_huffman_blocks_at_every_bit_offset():
         for cut in range(len(stream)):
             with pytest.raises(TruncatedStreamError):
                 inflate(stream[:cut])
-    # stored blocks between two dynamic blocks: a block is cut at 64 KiB of
-    # input, so one of pure noise needs more than 128 KiB. Every prefix would
-    # cost minutes; cut within 24 bytes of where the stored data starts and
-    # ends, and of the trailer
+    # stored blocks between two dynamic blocks: the plan stores the noise
+    # between the two texts, each coded in a block of at least 16 KiB, the
+    # least a split leaves. Every prefix would cost minutes; cut within 24
+    # bytes of where the stored data starts and ends, and of the trailer
     text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
     src = text + random.Random(3).randbytes(140_000) + text
     _, stored, _ = blocks = _plan_blocks(_op_fields(_tokenize_ops(src, False)))
@@ -1278,7 +1281,7 @@ MERGE_INPUTS = {
 
 # a stream whose plan holds a stored block between dynamic ones
 MERGE_STREAM_SHA256 = {
-    ("stored-stretch", 3): "b9df67c50e82b942d10b04650e4a181b34c23d1bdb3a69c5e242335ea4be717d",
+    ("stored-stretch", 3): "fbd6bfceebdc22ebb954f611e556c510a95d9f95fe828da4254872ad329f38fb",
 }
 
 
@@ -1306,3 +1309,73 @@ def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     assert inflate(stream) == data
     # header, the planned bits (stored ones an upper bound) and the trailer
     assert len(stream) <= 2 + -(-sum(b.bits for b in blocks) // 8) + 4
+
+
+# a text stretch, a random one, then text in other words: the content changes
+# at bytes 50,001 and 120,004, off both the chunk grid and the 64 KiB cut
+CHANGES = (50_001, 120_004)
+TEXT_RANDOM_TEXT = word_text(5, CHANGES[0]) + random.Random(9).randbytes(CHANGES[1] - CHANGES[0]) + word_text(6, 45_007)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_plan_cuts_where_the_content_changes(level):
+    data = TEXT_RANDOM_TEXT
+    assert all(c % _CHUNK_INPUT and c % _BLOCK_INPUT for c in CHANGES)
+    f = _op_fields(_tokenize_ops(data, level == 3))
+    blocks = _plan_blocks(f)
+    starts = [b.byte_start for b in blocks]
+    assert all(min(abs(s - c) for s in starts) <= _CHUNK_INPUT for c in CHANGES), starts
+    cut = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
+    stream = deflate_compress(data, level)
+    assert zlib.decompress(stream) == data
+    assert inflate(stream) == data
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("data", [b"", b"k", b"png"])
+def test_plan_of_tiny_inputs(data, level):
+    f = _op_fields(_tokenize_ops(data, level == 3))
+    (block,) = _plan_blocks(f)
+    assert (block.op_start, block.op_end, block.byte_start, block.byte_end) == (0, len(f.sym), 0, len(data))
+    stream = deflate_compress(data, level)
+    assert zlib.decompress(stream) == data
+    assert inflate(stream) == data
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_chunk_sums_match_per_span_count(level):
+    f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, level == 3))
+    sums = _chunk_sums(f, [0, 70_000, 70_001])
+    rng = random.Random(level)
+    ends = np.cumsum(f.cover, dtype=np.int64)
+    assert {70_000, 70_001} <= set(sums.op.tolist())
+    assert sums.byte.tolist() == [int(ends[i - 1]) if i else 0 for i in sums.op.tolist()]
+    for a, b in [(0, len(sums.op) - 1)] + [sorted(rng.sample(range(len(sums.op)), 2)) for _ in range(20)]:
+        stats = _block_stats(f, sums.op[a], sums.op[b])
+        freq = np.zeros(316, np.int64)
+        freq[sums.cols] = sums.freq[b] - sums.freq[a]
+        stats.lit_freq[256] -= 1  # _block_stats counts end-of-block
+        assert freq.tolist() == stats.lit_freq.tolist() + stats.dist_freq.tolist()
+
+
+def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
+    """Exact codes are built for the spans kept, the merges tried and the
+    blocks of the 64 KiB cut only: a count, not a time."""
+    built = []
+
+    class CountingPlan(_DynamicPlan):
+        __slots__ = ()
+
+        def __init__(self, *stats):
+            built.append(stats)
+            super().__init__(*stats)
+
+    monkeypatch.setattr(flate, "_DynamicPlan", CountingPlan)
+    f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, True))
+    blocks = _plan_blocks(f)
+    assert len(_split_blocks(f.cover)) == 3
+    assert len(blocks) == 5
+    # five spans kept, no merge estimated near paying, three cut blocks
+    assert len(built) == 8
+    assert len(built) <= 2.25 * len(TEXT_RANDOM_TEXT) / _MIN_BLOCK + 1

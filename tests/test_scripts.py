@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,28 @@ def test_deflate_parity_against_itself_finds_no_difference():
     lines = out.stdout.splitlines()
     assert lines[0] == "inputs 18, levels 0-3, seed 3"
     assert lines[1:] == ["same 72", "differ 0"]
+
+
+def test_deflate_parity_sizes_against_itself_passes():
+    out = _run("deflate_parity.py", "--against", kpng.flate.__file__, "--seed", "3", "--sizes")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "inputs 18, levels 0-3, seed 3"
+    assert len(lines) == 5
+    for level, line in enumerate(lines[1:]):
+        m = re.fullmatch(rf"level {level}: bytes (\d+) here, (\d+) there, 0 differ, 0 larger", line)
+        assert m and m[1] == m[2], line
+
+
+def test_deflate_parity_sizes_fails_on_a_larger_stream(tmp_path):
+    # the other side writes the same streams one byte shorter at levels 2-3
+    other = tmp_path / "flate.py"
+    other.write_text("from kpng.flate import deflate_compress as ours\n\n\n"
+                     "def deflate_compress(data, level):\n"
+                     "    return ours(data, level) if level < 2 else ours(data, level)[:-1]\n")
+    out = _run("deflate_parity.py", "--against", str(other), "--seed", "3", "--sizes")
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[1].endswith(", 0 differ, 0 larger") and lines[2].endswith(", 0 differ, 0 larger")
+    assert lines[3].endswith(", 18 differ, 18 larger") and lines[4].endswith(", 18 differ, 18 larger")
+    assert lines[5].endswith(" at level 2 is larger")
