@@ -37,10 +37,13 @@ from kpng.flate import (
     _Block,
     _block_stats,
     _build_decode_table,
+    _chunk_block,
     _chunk_sums,
+    _cost_cuts,
     _codes_from_lengths,
     _DynamicPlan,
     _emit_block,
+    _estimated_bits,
     _limited_code_lengths,
     _op_fields,
     _plan_blocks,
@@ -55,6 +58,7 @@ from kpng.flate import (
     lz77_expand,
     lz77_tokenize,
 )
+from kpng.pngcodec import encode_png, parse_chunks
 
 ALL_LEVELS = [0, 1, 2, 3]
 
@@ -1379,3 +1383,66 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
     # five spans kept, no merge estimated near paying, three cut blocks
     assert len(built) == 8
     assert len(built) <= 2.25 * len(TEXT_RANDOM_TEXT) / _MIN_BLOCK + 1
+
+
+def kept_spans(f):
+    """The chunk prefix sums _plan_blocks builds, and the chunk bounds of the
+    spans its split keeps, before any merge."""
+    sums = _chunk_sums(f, [span[0] for span in _split_blocks(f.cover)])
+    nchunks = len(sums.op) - 1
+    return sums, _cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks]
+
+
+def written_bits(f, block):
+    w = _BitWriter(bytearray())
+    _emit_block(w, f, block, False)
+    return 8 * len(w.out) + w.cnt
+
+
+def test_plan_merges_kept_spans_when_that_pays():
+    # the level 3 scanlines of a k=10 noise tile (196,864 bytes): the split
+    # keeps four spans, and the second and third cost less as one block
+    img = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=4)), 10)
+    data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
+    assert len(data) == 196_864
+    f = _op_fields(_tokenize_ops(data, True))
+    sums, bounds = kept_spans(f)
+    apart = [_chunk_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
+    blocks = _plan_blocks(f)
+    assert len(bounds) - 1 == 4
+    assert len(blocks) == 3
+    assert sum(b.bits for b in blocks) < sum(b.bits for b in apart)
+    # every block starts where a kept span does
+    assert {b.op_start for b in blocks} < {b.op_start for b in apart}
+    assert all(b.bits == written_bits(f, b) for b in blocks)
+
+
+def test_plan_is_the_64k_cut_when_the_cut_costs_less():
+    # scripts/deflate_parity.py's seed-0 "repeat at distance 32768": the split
+    # stores the first 16 KiB and codes the rest, which priced exactly is 9
+    # bits dearer than one dynamic block, the 64 KiB cut
+    rng = random.Random(0)
+    for size in (0, 1, 2, 3, 700, rng.randrange(70_001), 70_000):
+        rng.randbytes(size)
+    block = rng.randbytes(600)
+    data = block + rng.randbytes(WINDOW_SIZE - len(block)) + block
+    assert len(data) == 33_368
+    f = _op_fields(_tokenize_ops(data, False))
+    sums, bounds = kept_spans(f)
+    apart = [_chunk_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
+    (cut,) = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    blocks = _plan_blocks(f)
+    assert [b.btype for b in apart] == [0, 2]
+    assert sum(b.bits for b in apart) - cut.bits == 9
+    assert [b[:6] for b in blocks] == [cut[:6]]
+    assert blocks[0].bits == written_bits(f, blocks[0])
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
+def test_planned_bits_are_the_bits_written(name, level):
+    f = _op_fields(_tokenize_ops(MERGE_INPUTS[name], level == 3))
+    blocks = _plan_blocks(f)
+    coded = [b for b in blocks if b.btype]
+    assert coded
+    assert [b.bits for b in coded] == [written_bits(f, b) for b in coded]
