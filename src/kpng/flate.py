@@ -33,12 +33,12 @@ inflate's decode tables all read that pair.
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
 match is ``length << 16 | distance``. The Huffman stage derives per-op
 symbol and extra-bit arrays once and places the blocks (below), each priced
-from its symbol histograms. One numpy packer, ``_BitWriter.pack``, writes
-every bit: a fixed or dynamic block's header, its ops at most ``_EMIT_OPS``
-per call and its end-of-block (``_emit_block``), a stored block's 3-bit
-header (``_emit_stored``). Merged blocks can span the whole input, so the
-cap keeps the packer's temporary arrays, a dozen uint64 per op, the same
-size whatever the blocks.
+from one histogram of its symbols. One numpy packer, ``_BitWriter.pack``,
+writes every bit: a fixed or dynamic block's header, its ops at most
+``_EMIT_OPS`` per call and its end-of-block (``_emit_block``), a stored
+block's 3-bit header (``_emit_stored``). Merged blocks can span the whole
+input, so the cap keeps the packer's temporary arrays, a dozen uint64 per
+op, the same size whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
@@ -50,15 +50,20 @@ Levels 2-3 place their boundaries by cost (``_plan_blocks``), after zopfli's
 ``ZopfliBlockSplitLZ77`` (blocksplitter.c). The ops are cut into chunks of
 2 KiB of input, whose symbol histograms come from one ``np.bincount`` and
 are summed into prefix sums, so any span of chunks has its histogram in one
-subtraction. A span is split at the point where an estimate is least, and
-the sides in turn, while splitting beats not splitting: the estimate is the
-order-0 entropy of the literal/length and distance symbols, plus a flat
-header guess and a little per symbol, plus the exact extra bits, or the
-exact fixed or stored size when smaller, computed at every split point of
-a span at once. The spans kept are priced exactly as dynamic, fixed and
-stored, then neighbours merge left to right: the block so far absorbs the
-next one whenever the merged span's cheapest coding is smaller than the two
-coded apart. If the 64 KiB cut costs fewer bits in all, it is the plan.
+subtraction: 286 literal/length counts, then 30 distance counts. Every
+block the plan prices is such a span and is priced from that one histogram
+(``_priced_block``): its dynamic code's bits, its fixed bits from the
+per-symbol table the estimate reads too, and its stored bits. A span is
+split at the point where an estimate is least, and the sides in turn,
+while splitting beats not splitting: the estimate is the order-0 entropy
+of the literal/length and distance symbols, plus a flat header guess and a
+little per symbol, plus the exact extra bits, or the exact fixed or stored
+size when smaller, computed at every split point of a span at once. The
+spans kept are priced exactly, then neighbours merge left to right: the
+block so far absorbs the next one whenever the chunks from its first to
+the next one's last, priced as one span, cost less than the two apart. The
+64 KiB cut, whose block starts are also chunk starts, is priced the same
+way; if it costs fewer bits in all, it is the plan.
 Search effort follows zlib's
 ``configuration_table`` (deflate.c): levels 1-2 match greedily and walk up
 to 128 hash-chain links; level 3 matches lazily and walks up to 256, a
@@ -672,14 +677,14 @@ def _op_fields(ops: np.ndarray) -> _OpFields:
     )
 
 
-def _split_blocks(cover: np.ndarray) -> list[tuple[int, int, int, int]]:
+def _split_blocks(ends: np.ndarray) -> list[tuple[int, int, int, int]]:
     """Partition the ops at ~64 KiB input boundaries: a block ends at the
-    first op that brings it to ``_BLOCK_INPUT`` bytes or more.
+    first op that brings it to ``_BLOCK_INPUT`` bytes or more. ``ends`` is
+    the input byte each op ends at, the int64 ``cumsum`` of ``cover``.
 
     Returns (op_start, op_end, byte_start, byte_end) per block; a match is
     never split, so blocks may slightly overshoot the boundary.
     """
-    ends = np.cumsum(cover, dtype=np.int64)
     n = len(ends)
     total = int(ends[-1]) if n else 0
     blocks = []
@@ -693,22 +698,6 @@ def _split_blocks(cover: np.ndarray) -> list[tuple[int, int, int, int]]:
     if op_start < n or not blocks:
         blocks.append((op_start, n, byte_start, total))
     return blocks
-
-
-class _BlockStats(NamedTuple):
-    """Symbol histograms of a run of ops, end-of-block counted once."""
-
-    lit_freq: np.ndarray  # int64, 286 literal/length symbols
-    dist_freq: np.ndarray  # int64, 30 distance symbols
-    extra: int  # length and distance extra bits
-
-
-def _block_stats(f: _OpFields, start: int, end: int) -> _BlockStats:
-    lit_freq = np.bincount(f.sym[start:end], minlength=286)
-    lit_freq[256] += 1
-    dist_freq = np.bincount(f.dsym[start:end], minlength=_NO_DIST + 1)[:_NO_DIST]
-    extra = int(f.len_xb[start:end].sum()) + int(f.dist_xb[start:end].sum())
-    return _BlockStats(lit_freq, dist_freq, extra)
 
 
 def _rle_code_lengths(lengths) -> list[tuple[int, int, int]]:
@@ -754,11 +743,21 @@ def _force_two_codes(lengths: np.ndarray) -> None:
 
 _CODELEN_RANK = np.argsort(_CODELEN_ORDER)  # code-length symbol -> header position
 
+# a block's histogram: 286 literal/length symbols, then 30 distance symbols
+_NSYM = 286 + _NO_DIST
+# per symbol: its extra bits, and its fixed code's bits plus the extra bits
+_SYM_XB = np.concatenate((_LIT_XB[:286], _DIST_XB[:_NO_DIST])).astype(np.int64)
+_SYM_FIXED_BITS = np.concatenate((_FIXED_LIT_LENGTHS[:286], _FIXED_DIST_LENGTHS[:_NO_DIST])) + _SYM_XB
+
 
 class _DynamicPlan:
+    """The dynamic code of a block whose ``_NSYM`` histogram, end-of-block
+    counted once, is ``freq``, and the bits of the block coded with it."""
+
     __slots__ = ("lit_lengths", "dist_lengths", "hlit", "hdist", "hclen", "rle", "cl_lengths", "bits")
 
-    def __init__(self, lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int):
+    def __init__(self, freq: np.ndarray):
+        lit_freq, dist_freq = freq[:286], freq[286:]
         lit_lengths = _limited_code_lengths(lit_freq, 15)
         _force_two_codes(lit_lengths)
         dist_lengths = _limited_code_lengths(dist_freq, 15)
@@ -777,7 +776,7 @@ class _DynamicPlan:
         hclen = max(4, int(_CODELEN_RANK[cl_lengths.nonzero()[0]].max()) + 1)
 
         bits = 3 + 14 + 3 * hclen + sum(rle_xb) + int(cl_freq @ cl_lengths)
-        bits += int(lit_freq @ lit_lengths) + int(dist_freq @ dist_lengths) + extra
+        bits += int(lit_freq @ lit_lengths) + int(dist_freq @ dist_lengths) + int(freq @ _SYM_XB)
 
         self.lit_lengths = lit_lengths
         self.dist_lengths = dist_lengths
@@ -789,10 +788,6 @@ class _DynamicPlan:
         self.bits = bits
 
 
-def _fixed_bits(lit_freq: np.ndarray, dist_freq: np.ndarray, extra: int) -> int:
-    return 3 + extra + int(lit_freq @ _FIXED_LIT_LENGTHS[:286]) + 5 * int(dist_freq.sum())
-
-
 def _stored_bits_upper(nbytes):
     """Stored bits of ``nbytes`` input bytes, a numpy int or int array."""
     nchunks = np.maximum(1, -(-nbytes // _STORED_MAX))
@@ -802,8 +797,8 @@ def _stored_bits_upper(nbytes):
 class _Block(NamedTuple):
     """Ops [op_start, op_end), covering input bytes [byte_start, byte_end),
     written as BTYPE ``btype`` (0 stored, 1 fixed, 2 dynamic). A block from
-    ``_priced_block`` also holds its histograms, its dynamic codes, and the
-    size of its cheapest coding, which ``btype`` names."""
+    ``_priced_block`` also holds its dynamic codes and the size of its
+    cheapest coding, which ``btype`` names."""
 
     op_start: int
     op_end: int
@@ -811,36 +806,7 @@ class _Block(NamedTuple):
     byte_end: int
     btype: int
     bits: int = 0
-    stats: _BlockStats | None = None
     plan: _DynamicPlan | None = None
-
-    def merged(self, nxt: _Block) -> _Block:
-        """This priced block and the next one as one priced block."""
-        lit_freq = self.stats.lit_freq + nxt.stats.lit_freq
-        lit_freq[256] = 1  # one end-of-block code
-        stats = _BlockStats(lit_freq, self.stats.dist_freq + nxt.stats.dist_freq,
-                            self.stats.extra + nxt.stats.extra)
-        return _priced_block(self.op_start, nxt.op_end, self.byte_start, nxt.byte_end, stats)
-
-
-def _priced_block(op_start: int, op_end: int, byte_start: int, byte_end: int, stats: _BlockStats) -> _Block:
-    plan = _DynamicPlan(*stats)
-    fixed = _fixed_bits(*stats)
-    stored = int(_stored_bits_upper(byte_end - byte_start))
-    if stored < plan.bits and stored < fixed:
-        btype, bits = 0, stored
-    elif plan.bits < fixed:
-        btype, bits = 2, plan.bits
-    else:
-        btype, bits = 1, fixed
-    return _Block(op_start, op_end, byte_start, byte_end, btype, bits, stats, plan)
-
-
-# a chunk histogram's columns: 286 literal/length symbols, then 30 distance symbols
-_NSYM = 286 + _NO_DIST
-# per column: its extra bits, and its fixed code's bits plus the extra bits
-_SYM_XB = np.concatenate((_LIT_XB[:286], _DIST_XB[:_NO_DIST])).astype(np.int64)
-_SYM_FIXED_BITS = np.concatenate((_FIXED_LIT_LENGTHS[:286], _FIXED_DIST_LENGTHS[:_NO_DIST])) + _SYM_XB
 
 
 class _ChunkSums(NamedTuple):
@@ -851,15 +817,14 @@ class _ChunkSums(NamedTuple):
 
     op: np.ndarray  # int64, first op of each chunk, then the op count
     byte: np.ndarray  # int64, first input byte of each chunk, then the input size
-    cols: np.ndarray  # the _NSYM columns of the symbols that occur, ascending
+    cols: np.ndarray  # the _NSYM symbols that occur, ascending
     freq: np.ndarray  # int64 (chunks + 1, len(cols)) symbol counts, end-of-block not counted
     xlogx: np.ndarray  # float64, c * log2(c) for every count c a column reaches
 
 
-def _chunk_sums(f: _OpFields, starts: list[int]) -> _ChunkSums:
-    """The chunk prefix sums of the ops, a chunk also starting at each op in
-    ``starts``."""
-    ends = np.cumsum(f.cover, dtype=np.int64)
+def _chunk_sums(f: _OpFields, ends: np.ndarray, starts: list[int]) -> _ChunkSums:
+    """The chunk prefix sums of the ops, whose input ends are ``ends``, a
+    chunk also starting at each op in ``starts``."""
     n = len(ends)
     # op i starts at byte ends[i - 1], so the first op at or past byte b is
     # one past the first op to end there. A match is shorter than a chunk,
@@ -879,6 +844,25 @@ def _chunk_sums(f: _OpFields, starts: list[int]) -> _ChunkSums:
     np.cumsum(hist[:, cols], axis=0, out=freq[1:])
     c = np.arange(freq[-1].max(initial=0) + 1)
     return _ChunkSums(op, np.append(0, ends)[op], cols, freq, c * np.log2(np.maximum(c, 1)))
+
+
+def _priced_block(sums: _ChunkSums, a: int, b: int) -> _Block:
+    """Chunks [a, b) as a block, priced exactly as dynamic, fixed and stored
+    from the span's histogram, and coded the cheapest way."""
+    freq = np.zeros(_NSYM, np.int64)
+    freq[sums.cols] = sums.freq[b] - sums.freq[a]
+    freq[256] = 1  # one end-of-block
+    plan = _DynamicPlan(freq)
+    fixed = 3 + int(freq @ _SYM_FIXED_BITS)
+    byte_start, byte_end = int(sums.byte[a]), int(sums.byte[b])
+    stored = int(_stored_bits_upper(byte_end - byte_start))
+    if stored < plan.bits and stored < fixed:
+        btype, bits = 0, stored
+    elif plan.bits < fixed:
+        btype, bits = 2, plan.bits
+    else:
+        btype, bits = 1, fixed
+    return _Block(int(sums.op[a]), int(sums.op[b]), byte_start, byte_end, btype, bits, plan)
 
 
 def _estimated_bits(sums: _ChunkSums, a, b) -> np.ndarray:
@@ -929,53 +913,48 @@ def _cost_cuts(sums: _ChunkSums, a: int, b: int, whole: float, depth: int = 0,
     return whole, [a]
 
 
-def _chunk_block(sums: _ChunkSums, a: int, b: int) -> _Block:
-    """Chunks [a, b) as a priced block."""
-    freq = np.zeros(_NSYM, np.int64)
-    freq[sums.cols] = sums.freq[b] - sums.freq[a]
-    lit_freq, dist_freq = freq[:286], freq[286:]
-    lit_freq[256] = 1
-    return _priced_block(int(sums.op[a]), int(sums.op[b]), int(sums.byte[a]), int(sums.byte[b]),
-                         _BlockStats(lit_freq, dist_freq, int(freq @ _SYM_XB)))
-
-
 def _plan_blocks(f: _OpFields) -> list[_Block]:
     """Block boundaries for levels 2-3, placed by cost (RFC 1951 leaves them
     to the compressor).
 
-    The ops are cut into chunks (``_chunk_sums``) at every ``_CHUNK_INPUT``
-    bytes of input and at every block start of the ~64 KiB cut of
-    ``_split_blocks``. ``_cost_cuts`` splits the chunks where the estimate
-    says a new code pays. Each span it keeps is priced exactly as dynamic,
-    fixed and stored, and neighbours merge left to right: the block so far
-    absorbs the next span whenever the merged span's cheapest coding is
-    smaller than the two coded apart. A merge is priced only when the
-    estimate puts the span and the one before it together within
-    ``_MERGE_SLACK`` bits of the two apart. The 64 KiB cut is priced too,
-    from the same prefix sums, and when it costs fewer bits in all it is
-    the plan, so the plan never costs more than that cut.
+    The ops' input ends, one ``cumsum``, give both the ~64 KiB cut of
+    ``_split_blocks`` and the chunks (``_chunk_sums``), cut at every
+    ``_CHUNK_INPUT`` bytes of input and at every block start of that cut.
+    ``_cost_cuts`` splits the chunks where the estimate says a new code
+    pays. Every block is then a span of chunks, priced exactly by
+    ``_priced_block`` from the span's histogram. Neighbours merge left to
+    right: the block so far absorbs the next span whenever the chunks from
+    its first to the span's last, priced as one span, cost less than the two
+    apart. A merge is priced only when the estimate puts the span and the
+    one before it together within ``_MERGE_SLACK`` bits of the two apart.
+    The blocks of the 64 KiB cut are spans too, and when they cost fewer
+    bits in all they are the plan, so the plan never costs more than that
+    cut.
 
     A split leaves at least ``_MIN_BLOCK`` bytes on each side, so the exact
     codes built (``_DynamicPlan``, the bulk of the time) are at most one per
     kept span, one per merge tried and one per block of the cut: at most
     2.25 per 16 KiB of input, and one more."""
-    cut_starts = [span[0] for span in _split_blocks(f.cover)]
-    sums = _chunk_sums(f, cut_starts)
+    ends = np.cumsum(f.cover, dtype=np.int64)
+    cut_starts = [span[0] for span in _split_blocks(ends)]
+    sums = _chunk_sums(f, ends, cut_starts)
     nchunks = len(sums.op) - 1
     bounds = np.array(_cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks])
     apart = _estimated_bits(sums, bounds[:-1], bounds[1:])
     worth = _estimated_bits(sums, bounds[:-2], bounds[2:]) < apart[:-1] + apart[1:] + _MERGE_SLACK
     blocks: list[_Block] = []
+    first = 0  # the first chunk of blocks[-1]
     for i, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
-        nxt = _chunk_block(sums, a, b)
+        nxt = _priced_block(sums, a, b)
         if i and worth[i - 1]:
-            merged = blocks[-1].merged(nxt)
+            merged = _priced_block(sums, first, b)
             if merged.bits < blocks[-1].bits + nxt.bits:
                 blocks[-1] = merged
                 continue
         blocks.append(nxt)
-    cut_bounds = np.searchsorted(sums.op, cut_starts).tolist() + [len(sums.op) - 1]
-    cut = [_chunk_block(sums, a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
+        first = a
+    cut_bounds = np.searchsorted(sums.op, cut_starts).tolist() + [nchunks]
+    cut = [_priced_block(sums, a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
     if sum(b.bits for b in cut) < sum(b.bits for b in blocks):
         return cut
     return blocks
@@ -1048,7 +1027,8 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
         f, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
         f = _op_fields(_tokenize_ops(data, lv == 3))
-        blocks = _plan_blocks(f) if lv > 1 else [_Block(*cut, 1) for cut in _split_blocks(f.cover)]
+        blocks = (_plan_blocks(f) if lv > 1
+                  else [_Block(*cut, 1) for cut in _split_blocks(np.cumsum(f.cover, dtype=np.int64))])
     w = _BitWriter(out)
     for i, block in enumerate(blocks):
         final = i == len(blocks) - 1

@@ -30,14 +30,14 @@ from kpng.flate import (
     _FIXED_LIT_LENGTHS,
     _MIN_BLOCK,
     _NO_DIST,
+    _NSYM,
+    _SYM_XB,
     WINDOW_SIZE,
     Literal,
     Match,
     _BitWriter,
     _Block,
-    _block_stats,
     _build_decode_table,
-    _chunk_block,
     _chunk_sums,
     _cost_cuts,
     _codes_from_lengths,
@@ -934,6 +934,16 @@ def reference_dynamic_header(final, lit_lengths, dist_lengths, cl_lengths):
     return p.bits
 
 
+def op_histogram(f, start, end):
+    """Reference histogram of ops [start, end) from the per-op arrays, in the
+    planner's form: the literal/length symbols, then the matches' distance
+    symbols at 286 + d, end-of-block counted once."""
+    dsym = f.dsym[start:end].astype(np.int64)
+    freq = np.bincount(np.concatenate((f.sym[start:end], 286 + dsym[dsym != _NO_DIST])), minlength=_NSYM)
+    freq[256] += 1
+    return freq
+
+
 def assert_written(w, bits):
     """``w`` holds exactly ``bits``: whole bytes in ``out``, the rest pending."""
     whole = len(bits) // 8 * 8
@@ -952,7 +962,7 @@ def test_packer_matches_scalar_writer(pending, kind, dynamic):
     start, end = len(pad), len(pad) + len(ops)
     final = pending % 2
     if dynamic:
-        plan = _DynamicPlan(*_block_stats(f, start, end))
+        plan = _DynamicPlan(op_histogram(f, start, end))
         lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
         head = reference_dynamic_header(final, lit_lengths, dist_lengths, plan.cl_lengths)
     else:
@@ -975,7 +985,7 @@ def test_emit_block_in_pieces_writes_the_same_bits(cap, dynamic, monkeypatch):
     ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
     f = _op_fields(np.array(ops, np.int64))
     if dynamic:
-        plan = _DynamicPlan(*_block_stats(f, 0, len(ops)))
+        plan = _DynamicPlan(op_histogram(f, 0, len(ops)))
         lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
         head = reference_dynamic_header(0, lit_lengths, dist_lengths, plan.cl_lengths)
     else:
@@ -991,7 +1001,7 @@ def test_emit_block_in_pieces_writes_the_same_bits(cap, dynamic, monkeypatch):
 def _emit_block_peak_bytes(nops: int) -> int:
     ops = np.array(random.Random(nops).choices(range(256), k=nops), np.int64)
     f = _op_fields(ops)
-    block = _Block(0, nops, 0, 0, 2, plan=_DynamicPlan(*_block_stats(f, 0, nops)))
+    block = _Block(0, nops, 0, 0, 2, plan=_DynamicPlan(op_histogram(f, 0, nops)))
     tracemalloc.start()
     try:
         _emit_block(_BitWriter(bytearray()), f, block, True)
@@ -1022,7 +1032,7 @@ def test_inflate_decodes_every_length_and_distance_symbol(dynamic):
     ops = prefix + [l << 16 | d for l, d in matches]
     want = lz77_expand([Literal(b) for b in prefix] + [Match(l, d) for l, d in matches])
     f = _op_fields(np.array(ops, np.int64))
-    plan = _DynamicPlan(*_block_stats(f, 0, len(ops))) if dynamic else None
+    plan = _DynamicPlan(op_histogram(f, 0, len(ops))) if dynamic else None
     w = _BitWriter(bytearray(b"\x78\x01"))
     _emit_block(w, f, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), True)
     w.align()
@@ -1060,7 +1070,7 @@ def test_op_fields_of_every_literal_length_and_distance():
     assert [a.tolist() for a in f] == [list(col) for col in zip(*want)]
 
 
-def test_block_stats_match_per_op_count():
+def test_span_histogram_matches_per_op_count():
     ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
     lit_freq = [0] * 286
     dist_freq = [0] * 30
@@ -1076,8 +1086,14 @@ def test_block_stats_match_per_op_count():
         extra += LEN_XBITS[li] + DIST_XBITS[di]
     lit_freq[256] += 1
     f = _op_fields(np.array(ops, np.int64))
-    stats = _block_stats(f, 0, len(ops))
-    assert (stats.lit_freq.tolist(), stats.dist_freq.tolist(), stats.extra) == (lit_freq, dist_freq, extra)
+    # the whole run of ops as one span of chunks, end-of-block added as
+    # _priced_block adds it, and the test's own per-op histogram
+    sums = _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64), [0])
+    span = np.zeros(_NSYM, np.int64)
+    span[sums.cols] = sums.freq[-1] - sums.freq[0]
+    span[256] += 1
+    for freq in (span, op_histogram(f, 0, len(ops))):
+        assert (freq[:286].tolist(), freq[286:].tolist(), int(freq @ _SYM_XB)) == (lit_freq, dist_freq, extra)
     assert f.cover.tolist() == [1 if op < 256 else op >> 16 for op in ops]
 
 
@@ -1112,7 +1128,7 @@ def split_blocks_reference(cover):
     ids=["empty", "one", "just-under", "exact", "just-over", "long-matches", "overshoot", "random"],
 )
 def test_split_blocks_matches_per_op_loop(cover):
-    assert _split_blocks(np.array(cover, np.uint16)) == split_blocks_reference(cover)
+    assert _split_blocks(np.cumsum(np.array(cover, np.uint16), dtype=np.int64)) == split_blocks_reference(cover)
 
 
 @pytest.mark.parametrize(
@@ -1235,9 +1251,9 @@ def _frequency_vectors():
     # the histograms of real blocks, at both dynamic levels
     for level in (2, 3):
         f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), level == 3))
-        for op_s, op_e, _, _ in _split_blocks(f.cover):
-            stats = _block_stats(f, op_s, op_e)
-            vecs += [(stats.lit_freq.tolist(), 15), (stats.dist_freq.tolist(), 15)]
+        for op_s, op_e, _, _ in _split_blocks(np.cumsum(f.cover, dtype=np.int64)):
+            freq = op_histogram(f, op_s, op_e)
+            vecs += [(freq[:286].tolist(), 15), (freq[286:].tolist(), 15)]
     return vecs
 
 
@@ -1289,12 +1305,26 @@ MERGE_STREAM_SHA256 = {
 }
 
 
+def plan_sums(f):
+    """The chunk prefix sums _plan_blocks builds, and the spans of the 64 KiB
+    cut, each a span of chunks."""
+    ends = np.cumsum(f.cover, dtype=np.int64)
+    cut = _split_blocks(ends)
+    return _chunk_sums(f, ends, [span[0] for span in cut]), cut
+
+
+def priced_cut(f):
+    """The blocks of the 64 KiB cut, priced exactly."""
+    sums, cut = plan_sums(f)
+    return [_priced_block(sums, *np.searchsorted(sums.op, span[:2]).tolist()) for span in cut]
+
+
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     data = MERGE_INPUTS[name]
     f = _op_fields(_tokenize_ops(data, level == 3))
-    cut = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    cut = priced_cut(f)
     blocks = _plan_blocks(f)
     assert len(cut) >= 4
     # the blocks partition the ops and the input in order
@@ -1329,7 +1359,7 @@ def test_plan_cuts_where_the_content_changes(level):
     blocks = _plan_blocks(f)
     starts = [b.byte_start for b in blocks]
     assert all(min(abs(s - c) for s in starts) <= _CHUNK_INPUT for c in CHANGES), starts
-    cut = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    cut = priced_cut(f)
     assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
     stream = deflate_compress(data, level)
     assert zlib.decompress(stream) == data
@@ -1350,17 +1380,17 @@ def test_plan_of_tiny_inputs(data, level):
 @pytest.mark.parametrize("level", [2, 3])
 def test_chunk_sums_match_per_span_count(level):
     f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, level == 3))
-    sums = _chunk_sums(f, [0, 70_000, 70_001])
-    rng = random.Random(level)
     ends = np.cumsum(f.cover, dtype=np.int64)
+    sums = _chunk_sums(f, ends, [0, 70_000, 70_001])
+    rng = random.Random(level)
     assert {70_000, 70_001} <= set(sums.op.tolist())
     assert sums.byte.tolist() == [int(ends[i - 1]) if i else 0 for i in sums.op.tolist()]
     for a, b in [(0, len(sums.op) - 1)] + [sorted(rng.sample(range(len(sums.op)), 2)) for _ in range(20)]:
-        stats = _block_stats(f, sums.op[a], sums.op[b])
-        freq = np.zeros(316, np.int64)
+        want = op_histogram(f, sums.op[a], sums.op[b])
+        want[256] -= 1  # op_histogram counts end-of-block
+        freq = np.zeros(_NSYM, np.int64)
         freq[sums.cols] = sums.freq[b] - sums.freq[a]
-        stats.lit_freq[256] -= 1  # _block_stats counts end-of-block
-        assert freq.tolist() == stats.lit_freq.tolist() + stats.dist_freq.tolist()
+        assert freq.tolist() == want.tolist()
 
 
 def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
@@ -1371,14 +1401,14 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
     class CountingPlan(_DynamicPlan):
         __slots__ = ()
 
-        def __init__(self, *stats):
-            built.append(stats)
-            super().__init__(*stats)
+        def __init__(self, freq):
+            built.append(freq)
+            super().__init__(freq)
 
     monkeypatch.setattr(flate, "_DynamicPlan", CountingPlan)
     f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, True))
     blocks = _plan_blocks(f)
-    assert len(_split_blocks(f.cover)) == 3
+    assert len(_split_blocks(np.cumsum(f.cover, dtype=np.int64))) == 3
     assert len(blocks) == 5
     # five spans kept, no merge estimated near paying, three cut blocks
     assert len(built) == 8
@@ -1388,7 +1418,7 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
 def kept_spans(f):
     """The chunk prefix sums _plan_blocks builds, and the chunk bounds of the
     spans its split keeps, before any merge."""
-    sums = _chunk_sums(f, [span[0] for span in _split_blocks(f.cover)])
+    sums, _ = plan_sums(f)
     nchunks = len(sums.op) - 1
     return sums, _cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks]
 
@@ -1407,7 +1437,7 @@ def test_plan_merges_kept_spans_when_that_pays():
     assert len(data) == 196_864
     f = _op_fields(_tokenize_ops(data, True))
     sums, bounds = kept_spans(f)
-    apart = [_chunk_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
+    apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
     blocks = _plan_blocks(f)
     assert len(bounds) - 1 == 4
     assert len(blocks) == 3
@@ -1429,8 +1459,8 @@ def test_plan_is_the_64k_cut_when_the_cut_costs_less():
     assert len(data) == 33_368
     f = _op_fields(_tokenize_ops(data, False))
     sums, bounds = kept_spans(f)
-    apart = [_chunk_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
-    (cut,) = [_priced_block(*span, _block_stats(f, span[0], span[1])) for span in _split_blocks(f.cover)]
+    apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
+    (cut,) = priced_cut(f)
     blocks = _plan_blocks(f)
     assert [b.btype for b in apart] == [0, 2]
     assert sum(b.bits for b in apart) - cut.bits == 9
