@@ -934,7 +934,8 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     A split leaves at least ``_MIN_BLOCK`` bytes on each side, so the exact
     codes built (``_DynamicPlan``, the bulk of the time) are at most one per
     kept span, one per merge tried and one per block of the cut: at most
-    2.25 per 16 KiB of input, and one more."""
+    2.25 per 16 KiB of input, and one more. Each span is priced once, also
+    where a kept span is a block of the cut too."""
     ends = np.cumsum(f.cover, dtype=np.int64)
     cut_starts = [span[0] for span in _split_blocks(ends)]
     sums = _chunk_sums(f, ends, cut_starts)
@@ -942,19 +943,26 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     bounds = np.array(_cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks])
     apart = _estimated_bits(sums, bounds[:-1], bounds[1:])
     worth = _estimated_bits(sums, bounds[:-2], bounds[2:]) < apart[:-1] + apart[1:] + _MERGE_SLACK
+    priced: dict[tuple[int, int], _Block] = {}  # each span of chunks priced once
+
+    def price(a: int, b: int) -> _Block:
+        if (a, b) not in priced:
+            priced[a, b] = _priced_block(sums, a, b)
+        return priced[a, b]
+
     blocks: list[_Block] = []
     first = 0  # the first chunk of blocks[-1]
     for i, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
-        nxt = _priced_block(sums, a, b)
+        nxt = price(a, b)
         if i and worth[i - 1]:
-            merged = _priced_block(sums, first, b)
+            merged = price(first, b)
             if merged.bits < blocks[-1].bits + nxt.bits:
                 blocks[-1] = merged
                 continue
         blocks.append(nxt)
         first = a
     cut_bounds = np.searchsorted(sums.op, cut_starts).tolist() + [nchunks]
-    cut = [_priced_block(sums, a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
+    cut = [price(a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
     if sum(b.bits for b in cut) < sum(b.bits for b in blocks):
         return cut
     return blocks

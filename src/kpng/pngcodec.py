@@ -10,11 +10,15 @@ the public PNG standard; the compressed stream comes from :mod:`kpng.flate`.
 The filter type and bytes per pixel pass :func:`kpng.errors._check_int`,
 the package's one integer check.
 
-``decode_png`` has two unfilter paths. AVERAGE and PAETH rows depend on the
-byte to their left, so :func:`unfilter` rebuilds them byte by byte; UP and
-SUB rows take one uint8 numpy step per row (an add, or a running sum per
-byte of the pixel), where uint8 arithmetic wraps mod 256 as the filters do,
-and NONE rows are copied. Across rows the dependency is looser:
+``decode_png`` has two unfilter paths. The row path runs one kernel per
+scanline into one buffer whose first row is the zero row above the image.
+NONE rows are copied; UP and SUB rows take one uint8 numpy step (an add, or
+a running sum per byte of the pixel), where uint8 arithmetic wraps mod 256
+as the filters do. A PAETH byte whose above and upper-left bytes are equal
+is predicted by its left byte, so a PAETH row is SUB's running sum
+re-anchored at the other bytes, rebuilt one by one (a few per row of flat
+content). AVERAGE rows are rebuilt byte by byte. :func:`unfilter` is that
+kernel on one row, arguments checked. Across rows the dependency is looser:
 pixel (y, x) needs only (y, x-1), (y-1, x) and (y-1, x-1), so a wavefront
 rebuilds every anti-diagonal x + y = d of the image in one numpy step, all
 five filter types at once, in width + height - 1 steps. The decoder counts
@@ -49,9 +53,12 @@ _MAX_PIXELS = 1 << 28
 # encode_png filters this many samples per numpy pass; a whole large image
 # in one pass would hold tens of MiB of int16 temporaries
 _FILTER_BAND_BYTES = 1 << 16
-# one wavefront step of decode_png costs about as much as 110-160 bytes of
-# unfilter's per-byte AVERAGE/PAETH loop (27-36 us per step against 0.21-0.32
-# us per byte, 2 vCPU Xeon, Python 3.11); the upper end leans to the loop
+# one wavefront step of decode_png costs about as much as 150-260 bytes of
+# the row kernel's per-byte AVERAGE loop (36-54 us per step against
+# 0.20-0.25 us per byte, 2 vCPU Xeon, Python 3.11). A PAETH row costs
+# 0.5-0.7 us per byte whose above and upper-left differ and about 35-50 us
+# besides, but those bytes are known only once the row above is decoded,
+# so the dispatch counts AVERAGE and PAETH rows alike
 _WAVEFRONT_STEP_BYTES = 160
 
 
@@ -166,9 +173,79 @@ def apply_filter(row: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixe
     return _row_candidates(row, prior_row, bytes_per_pixel)[f, 0].tobytes()
 
 
+def _unfilter_row(buf: np.ndarray, y: int, filt: np.ndarray, ftype: int, bpp: int) -> None:
+    """Rebuild scanline y into ``buf[y + 1]`` from its filtered bytes
+    ``filt``, ``buf[y]`` being the unfiltered row above (zeros for the first).
+
+    ``buf`` is uint8 with rows of whole pixels of ``bpp`` bytes, and
+    ``ftype`` is 0..4, already checked. uint8 arithmetic wraps mod 256 as
+    the filters do.
+    """
+    prior, out = buf[y], buf[y + 1]
+    if ftype == FilterType.UP:
+        np.add(filt, prior, out=out)
+    elif ftype == FilterType.NONE:
+        out[:] = filt
+    elif ftype == FilterType.SUB:
+        # byte i adds up bytes i, i - bpp, ...: a column of the row cut into pixels
+        np.cumsum(filt.reshape(-1, bpp), axis=0, dtype=np.uint8, out=out.reshape(-1, bpp))
+    elif ftype == FilterType.AVERAGE:
+        fl = filt.tolist()
+        pr = prior.tolist()
+        row = [0] * len(fl)
+        for i in range(len(fl)):
+            a = row[i - bpp] if i >= bpp else 0
+            row[i] = (fl[i] + ((a + pr[i]) >> 1)) & 0xFF
+        out[:] = row
+    else:
+        _unfilter_paeth(prior, out, filt, bpp)
+
+
+def _unfilter_paeth(prior: np.ndarray, out: np.ndarray, filt: np.ndarray, bpp: int) -> None:
+    """A PAETH row of :func:`_unfilter_row`.
+
+    Where above equals upper-left (b == c), p = a, so pa = 0 and the
+    predictor is the left byte. A byte where they differ is a break. Along
+    a lane (the bytes ``bpp`` apart), a byte that is no break is the
+    running sum ``s`` of the filtered bytes plus the lane's offset: the
+    value of the lane's last break less ``s`` there, or 0 before its first.
+    Breaks are rebuilt left to right with :func:`paeth_predictor`, each
+    from its left byte, then every other byte at once.
+    """
+    n = len(filt)
+    s = np.cumsum(filt.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(-1)
+    upleft = np.zeros_like(prior)
+    upleft[bpp:] = prior[:-bpp]
+    is_break = prior != upleft
+    breaks = np.flatnonzero(is_break)
+    s_left = np.zeros_like(s)  # s of the left byte, 0 left of the row
+    s_left[bpp:] = s[:-bpp]
+    lane_offset = [0] * bpp
+    offsets = []
+    for lane, fs, b, c, sl in zip((breaks % bpp).tolist(), (filt[breaks] - s[breaks].astype(np.intp)).tolist(),
+                                  prior[breaks].tolist(), upleft[breaks].tolist(), s_left[breaks].tolist()):
+        # the break's value less s there is its lane's new offset
+        offset = (fs + paeth_predictor((lane_offset[lane] + sl) & 0xFF, b, c)) & 0xFF
+        lane_offset[lane] = offset
+        offsets.append(offset)
+    # each byte's last break in its lane, or -1 before the lane's first,
+    # which reads offset 0 from the extra last entry
+    last = np.where(is_break, np.arange(n), -1).reshape(-1, bpp)
+    np.maximum.accumulate(last, axis=0, out=last)
+    offset = np.zeros(n + 1, np.uint8)
+    offset[breaks] = offsets
+    np.add(offset[last.reshape(-1)], s, out=out)
+
+
 def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pixel: int) -> bytes:
     """Exact inverse of :func:`apply_filter`; ``ftype`` is a
-    :class:`FilterType` or its int value, as ``decode_png`` passes it."""
+    :class:`FilterType` or its int value.
+
+    Checks its arguments and runs ``decode_png``'s row kernel on one row:
+    NONE copies, UP is one uint8 add, SUB a running sum per byte of the
+    pixel, PAETH that running sum re-anchored where above and upper-left
+    differ, and AVERAGE one byte at a time.
+    """
     f = _check_int("filter type", ftype, 0, 4)
     bpp = _check_int("bytes per pixel", bytes_per_pixel, 1)
     if len(filtered) != len(prior_row):
@@ -176,50 +253,13 @@ def unfilter(filtered: bytes, prior_row: bytes, ftype: FilterType, bytes_per_pix
             f"row length {len(filtered)} != prior row length {len(prior_row)}"
         )
     n = len(filtered)
-    if f == FilterType.NONE:
-        return bytes(filtered)
-    # UP and SUB add in uint8, which wraps mod 256 as the filters do
-    if f == FilterType.UP:
-        above = np.frombuffer(bytes(prior_row), np.uint8)
-        return (np.frombuffer(bytes(filtered), np.uint8) + above).tobytes()
-    if f == FilterType.SUB:
-        # byte i adds up bytes i, i - bpp, ...: a column of the row cut into
-        # pixels, zero-padded to whole pixels
-        fa = np.frombuffer(bytes(filtered) + bytes(-n % bpp), np.uint8)
-        return np.cumsum(fa.reshape(-1, bpp), axis=0, dtype=np.uint8).tobytes()[:n]
-    # AVERAGE and PAETH reconstruct left-to-right
-    fl = list(filtered)
-    pr = list(prior_row)
-    out = [0] * n
-    if f == FilterType.AVERAGE:
-        for i in range(n):
-            a = out[i - bpp] if i >= bpp else 0
-            out[i] = (fl[i] + ((a + pr[i]) >> 1)) & 0xFF
-    else:
-        for i in range(n):
-            if i >= bpp:
-                a = out[i - bpp]
-                c = pr[i - bpp]
-            else:
-                a = 0
-                c = 0
-            b = pr[i]
-            if b == c:
-                # p = a, so pa = 0 and a wins: most bytes of flat content
-                out[i] = (fl[i] + a) & 0xFF
-                continue
-            p = a + b - c
-            pa = p - a if p >= a else a - p
-            pb = p - b if p >= b else b - p
-            pc = p - c if p >= c else c - p
-            if pa <= pb and pa <= pc:
-                pred = a
-            elif pb <= pc:
-                pred = b
-            else:
-                pred = c
-            out[i] = (fl[i] + pred) & 0xFF
-    return bytes(out)
+    # rows of prior, output and filtered bytes, zero-padded to whole pixels:
+    # no byte depends on those to its right
+    buf = np.zeros((3, n + -n % bpp), np.uint8)
+    buf[0, :n] = np.frombuffer(bytes(prior_row), np.uint8)
+    buf[2, :n] = np.frombuffer(bytes(filtered), np.uint8)
+    _unfilter_row(buf, 0, buf[2], f, bpp)
+    return buf[1, :n].tobytes()
 
 
 def choose_filter(row: bytes, prior_row: bytes, bytes_per_pixel: int) -> FilterType:
@@ -401,10 +441,9 @@ def decode_png(data: bytes) -> RasterImage:
     if slow_rows * stride > _WAVEFRONT_STEP_BYTES * (width + height):
         samples = _unfilter_image(raw, height, width, channels)
     else:
-        rows = bytearray()
-        prior = bytes(stride)
-        for pos in range(0, expected, stride + 1):
-            prior = unfilter(raw[pos + 1 : pos + 1 + stride], prior, raw[pos], channels)
-            rows += prior
-        samples = bytes(rows)
+        filt = np.frombuffer(raw, np.uint8).reshape(height, stride + 1)[:, 1:]
+        buf = np.zeros((height + 1, stride), np.uint8)  # row 0 is the zero row above
+        for y, ftype in enumerate(ftypes.tolist()):
+            _unfilter_row(buf, y, filt[y], ftype, channels)
+        samples = buf[1:].tobytes()
     return RasterImage(width=width, height=height, channels=channels, samples=samples)

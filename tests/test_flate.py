@@ -1415,6 +1415,29 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
     assert len(built) <= 2.25 * len(TEXT_RANDOM_TEXT) / _MIN_BLOCK + 1
 
 
+@pytest.mark.parametrize("k", [None, 10])
+def test_plan_prices_each_span_once(k, monkeypatch):
+    """scripts/deflate_parity.py's 64x64 flat-shapes tile at level 3 is under
+    one 64 KiB cut, so its plan keeps one block that is also the cut's one
+    block: that span is priced once, not once for each."""
+    img = generate(CorpusSpec("flat-shapes", 64, 64, seed=3))
+    img = kmm_transform(img, k) if k else img
+    data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
+    assert len(data) == 12_352
+    f = _op_fields(_tokenize_ops(data, True))
+    spans = []
+
+    def counting(sums, a, b):
+        spans.append((a, b))
+        return _priced_block(sums, a, b)
+
+    monkeypatch.setattr(flate, "_priced_block", counting)
+    (block,) = _plan_blocks(f)
+    nchunks = len(plan_sums(f)[0].op) - 1
+    assert spans == [(0, nchunks)]
+    assert block.bits == written_bits(f, block)
+
+
 def kept_spans(f):
     """The chunk prefix sums _plan_blocks builds, and the chunk bounds of the
     spans its split keeps, before any merge."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kpng import RasterImage, kmm_transform, pngcodec
+from kpng.corpus import CorpusSpec, generate
 from kpng.errors import (
     KpngError,
     ParameterError,
@@ -19,6 +20,7 @@ from kpng.pngcodec import (
     _FILTER_BAND_BYTES,
     _WAVEFRONT_STEP_BYTES,
     _unfilter_image,
+    _unfilter_row,
     SIGNATURE,
     EncodeOptions,
     FilterType,
@@ -560,10 +562,10 @@ def _spy_unfilter_paths(monkeypatch) -> dict[str, int]:
 
     def one_row(*args):
         calls["rows"] += 1
-        return unfilter(*args)
+        return _unfilter_row(*args)
 
     monkeypatch.setattr(pngcodec, "_unfilter_image", wavefront)
-    monkeypatch.setattr(pngcodec, "unfilter", one_row)
+    monkeypatch.setattr(pngcodec, "_unfilter_row", one_row)
     return calls
 
 
@@ -600,6 +602,96 @@ def test_decode_row_path_on_random_scanlines(bpp, seed, monkeypatch):
     assert calls == {"wavefront": 0, "rows": height}
     assert img.samples == reference_unfilter_image(raw, height, width, bpp)
     assert img.samples == _unfilter_image(raw, height, width, bpp)
+
+
+def paeth_breaks(prior: bytes, bpp: int) -> list[int]:
+    """Positions where above differs from upper-left, where PAETH's
+    predictor may be other than the left byte."""
+    return [i for i, b in enumerate(prior) if b != (prior[i - bpp] if i >= bpp else 0)]
+
+
+def paeth_edge_rows() -> dict[str, tuple[int, list[tuple[bytes, bytes, list[int]]]]]:
+    """name -> (bpp, rows of (prior, filtered, the prior's breaks)), with
+    breaks at the edges of the running-sum kernel; random filtered bytes.
+    A break's above byte is mostly far from its upper-left one, so its
+    predictor is seldom the left byte the running sum would give."""
+    rng = random.Random(23)
+    cases = {}
+    for bpp in (1, 3):
+        n = 30
+
+        def row(prior, breaks):
+            return bytes(prior), rng.randbytes(len(prior)), breaks
+
+        every = bytearray()
+        for i in range(n):
+            every.append(rng.randrange(1, 256))
+            while i >= bpp and every[i] == every[i - bpp]:
+                every[i] = rng.randrange(1, 256)
+        adjacent = bytearray(n)
+        adjacent[12 : 12 + 2 * bpp + 1 : bpp] = (5, 200, 17)
+        # byte 1's lane holds 255 from byte 1 on: its one break is byte 1
+        first = bytes([0]) + b"\xff" * (n - 1) if bpp == 1 else bytes([0, 255, 0]) * (n // 3)
+        cases[f"break in the first pixel, bpp {bpp}"] = (bpp, [row(first, [1])])
+        cases[f"adjacent breaks in one lane, bpp {bpp}"] = (bpp, [
+            row(adjacent, [12, 12 + bpp, 12 + 2 * bpp, 12 + 3 * bpp]),
+        ])
+        cases[f"break on the last byte, bpp {bpp}"] = (bpp, [row(bytes(n - 1) + b"\xff", [n - 1])])
+        cases[f"every byte a break, bpp {bpp}"] = (bpp, [row(every, list(range(n)))])
+        # a zero prior has no break at all, any other constant one a break
+        # at each byte of the first pixel only
+        cases[f"constant prior, bpp {bpp}"] = (bpp, [
+            row(bytes(n), []), row(bytes([77]) * n, list(range(bpp))),
+        ])
+    # ten pixels and a byte: the breaks at 28 and 30 sit in the last whole
+    # pixel and in the part pixel
+    cases["31 bytes, bpp 3"] = (3, [(bytes(28) + bytes([250, 0, 240]), rng.randbytes(31), [28, 30])])
+    cases["bpp above the length"] = (3, [
+        (bytes([0, 9]), rng.randbytes(2), [1]), (bytes([200]), rng.randbytes(1), [0]),
+    ])
+    cases["bpp 4 above the length"] = (4, [(bytes([4, 0, 250]), rng.randbytes(3), [0, 2])])
+    return cases
+
+
+PAETH_EDGES = paeth_edge_rows()
+# the cases a scanline can hold: whole pixels, at least one
+WHOLE_PIXEL_EDGES = sorted(name for name, (bpp, rows) in PAETH_EDGES.items()
+                           if all(len(prior) and len(prior) % bpp == 0 for prior, _, _ in rows))
+
+
+@pytest.mark.parametrize("name", sorted(PAETH_EDGES))
+def test_unfilter_paeth_edges(name):
+    bpp, rows = PAETH_EDGES[name]
+    for prior, filtered, breaks in rows:
+        assert paeth_breaks(prior, bpp) == breaks
+        assert unfilter(filtered, prior, FilterType.PAETH, bpp) == paeth_unfilter_bytewise(filtered, prior, bpp)
+
+
+@pytest.mark.parametrize("name", WHOLE_PIXEL_EDGES)
+def test_decode_row_path_paeth_edges(name, monkeypatch):
+    """Each edge row as the PAETH scanline under a NONE scanline that holds
+    its prior, decoded on the row path."""
+    bpp, rows = PAETH_EDGES[name]
+    calls = _spy_unfilter_paths(monkeypatch)
+    for prior, filtered, _ in rows:
+        raw = bytes([FilterType.NONE]) + prior + bytes([FilterType.PAETH]) + filtered
+        img = decode_png(png_from_stream(len(prior) // bpp, 2, 0 if bpp == 1 else 2, zlib.compress(raw)))
+        assert img.samples == prior + paeth_unfilter_bytewise(filtered, prior, bpp)
+    assert calls == {"wavefront": 0, "rows": 2 * len(rows)}
+
+
+def test_decode_k10_flat_shapes_paeth_on_row_path(monkeypatch):
+    """A k-PNG of flat shapes, every row PAETH: few breaks per row, and few
+    enough PAETH bytes for the row path."""
+    img = kmm_transform(generate(CorpusSpec("flat-shapes", 64, 64, seed=1)), 10)
+    data = encode_png(img, EncodeOptions(filter_strategy=FilterType.PAETH))
+    raw = pngcodec.flate.inflate(b"".join(c.data for c in parse_chunks(data) if c.type_code == b"IDAT"))
+    assert raw[:: 64 * 3 + 1] == bytes([FilterType.PAETH]) * 64
+    calls = _spy_unfilter_paths(monkeypatch)
+    decoded = decode_png(data)
+    assert calls == {"wavefront": 0, "rows": 64}
+    assert decoded.samples == _unfilter_image(raw, 64, 64, 3)
+    assert decoded == img
 
 
 @pytest.mark.parametrize("ftype", [FilterType.PAETH, FilterType.UP])
