@@ -69,6 +69,10 @@ def cmd_metrics(args) -> int:
 def cmd_bench(args) -> int:
     k = kmodulus.check_k(args.k)
     options = _options(args)
+    # refused before the corpus is encoded, which takes seconds
+    if not Path(args.out).parent.is_dir():
+        print(f"error: --out {args.out}: no directory {Path(args.out).parent}", file=sys.stderr)
+        return 1
     if args.synthetic:
         records = bench_mod.run_synthetic(k, options)
         failures = []

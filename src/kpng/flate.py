@@ -64,11 +64,21 @@ block so far absorbs the next one whenever the chunks from its first to
 the next one's last, priced as one span, cost less than the two apart. The
 64 KiB cut, whose block starts are also chunk starts, is priced the same
 way; if it costs fewer bits in all, it is the plan.
-Search effort follows zlib's
-``configuration_table`` (deflate.c): levels 1-2 match greedily and walk up
-to 128 hash-chain links; level 3 matches lazily and walks up to 256, a
-quarter of that for the lazy search when the pending match is already 32
-bytes long (``_GOOD_LENGTH``). Every search stops at a 258-byte match.
+Levels 1-2 match greedily and walk up to 128 hash-chain links, zlib level
+6's chain (``configuration_table``, deflate.c). Level 3 matches lazily
+and walks up to 32 links, a quarter of that for the lazy search when the
+pending match is already 32 bytes long (``_GOOD_LENGTH``). zlib's
+``longest_match`` walks its chain in C; here the walk is a Python loop, and
+a match longer than ``_INSERT_CAP`` leaves its inside off every chain, so
+the row above a flat k=10 row is seldom on it. So when level 3's walk
+spends its whole budget and holds a match shorter than the longest
+possible, it searches the window at C speed: ``bytes.rfind`` finds the
+nearest earlier copy of the held match's bytes and one more, the XOR
+compare measures it, and the next round asks for one byte more than the
+new best, scanning only below the last hit, for at most ``_FIND_ROUNDS``
+rounds. A level 3 position thus costs at most 32 links plus at most 8
+``rfind`` calls whose scans together cover the window at most once.
+Every search stops at a 258-byte match.
 Level 3 then drops a match of length 3 farther than 256 bytes or of length
 4 farther than 4096 (``_FAR_LIMIT``), after zlib's ``TOO_FAR`` in
 ``deflate_slow``, which drops length 3 beyond 4096: on noisy content such a
@@ -415,17 +425,25 @@ _GOOD_LENGTH = 32
 # 4096; these limits give smaller output on noisy k=10 content (ROADMAP
 # item 1 has the measurements)
 _FAR_LIMIT = (0, 0, 0, 256, 4096)
+# the most rfind rounds of the lazy parse's window search after its chain walk
+_FIND_ROUNDS = 8
 
 
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
     bytes, a match is ``length << 16 | distance`` (always above 255).
-    ``lazy`` is level 3's lazy matching (RFC 1951 section 4), a sixteenth of
-    zlib level 9's chain; it drops a match of length 3 farther than 256
-    bytes or of length 4 farther than 4096 (``_FAR_LIMIT``, after zlib's
-    ``TOO_FAR``), so the position is a literal or lets the pending match
-    commit. Length 3 is checked in the walk and length 4 after it.
-    Otherwise matching is greedy and takes every match.
+    ``lazy`` is level 3's lazy matching (RFC 1951 section 4). Its walk
+    takes at most 32 chain links (8 past a pending match of
+    ``_GOOD_LENGTH``); a walk that spends them all holding a match shorter
+    than the longest possible goes on with at most ``_FIND_ROUNDS`` rounds
+    of ``rfind`` over the window, each for the bytes at ``i`` one longer
+    than the best so far and each below the last hit, so together they scan
+    each window byte once at most. It drops a match of length 3 farther
+    than 256 bytes or of length 4 farther than 4096 (``_FAR_LIMIT``, after
+    zlib's ``TOO_FAR``), so the position is a literal or lets the pending
+    match commit. Length 3 is checked in the walk and length 4 after it.
+    Otherwise matching is greedy, walks at most 128 links and takes every
+    match.
 
     ``keys[i]`` is the 3-byte key at ``i``; ``head`` maps a key to its
     latest position and ``prev[i]`` links ``i`` to the previous position
@@ -439,7 +457,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     reject. While the lazy walk holds nothing, a candidate farther than
     ``_FAR_LIMIT[3]`` whose fourth byte differs is passed over without a
     compare: it is a length-3 match the walk would take and then drop."""
-    max_chain = 256 if lazy else 128
+    max_chain = 32 if lazy else 128
     good_length = _GOOD_LENGTH
     far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
     far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
@@ -506,6 +524,22 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                                     break
                                 c = data[i + l]
                         j = prev[j]
+                    else:
+                        if lazy and bd:
+                            # the budget ran out holding a match: each round
+                            # finds the nearest copy one byte longer, below
+                            # the last hit, so the rounds scan the window once
+                            top = i + bl
+                            for _ in range(_FIND_ROUNDS):
+                                if bl >= max_len:
+                                    break
+                                j = data.rfind(data[i : i + bl + 1], floor, top)
+                                if j < 0:
+                                    break
+                                x = here ^ int.from_bytes(data[j : j + max_len], "little")
+                                bl = ((x & -x).bit_length() - 1) >> 3 if x else max_len
+                                bd = i - j
+                                top = j + bl
                     # no length-3 test: far ones were passed over, and a held match is only ever lengthened
                     if bd and (bl > 4 or bd <= far4):
                         best_len = bl

@@ -35,7 +35,7 @@ from test_pngcodec import hand_assembled_1x1_png
 from test_bmpcodec import hand_bmp
 from test_corpus import SHAPES_01_BMP_SHA256
 
-SHAPES_01_PNG_SHA256 = "003912fe05fe61078a989ba64d76d3542ff8b451c2b98a55cf770d5e1ab059be"
+SHAPES_01_PNG_SHA256 = "5da467000bc67e2baaeff6ff683a7bb5f7bb55b5585fd980ef23c7086e15ffd8"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -132,6 +132,17 @@ def test_bench_rejects_bad_k(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [["--synthetic"], ["--dir", "."]], ids=["synthetic", "dir"])
+def test_bench_refuses_a_missing_out_directory_before_it_encodes(tmp_path, capsys, monkeypatch, source):
+    calls = []
+    monkeypatch.setattr(kpng.bench, "run_synthetic", lambda *a: calls.append(a))
+    monkeypatch.setattr(kpng.bench, "run_directory", lambda *a: calls.append(a))
+    assert main(["bench", *source, "--out", str(tmp_path / "nodir" / "r.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_synth_deterministic(tmp_path):
     d1 = tmp_path / "one"
     d2 = tmp_path / "two"

@@ -26,12 +26,16 @@ from kpng.flate import (
     _CRC_MIN_LANES,
     _EMIT_OPS,
     _FAR_LIMIT,
+    _FIND_ROUNDS,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
+    _INSERT_CAP,
     _MIN_BLOCK,
     _NO_DIST,
     _NSYM,
     _SYM_XB,
+    MAX_MATCH,
+    MIN_MATCH,
     WINDOW_SIZE,
     Literal,
     Match,
@@ -386,6 +390,125 @@ def test_expand_rejects_bad_tokens():
 
 
 # ---------------------------------------------------------------------------
+# level 3's window search once its chain walk runs out
+
+
+def copy_inside_a_long_match():
+    """A random 400-byte block, its copy, 40 decoys and the block's tail from
+    byte 100, and the tail's distance to the copy. The copy is coded as two
+    matches longer than _INSERT_CAP, so its byte 100 is on no hash chain;
+    each decoy starts with the block's bytes 100-102 and fills a chain walk's
+    budget before the walk reaches the first block."""
+    rng = random.Random(1)
+    block = rng.randbytes(400)
+    decoys = b"".join(block[100:103] + rng.randbytes(5) for _ in range(40))
+    data = block + block + decoys + block[100:]
+    return data, len(decoys) + 300
+
+
+class RfindSpy(bytes):
+    """Bytes that record each ``rfind`` call as (needle, start, end, hit)."""
+
+    def __init__(self, data):
+        self.calls = []
+
+    def rfind(self, needle, start, end):
+        hit = super().rfind(needle, start, end)
+        self.calls.append((bytes(needle), start, end, hit))
+        return hit
+
+
+def spied_lazy_ops(data):
+    spy = RfindSpy(data)
+    return _tokenize_ops(spy, True), spy.calls
+
+
+def check_search_rounds(data, calls):
+    """Each rfind call is a position's first round or the next round of the
+    same position. A first round at position i asks for the bytes at i, one
+    more than the walk's best, in the window up to i - 1. A next round asks
+    for one byte more than the last hit matched, and only below that hit, so
+    the rounds of a position scan each window byte once at most."""
+    i = prev_hit = prev_start = -1
+    rounds = 0
+    for needle, start, end, hit in calls:
+        last = end - len(needle)  # the nearest candidate the scan reads
+        if last >= i and data[last + 1 : end + 1] == needle:
+            i, rounds = last + 1, 1
+            assert start == max(0, i - WINDOW_SIZE)
+            assert len(needle) > MIN_MATCH
+        else:
+            rounds += 1
+            held = len(needle) - 1
+            assert 0 <= prev_hit and last == prev_hit - 1 and start == prev_start
+            assert needle == data[i : i + held + 1]
+            assert data[prev_hit : prev_hit + held] == needle[:held] and data[prev_hit + held] != needle[held]
+        assert rounds <= _FIND_ROUNDS
+        assert len(needle) <= MAX_MATCH
+        prev_hit, prev_start = hit, start
+
+
+def flat_shapes_k10_scanlines():
+    img = kmm_transform(generate(CorpusSpec("flat-shapes", 128, 128, seed=1)), 10)
+    return inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
+
+
+# inputs on which level 3's walk runs out holding a match, so it searches
+_search_rng = random.Random(24)
+SEARCH_INPUTS = {
+    "copy-inside-a-long-match": copy_inside_a_long_match()[0],
+    "flat-shapes-k10": flat_shapes_k10_scanlines(),
+    "three-values": bytes(_search_rng.randrange(3) for _ in range(40_000)),
+    "four-values": structured_inputs()[-1],
+    "runs-that-grow": b"".join(bytes([k % 7]) * k for k in range(1, 300)),
+}
+
+
+def test_lazy_parse_finds_a_copy_inside_a_long_match():
+    data, distance = copy_inside_a_long_match()
+    assert 400 - MAX_MATCH > _INSERT_CAP
+    ops, calls = spied_lazy_ops(data)
+    assert ops.tolist()[-2] == MAX_MATCH << 16 | distance
+    check_search_rounds(data, calls)
+    # the chain alone reaches only the first block
+    assert _tokenize_ops(data, False).tolist()[-2] == MAX_MATCH << 16 | distance + 400
+
+
+def test_lazy_parse_copies_the_row_above_on_flat_shapes():
+    # 128 rows of 385 bytes: a filter byte and 128 RGB pixels. A 256-link
+    # chain walk with no window search found 18 matches at the row's
+    # distance, covering 4,362 bytes
+    data = SEARCH_INPUTS["flat-shapes-k10"]
+    assert len(data) == 128 * 385
+    matches = _tokenize_ops(data, True)
+    matches = matches[matches > 255]
+    above = matches[matches & 0xFFFF == 385] >> 16
+    assert (len(above), int(above.sum())) == (66, 16_771)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_INPUTS))
+def test_lazy_search_keeps_the_window_and_far_limits(name):
+    data = SEARCH_INPUTS[name]
+    ops, calls = spied_lazy_ops(data)
+    assert calls
+    check_search_rounds(data, calls)
+    tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
+    assert lz77_expand(tokens) == data
+    assert far_short_matches(tokens) == []
+    stream = deflate_compress(data, 3)
+    assert zlib.decompress(stream) == data
+    assert inflate(stream) == data
+
+
+def test_only_the_lazy_parse_searches_the_window():
+    # the greedy parse walks its chain only
+    for data in SEARCH_INPUTS.values():
+        spy = RfindSpy(data)
+        _tokenize_ops(spy, False)
+        assert spy.calls == []
+
+
+# ---------------------------------------------------------------------------
 # deflate / inflate round trips
 
 
@@ -426,7 +549,7 @@ GREEDY_LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
     1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
     2: "beacaa7b5556edbe1812177114644da5c3ea100a5e7659e14bc3561752fd8730",
-    3: "552c0b5daa978f07e2d524793aed4e599a2f22abe8f4c92509c55acc65265ad1",
+    3: "0964c257f1537fe4707accb9eb3ec49008398a70f59d433fc8e6437f8ac2b7b4",
 }
 
 
@@ -1301,7 +1424,7 @@ MERGE_INPUTS = {
 
 # a stream whose plan holds a stored block between dynamic ones
 MERGE_STREAM_SHA256 = {
-    ("stored-stretch", 3): "fbd6bfceebdc22ebb954f611e556c510a95d9f95fe828da4254872ad329f38fb",
+    ("stored-stretch", 3): "dc75892f216794e6ec494ff65d8f850fdf25b02202515379c45a004405a47d6e",
 }
 
 
@@ -1332,7 +1455,10 @@ def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     assert (blocks[-1].op_end, blocks[-1].byte_end) == (len(f.cover), len(data))
     assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
     if name == "uniform":
-        assert len(blocks) == 1
+        # one vocabulary throughout: the plan costs no more than the whole
+        # input as one block
+        sums, _ = plan_sums(f)
+        assert sum(b.bits for b in blocks) <= _priced_block(sums, 0, len(sums.op) - 1).bits
     if name == "stored-stretch":
         assert 0 in [b.btype for b in blocks]
 
