@@ -12,7 +12,9 @@ both and compares the streams. The corpus:
 - random inputs of 0 to 70 KB;
 - a block repeated at distance 32768, the window's edge, and at 32769,
   one byte past it;
-- runs that make 258-byte matches far longer than ``_INSERT_CAP``.
+- runs that make 258-byte matches far longer than ``_INSERT_CAP``;
+- the scanlines of a 256x256 noise tile at k=10, on which level 3 builds
+  its "no 4-byte copy" mask and skips dead walks.
 
 ``--seed`` picks the tiles and the random bytes. ``--bench-seed S`` adds the
 benchmark's inputs: the filtered scanlines of three 512x512 images of every
@@ -23,9 +25,10 @@ many differ, and the first that differs. Exits 1 when any differ.
 
 ``--sizes`` checks a change that moves bytes on purpose at levels 2-3. It
 prints, per level, the total stream bytes on both sides, how many inputs
-differ and how many came out larger than the other side's, and the first
-input that fails. Exits 1 when any input differs at levels 0-1 or comes out
-larger at levels 2-3.
+differ and how many came out larger than the other side's, then every
+input that fails: one that differs at levels 0-1, or one that comes out
+larger at levels 2-3, with its size over the other side's. Exits 1 when
+any input fails.
 
     git show HEAD~1:src/kpng/flate.py > /tmp/parent_flate.py
     python scripts/deflate_parity.py --against /tmp/parent_flate.py
@@ -66,6 +69,8 @@ def corpus(seed: int) -> list[tuple[str, bytes]]:
     runs = b"".join(bytes([rng.randrange(256)]) * rng.randrange(_INSERT_CAP, 4000)
                     + rng.randbytes(rng.randrange(1, 8)) * rng.randrange(40, 400) for _ in range(12))
     inputs.append(("258-byte matches", runs))
+    noise = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=seed)), 10)
+    inputs.append(("noise 256x256 k=10", scanlines(noise)))
     return inputs
 
 
@@ -114,13 +119,15 @@ def main() -> int:
     failed = []
     for level in LEVELS:
         rows = [r for r in results if r[1] == level]
-        differ = [name for name, _, _, _, same in rows if not same]
-        larger = [name for name, _, ours, theirs, _ in rows if ours > theirs]
+        differ = [r for r in rows if not r[4]]
+        larger = [r for r in rows if r[2] > r[3]]
         print(f"level {level}: bytes {sum(r[2] for r in rows)} here, {sum(r[3] for r in rows)} there, "
               f"{len(differ)} differ, {len(larger)} larger")
-        failed += [(name, level, "differs") for name in differ] if level < 2 else [(name, level, "is larger") for name in larger]
-    if failed:
-        print("  first: {} at level {} {}".format(*failed[0]))
+        failed += [f"{name} at level {level} differs" for name, *_ in differ] if level < 2 else [
+            f"{name} at level {level} is larger: {ours} / {theirs} = {ours / theirs:.4f}"
+            for name, _, ours, theirs, _ in larger]
+    for line in failed:
+        print(f"  {line}")
     return 1 if failed else 0
 
 

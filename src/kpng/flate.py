@@ -98,6 +98,24 @@ nearest first, so while level 3's walk holds nothing, a candidate farther
 than 256 bytes whose fourth byte differs is a match ``_FAR_LIMIT`` drops:
 the walk passes over it without building the 258-byte compare.
 
+Level 3 skips the walk at a dead position: one whose 4 bytes have no
+earlier copy starting inside the window and whose ``head`` entry is farther
+than ``_FAR_LIMIT[3]``. The skip is exact. The chain visits only positions
+in the window at or beyond the ``head`` entry's distance; each shares the
+position's 3-byte key and, with no 4-byte copy in the window, none its
+fourth byte, so each is a length-3 match past the limit. With nothing
+pending the walk passes every one over and holds nothing, so no window
+search starts and it returns no match. With a match pending, a candidate
+must beat at least 3 bytes, and none is longer than 3. A dead position
+still writes ``head`` and ``prev``; with nothing pending it joins the
+literal run, with a match pending it lets the match commit. The "no
+4-byte copy" mask (``_no_copy4``) is one ``np.sort`` of
+``key << 17 | offset`` per ``_DEAD_SEGMENT`` = 64 KiB of positions and
+the 32 KiB window before them, so its temporaries stay near 5 MB. It is
+built only after ``_DEAD_TRIGGER`` = 64 walks that started past the limit
+found nothing, which flat k=10 content does not reach, so only content
+that pays for it builds it (about 20 ms per 786 KB).
+
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
 ``crc32``, ``adler32``, ``lz77_tokenize``, ``deflate_compress`` and
@@ -427,6 +445,39 @@ _GOOD_LENGTH = 32
 _FAR_LIMIT = (0, 0, 0, 256, 4096)
 # the most rfind rounds of the lazy parse's window search after its chain walk
 _FIND_ROUNDS = 8
+# the lazy parse builds its "no 4-byte copy" mask (``_no_copy4``) after this
+# many walks that started past ``_FAR_LIMIT[3]`` and found nothing
+_DEAD_TRIGGER = 64
+# positions per sort of the mask; each sort also reads the window before them
+_DEAD_SEGMENT = 65536
+_DEAD_POS_BITS = (_DEAD_SEGMENT + WINDOW_SIZE - 1).bit_length()
+
+
+def _no_copy4(data: bytes, lo: int) -> memoryview:
+    """``dead[i]`` is True when no position in ``i``'s window, from ``i -
+    WINDOW_SIZE`` to ``i - 1``, starts with the 4 bytes at ``i``; False below
+    ``lo`` and at the last three positions, which have no 4 bytes. Each
+    segment of ``_DEAD_SEGMENT`` positions is one ``np.sort`` of ``key <<
+    _DEAD_POS_BITS | offset`` over the segment and the window before it, so
+    equal 4-byte keys sit together in position order and a position's
+    nearest earlier copy is the entry before it. The temporaries are a few
+    arrays of 98,304 entries whatever the input's size."""
+    n = len(data)
+    dead = np.zeros(n, bool)
+    keys = np.ndarray((max(n - 3, 0),), "<u4", data, 0, (1,))
+    for a in range(lo, len(keys), _DEAD_SEGMENT):
+        s = max(a - WINDOW_SIZE, 0)
+        b = min(a + _DEAD_SEGMENT, len(keys))
+        v = keys[s:b].astype(np.uint64)
+        v <<= _DEAD_POS_BITS
+        v |= np.arange(b - s, dtype=np.uint64)
+        v.sort()
+        off = (v & ((1 << _DEAD_POS_BITS) - 1)).astype(np.int64)
+        v >>= _DEAD_POS_BITS
+        copied = np.zeros(b - s, bool)
+        copied[off[1:]] = (v[1:] == v[:-1]) & (off[1:] - off[:-1] <= WINDOW_SIZE)
+        dead[a:b] = ~copied[a - s :]
+    return memoryview(dead)
 
 
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
@@ -456,7 +507,16 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     ``i`` as one integer, for a candidate that passes the one-byte
     reject. While the lazy walk holds nothing, a candidate farther than
     ``_FAR_LIMIT[3]`` whose fourth byte differs is passed over without a
-    compare: it is a length-3 match the walk would take and then drop."""
+    compare: it is a length-3 match the walk would take and then drop.
+
+    After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
+    found nothing, ``dead`` is ``_no_copy4`` of the rest of the data. A
+    position it marks whose ``head`` entry is past ``_FAR_LIMIT[3]`` is
+    dead: every candidate on its chain is such a length-3 match, so the
+    walk would return no match and is skipped. A dead position writes
+    ``head`` and ``prev`` as a walked one does; with no match pending it
+    joins a literal run, which goes on over lone and dead positions alike,
+    and with one pending it lets that match commit."""
     max_chain = 32 if lazy else 128
     good_length = _GOOD_LENGTH
     far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
@@ -474,6 +534,9 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     get = head.get
     unseen = -WINDOW_SIZE - 1  # the head entry of a new key: outside every window
     prev = memoryview(np.full(n, -1, np.int32 if n < 1 << 31 else np.int64))
+    dead = None  # the lazy parse's _no_copy4 mask, once built
+    misses = 0  # walks that started past far3 and found nothing
+    trigger = _DEAD_TRIGGER
 
     i = 0
     pend_len = 0
@@ -485,8 +548,33 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
             t = keys[i]
             j = get(t, unseen)
             head[t] = i
-            if j >= i - WINDOW_SIZE:
+            if j < i - WINDOW_SIZE or (i - j > far3 and dead is not None and dead[i]):
+                # a lone position, or a dead one: every candidate is a
+                # length-3 match past far3 and no copy of its 4 bytes is in
+                # the window, so the walk would find nothing
+                if j >= i - WINDOW_SIZE:
+                    prev[i] = j
+                if not pend_len:
+                    # a literal, and so is every lone or dead position after
+                    # it. A lone one goes into head only: a walk that
+                    # reaches it reads prev -1 and stops there, as it would
+                    # at the earlier position with its key, below the floor
+                    e = i + 1
+                    while e < limit:
+                        t = keys[e]
+                        j = get(t, unseen)
+                        if j >= e - WINDOW_SIZE:
+                            if e - j <= far3 or dead is None or not dead[e]:
+                                break
+                            prev[e] = j
+                        head[t] = e
+                        e += 1
+                    ops.extend(data[i:e])
+                    i = e
+                    continue
+            else:
                 prev[i] = j
+                far = i - j > far3
                 floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
                 max_len = n - i
                 if max_len > MAX_MATCH:
@@ -544,22 +632,10 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                     if bd and (bl > 4 or bd <= far4):
                         best_len = bl
                         best_dist = bd
-            elif not pend_len:
-                # a lone position: no earlier position with its key is in the
-                # window, so it is a literal, and so is every lone position
-                # after it. They go into head only: a walk that reaches one
-                # reads prev -1 and stops there, as it would at the earlier
-                # position with its key, which is below the floor
-                e = i + 1
-                while e < limit:
-                    t = keys[e]
-                    if get(t, unseen) >= e - WINDOW_SIZE:
-                        break
-                    head[t] = e
-                    e += 1
-                ops.extend(data[i:e])
-                i = e
-                continue
+                    elif far and dead is None and not bd:
+                        misses += 1
+                        if misses == trigger:
+                            dead = _no_copy4(data, i + 1)
 
         start = i
         if pend_len:

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kpng.flate import (
     _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
+    _DEAD_SEGMENT,
     _EMIT_OPS,
     _FAR_LIMIT,
     _FIND_ROUNDS,
@@ -49,6 +51,7 @@ from kpng.flate import (
     _emit_block,
     _estimated_bits,
     _limited_code_lengths,
+    _no_copy4,
     _op_fields,
     _plan_blocks,
     _priced_block,
@@ -448,8 +451,8 @@ def check_search_rounds(data, calls):
         prev_hit, prev_start = hit, start
 
 
-def flat_shapes_k10_scanlines():
-    img = kmm_transform(generate(CorpusSpec("flat-shapes", 128, 128, seed=1)), 10)
+def k10_scanlines(kind, size, seed=1):
+    img = kmm_transform(generate(CorpusSpec(kind, size, size, seed=seed)), 10)
     return inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
 
 
@@ -457,7 +460,7 @@ def flat_shapes_k10_scanlines():
 _search_rng = random.Random(24)
 SEARCH_INPUTS = {
     "copy-inside-a-long-match": copy_inside_a_long_match()[0],
-    "flat-shapes-k10": flat_shapes_k10_scanlines(),
+    "flat-shapes-k10": k10_scanlines("flat-shapes", 128),
     "three-values": bytes(_search_rng.randrange(3) for _ in range(40_000)),
     "four-values": structured_inputs()[-1],
     "runs-that-grow": b"".join(bytes([k % 7]) * k for k in range(1, 300)),
@@ -506,6 +509,108 @@ def test_only_the_lazy_parse_searches_the_window():
         spy = RfindSpy(data)
         _tokenize_ops(spy, False)
         assert spy.calls == []
+
+
+# ---------------------------------------------------------------------------
+# level 3 skips the walk at a position with no 4-byte copy in its window
+
+
+def no_copy4_reference(data, lo):
+    """``_no_copy4`` by a dict of each 4-byte key's latest position."""
+    last = {}
+    dead = [False] * len(data)
+    for i in range(len(data) - 3):
+        key = data[i : i + 4]
+        p = last.get(key)
+        dead[i] = i >= lo and (p is None or i - p > WINDOW_SIZE)
+        last[key] = i
+    return dead
+
+
+@pytest.mark.parametrize("lo", [0, 1, WINDOW_SIZE + 1])
+@pytest.mark.parametrize(
+    "n", [0, 3, 4, 5, _DEAD_SEGMENT - 1, _DEAD_SEGMENT + 4, _DEAD_SEGMENT + WINDOW_SIZE + 4, 2 * _DEAD_SEGMENT + 4]
+)
+def test_no_copy4_matches_a_dict_reference(n, lo):
+    # 26 values: 4-byte keys recur both inside and beyond a window apart
+    data = bytes(random.Random(n).choices(range(26), k=n))
+    assert np.asarray(_no_copy4(data, lo)).tolist() == no_copy4_reference(data, lo)
+
+
+def test_no_copy4_reaches_exactly_one_window_back():
+    # the 4-byte marker's second copy sees its first at WINDOW_SIZE, not
+    # one byte farther
+    assert not _no_copy4(repeat_at(WINDOW_SIZE, 4), 0)[WINDOW_SIZE]
+    assert _no_copy4(repeat_at(WINDOW_SIZE + 1, 4), 0)[WINDOW_SIZE + 1]
+
+
+def lazy_ops_with_trigger(data, trigger):
+    """Level 3's ops with the mask built after ``trigger`` fruitless walks,
+    and the positions ``_no_copy4`` was built from."""
+    built = []
+
+    def spy(data, lo):
+        built.append(lo)
+        return _no_copy4(data, lo)
+
+    with mock.patch.object(flate, "_DEAD_TRIGGER", trigger), mock.patch.object(flate, "_no_copy4", spy):
+        return _tokenize_ops(data, True), built
+
+
+def assert_mask_keeps_the_parse(data):
+    masked, _ = lazy_ops_with_trigger(data, 1)
+    plain, built = lazy_ops_with_trigger(data, 1 << 62)
+    assert built == []
+    assert masked.tolist() == plain.tolist()
+
+
+@given(st.sampled_from([2, 4, 26, 256]), st.integers(0, 6000), st.integers(0, 2**32))
+@settings(max_examples=60)
+def test_mask_keeps_the_parse_on_random_data(values, n, seed):
+    assert_mask_keeps_the_parse(bytes(random.Random(seed).choices(range(values), k=n)))
+
+
+@pytest.mark.parametrize("n", list(range(6)) + [WINDOW_SIZE - 1, WINDOW_SIZE, WINDOW_SIZE + 1,
+                                              _DEAD_SEGMENT - 1, _DEAD_SEGMENT, _DEAD_SEGMENT + 1])
+def test_mask_keeps_the_parse_across_window_and_segment_edges(n):
+    data = bytes(random.Random(n).choices(range(26), k=n))
+    assert_mask_keeps_the_parse(data)
+    if n > 5:
+        assert lazy_ops_with_trigger(data, 1)[1]  # the masked path ran
+
+
+@pytest.mark.parametrize("name", sorted(TOKENIZE_INPUTS))
+def test_mask_keeps_the_parse_on_pinned_inputs(name):
+    assert_mask_keeps_the_parse(TOKENIZE_INPUTS[name])
+
+
+def test_flat_shapes_never_build_the_mask():
+    # the pinned flat-shapes image at k=10: its walks that start past
+    # _FAR_LIMIT[3] find nothing only a few times, far below the trigger
+    img = kmm_transform(generate(CorpusSpec("flat-shapes", seed=1)), 10)
+    with mock.patch.object(flate, "_no_copy4", side_effect=AssertionError("mask built")) as builder:
+        encode_png(img)
+    builder.assert_not_called()
+
+
+def lazy_parse_peak_bytes(data, trigger):
+    with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
+        tracemalloc.start()
+        try:
+            _tokenize_ops(data, True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_mask_adds_at_most_2_mib_to_the_parse():
+    """The mask is a byte per position, and each sort's temporaries are
+    bounded by a segment and its window, whatever the input's size."""
+    data = k10_scanlines("mixed", 512)
+    assert lazy_ops_with_trigger(data, flate._DEAD_TRIGGER)[1]
+    masked = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
+    plain = lazy_parse_peak_bytes(data, 1 << 62)
+    assert masked - plain <= 2 << 20, (masked, plain)
 
 
 # ---------------------------------------------------------------------------
