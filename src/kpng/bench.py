@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -67,10 +66,7 @@ def measure(name: str, img: RasterImage, bmp_size: int, k: int = kmodulus.DEFAUL
     png_size = len(pngcodec.encode_png(img, opts))
     kimg = kmodulus.kmm_transform(img, k)
     kpng_size = len(pngcodec.encode_png(kimg, opts))
-    if min(img.width, img.height) < metrics.SSIM_WINDOW:
-        report = metrics.QualityReport(mse=metrics.mse(img, kimg), psnr=metrics.psnr(img, kimg), ssim=math.nan)
-    else:
-        report = metrics.compare(img, kimg)
+    report = metrics.compare(img, kimg)
     return BenchRecord(
         name=sanitize_name(name),
         width=img.width,

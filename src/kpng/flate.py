@@ -36,16 +36,15 @@ symbol and extra-bit arrays once and places the blocks (below), each priced
 from one histogram of its symbols. One numpy packer, ``_BitWriter.pack``,
 writes every bit: a fixed or dynamic block's header, its ops at most
 ``_EMIT_OPS`` per call and its end-of-block (``_emit_block``), a stored
-block's 3-bit header (``_emit_stored``). Merged blocks can span the whole
-input, so the cap keeps the packer's temporary arrays, a dozen uint64 per
-op, the same size whatever the blocks.
+block's 3-bit header (``_emit_stored``). A level 1 block spans the whole
+input and a merged one may, so the cap keeps the packer's temporary arrays,
+a dozen uint64 per op, the same size whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
 Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
 dynamic codes; 3 lazy matching + dynamic codes. One loop writes the blocks
-of every level: level 0 is one stored block, level 1 blocks cut at about 64
-KiB of input with ``cumsum`` and ``searchsorted`` (``_split_blocks``).
+of every level: level 0 is one stored block, level 1 one fixed block.
 Levels 2-3 place their boundaries by cost (``_plan_blocks``), after zopfli's
 ``ZopfliBlockSplitLZ77`` (blocksplitter.c). The ops are cut into chunks of
 2 KiB of input, whose symbol histograms come from one ``np.bincount`` and
@@ -61,9 +60,9 @@ little per symbol, plus the exact extra bits, or the exact fixed or stored
 size when smaller, computed at every split point of a span at once. The
 spans kept are priced exactly, then neighbours merge left to right: the
 block so far absorbs the next one whenever the chunks from its first to
-the next one's last, priced as one span, cost less than the two apart. The
-64 KiB cut, whose block starts are also chunk starts, is priced the same
-way; if it costs fewer bits in all, it is the plan.
+the next one's last, priced as one span, cost less than the two apart.
+When the plan has more than one block, the whole input is priced the same
+way as one span; if it costs no more, it is the plan.
 Levels 1-2 match greedily and walk up to 128 hash-chain links, zlib level
 6's chain (``configuration_table``, deflate.c). Level 3 matches lazily
 and walks up to 32 links, a quarter of that for the lazy search when the
@@ -146,7 +145,6 @@ from .errors import (
 WINDOW_SIZE = 32768
 MIN_MATCH = 3
 MAX_MATCH = 258
-_BLOCK_INPUT = 65536  # input bytes per level 1 block; levels 2-3 never cost more than this cut
 _STORED_MAX = 65535  # LEN is 16 bits
 _INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 _EMIT_OPS = 1 << 16  # ops coded per _BitWriter.pack call
@@ -440,8 +438,8 @@ _FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NO_DIST)
 _GOOD_LENGTH = 32
 # the farthest distance at which the lazy parse takes a match of length 3
 # or 4, indexed by length. zlib's ``TOO_FAR`` drops only length 3 beyond
-# 4096; these limits give smaller output on noisy k=10 content (ROADMAP
-# item 1 has the measurements)
+# 4096; these limits give smaller output on noisy k=10 content (CHANGES.md
+# has the measurements, under "Level 3 drops short far matches")
 _FAR_LIMIT = (0, 0, 0, 256, 4096)
 # the most rfind rounds of the lazy parse's window search after its chain walk
 _FIND_ROUNDS = 8
@@ -787,29 +785,6 @@ def _op_fields(ops: np.ndarray) -> _OpFields:
     )
 
 
-def _split_blocks(ends: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Partition the ops at ~64 KiB input boundaries: a block ends at the
-    first op that brings it to ``_BLOCK_INPUT`` bytes or more. ``ends`` is
-    the input byte each op ends at, the int64 ``cumsum`` of ``cover``.
-
-    Returns (op_start, op_end, byte_start, byte_end) per block; a match is
-    never split, so blocks may slightly overshoot the boundary.
-    """
-    n = len(ends)
-    total = int(ends[-1]) if n else 0
-    blocks = []
-    op_start = 0
-    byte_start = 0
-    while total - byte_start >= _BLOCK_INPUT:
-        idx = int(np.searchsorted(ends, byte_start + _BLOCK_INPUT))
-        blocks.append((op_start, idx + 1, byte_start, int(ends[idx])))
-        op_start = idx + 1
-        byte_start = int(ends[idx])
-    if op_start < n or not blocks:
-        blocks.append((op_start, n, byte_start, total))
-    return blocks
-
-
 def _rle_code_lengths(lengths) -> list[tuple[int, int, int]]:
     """Run-length encode a code-length sequence, an int array or list, into
     (symbol, extra, extra_bits): zeros as 18s, then a 17; another length as
@@ -922,8 +897,7 @@ class _Block(NamedTuple):
 class _ChunkSums(NamedTuple):
     """Prefix sums over chunks of ops, row k summing the chunks before chunk
     k. Chunks start at the first op at or past each ``_CHUNK_INPUT`` bytes
-    of input, and at each given op. Only the symbols that occur have a
-    column."""
+    of input. Only the symbols that occur have a column."""
 
     op: np.ndarray  # int64, first op of each chunk, then the op count
     byte: np.ndarray  # int64, first input byte of each chunk, then the input size
@@ -932,16 +906,15 @@ class _ChunkSums(NamedTuple):
     xlogx: np.ndarray  # float64, c * log2(c) for every count c a column reaches
 
 
-def _chunk_sums(f: _OpFields, ends: np.ndarray, starts: list[int]) -> _ChunkSums:
-    """The chunk prefix sums of the ops, whose input ends are ``ends``, a
-    chunk also starting at each op in ``starts``."""
+def _chunk_sums(f: _OpFields, ends: np.ndarray) -> _ChunkSums:
+    """The chunk prefix sums of the ops, whose input ends are ``ends``."""
     n = len(ends)
     # op i starts at byte ends[i - 1], so the first op at or past byte b is
     # one past the first op to end there. A match is shorter than a chunk,
-    # so only a last stretch of input can hold no op start
+    # so each grid point's op is a distinct one and only a last stretch of
+    # input can hold no op start
     grid = np.searchsorted(ends, np.arange(_CHUNK_INPUT, ends[-1] if n else 0, _CHUNK_INPUT)) + 1
-    op = np.sort(np.concatenate((starts, grid[grid < n], [0, n])))
-    op = op[np.append(op[:-1] < op[1:], True)] if n else np.zeros(2, np.int64)
+    op = np.concatenate(([0], grid[grid < n], [n]))
     nchunks = len(op) - 1
     # one bincount: a literal/length symbol s counts at column s of its
     # chunk's row, a match's distance symbol d at column 286 + d
@@ -1027,28 +1000,25 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     """Block boundaries for levels 2-3, placed by cost (RFC 1951 leaves them
     to the compressor).
 
-    The ops' input ends, one ``cumsum``, give both the ~64 KiB cut of
-    ``_split_blocks`` and the chunks (``_chunk_sums``), cut at every
-    ``_CHUNK_INPUT`` bytes of input and at every block start of that cut.
-    ``_cost_cuts`` splits the chunks where the estimate says a new code
-    pays. Every block is then a span of chunks, priced exactly by
-    ``_priced_block`` from the span's histogram. Neighbours merge left to
-    right: the block so far absorbs the next span whenever the chunks from
-    its first to the span's last, priced as one span, cost less than the two
-    apart. A merge is priced only when the estimate puts the span and the
-    one before it together within ``_MERGE_SLACK`` bits of the two apart.
-    The blocks of the 64 KiB cut are spans too, and when they cost fewer
-    bits in all they are the plan, so the plan never costs more than that
-    cut.
+    The ops' input ends, one ``cumsum``, give the chunks (``_chunk_sums``),
+    cut at every ``_CHUNK_INPUT`` bytes of input. ``_cost_cuts`` splits the
+    chunks where the estimate says a new code pays. Every block is then a
+    span of chunks, priced exactly by ``_priced_block`` from the span's
+    histogram. Neighbours merge left to right: the block so far absorbs the
+    next span whenever the chunks from its first to the span's last, priced
+    as one span, cost less than the two apart. A merge is priced only when
+    the estimate puts the span and the one before it together within
+    ``_MERGE_SLACK`` bits of the two apart. When more than one block is
+    left, the whole input is priced as one span too, and when it costs no
+    more it is the plan, so the plan never costs more than one block.
 
-    A split leaves at least ``_MIN_BLOCK`` bytes on each side, so the exact
-    codes built (``_DynamicPlan``, the bulk of the time) are at most one per
-    kept span, one per merge tried and one per block of the cut: at most
-    2.25 per 16 KiB of input, and one more. Each span is priced once, also
-    where a kept span is a block of the cut too."""
+    The exact codes built (``_DynamicPlan``, the bulk of the time) are one
+    per kept span, one per merge tried and one for the whole input: at most
+    two per kept span, and a split leaves at least ``_MIN_BLOCK`` bytes on
+    each side. Each span is priced once, also where the whole input was a
+    merge tried."""
     ends = np.cumsum(f.cover, dtype=np.int64)
-    cut_starts = [span[0] for span in _split_blocks(ends)]
-    sums = _chunk_sums(f, ends, cut_starts)
+    sums = _chunk_sums(f, ends)
     nchunks = len(sums.op) - 1
     bounds = np.array(_cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks])
     apart = _estimated_bits(sums, bounds[:-1], bounds[1:])
@@ -1071,10 +1041,10 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
                 continue
         blocks.append(nxt)
         first = a
-    cut_bounds = np.searchsorted(sums.op, cut_starts).tolist() + [nchunks]
-    cut = [price(a, b) for a, b in zip(cut_bounds, cut_bounds[1:])]
-    if sum(b.bits for b in cut) < sum(b.bits for b in blocks):
-        return cut
+    if len(blocks) > 1:
+        whole = price(0, nchunks)
+        if whole.bits <= sum(b.bits for b in blocks):
+            return [whole]
     return blocks
 
 
@@ -1145,8 +1115,7 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
         f, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
         f = _op_fields(_tokenize_ops(data, lv == 3))
-        blocks = (_plan_blocks(f) if lv > 1
-                  else [_Block(*cut, 1) for cut in _split_blocks(np.cumsum(f.cover, dtype=np.int64))])
+        blocks = _plan_blocks(f) if lv > 1 else [_Block(0, len(f.sym), 0, len(data), 1)]
     w = _BitWriter(out)
     for i, block in enumerate(blocks):
         final = i == len(blocks) - 1

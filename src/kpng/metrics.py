@@ -12,6 +12,8 @@ the outer product of a 1-D Gaussian, so each local mean is taken as two
 blurs per channel do the work of five. Each pass is a sliding window
 along a strided axis times the 1-D Gaussian; between the passes the band
 is copied column-major so the pass along the rows has the same form.
+``ssim`` refuses an image smaller than the window; ``compare`` reports its
+SSIM as NaN, beside its MSE and PSNR.
 """
 
 from __future__ import annotations
@@ -87,13 +89,6 @@ def _planes(img: RasterImage) -> np.ndarray:
     return img.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
 
 
-def _check_ssim_size(a: RasterImage) -> None:
-    if min(a.width, a.height) < SSIM_WINDOW:
-        raise ParameterError(
-            f"image {a.width}x{a.height} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
-        )
-
-
 def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
     """Mean over channels of each channel's mean SSIM, for channel-major
     float64 planes ``xa`` and ``ya``."""
@@ -122,16 +117,19 @@ def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
 def ssim(a: RasterImage, b: RasterImage) -> float:
     """Mean local structural similarity; 1.0 means identical."""
     a.check_same_shape(b)
-    _check_ssim_size(a)
+    if min(a.width, a.height) < SSIM_WINDOW:
+        raise ParameterError(
+            f"image {a.width}x{a.height} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
+        )
     return _ssim_of(_planes(a), _planes(b))
 
 
 def compare(a: RasterImage, b: RasterImage) -> QualityReport:
     """All three quality measures at once, from one float64 conversion of
-    each image."""
+    each image. SSIM is NaN when the images are smaller than the window."""
     a.check_same_shape(b)
-    _check_ssim_size(a)
     xa = _planes(a)
     ya = _planes(b)
     m = _mse_of(xa, ya)
-    return QualityReport(mse=m, psnr=_psnr_from_mse(m), ssim=_ssim_of(xa, ya))
+    s = _ssim_of(xa, ya) if min(a.width, a.height) >= SSIM_WINDOW else math.nan
+    return QualityReport(mse=m, psnr=_psnr_from_mse(m), ssim=s)

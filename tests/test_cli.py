@@ -82,6 +82,19 @@ def test_metrics_quantized_psnr_in_range(tmp_path, capsys):
     assert 34.15 <= psnr_value <= 46.5
 
 
+def test_metrics_image_smaller_than_the_ssim_window(tmp_path, capsys):
+    # 8x8 is below the 11x11 SSIM window: SSIM prints nan, as kpng bench does
+    a = tmp_path / "tiny.bmp"
+    a.write_bytes(encode_bmp(random_image(np.random.default_rng(8), 8, 8, 3)))
+    out_png = tmp_path / "tiny.png"
+    assert main(["convert", "--k", "10", str(a), "-o", str(out_png)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(a), str(out_png)]) == 0
+    captured = capsys.readouterr()
+    assert "ssim    nan" in captured.out
+    assert captured.err == ""
+
+
 def test_metrics_shape_mismatch(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = tmp_path / "a.bmp"

@@ -21,7 +21,6 @@ from kpng.errors import (
 from kpng.flate import (
     _ADLER_GROUP,
     _ADLER_NMAX,
-    _BLOCK_INPUT,
     _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
@@ -35,6 +34,7 @@ from kpng.flate import (
     _MIN_BLOCK,
     _NO_DIST,
     _NSYM,
+    _SYM_FIXED_BITS,
     _SYM_XB,
     MAX_MATCH,
     MIN_MATCH,
@@ -56,7 +56,7 @@ from kpng.flate import (
     _plan_blocks,
     _priced_block,
     _rle_code_lengths,
-    _split_blocks,
+    _stored_bits_upper,
     _tokenize_ops,
     adler32,
     crc32,
@@ -652,7 +652,7 @@ def test_deterministic_output():
 # block writer that moves them shows.
 GREEDY_LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
-    1: "1c41e596b391e31aab2e8685b54546ae121bc9541eec3c0a18362065b3846d1d",
+    1: "6634e981332d1da91c52243a64088cec7424339af41e206898dc4de697a30512",
     2: "beacaa7b5556edbe1812177114644da5c3ea100a5e7659e14bc3561752fd8730",
     3: "0964c257f1537fe4707accb9eb3ec49008398a70f59d433fc8e6437f8ac2b7b4",
 }
@@ -797,15 +797,19 @@ def test_every_proper_prefix_is_truncated():
     lit_lengths = block.plan.lit_lengths
     # the canonical all-zero code is the first symbol of the shortest length
     assert np.flatnonzero(lit_lengths == lit_lengths[lit_lengths > 0].min())[0] < 256
-    zeros = bytes(_BLOCK_INPUT + 4000)  # two blocks
+    zeros = bytes(69_536)  # at level 1, one fixed block of 258-byte matches
     # a non-final dynamic block, then a second dynamic header to cut inside
     c = zlib.compressobj(9)
     synced = c.compress(text) + c.flush(zlib.Z_SYNC_FLUSH) + c.compress(text[::-1]) + c.flush()
     assert synced[2] & 7 == 0b100
+    # a non-final fixed block, then a second fixed header, off a byte boundary
+    c = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_FIXED)
+    two_fixed = c.compress(text) + c.flush(zlib.Z_BLOCK) + c.compress(text[::-1]) + c.flush()
+    assert two_fixed[2] & 7 == 0b010
     corpus = (
         [deflate_compress(text, level) for level in ALL_LEVELS]
         + [zlib.compress(text, level) for level in (0, 1, 9)]
-        + [deflate_compress(b"", 2), skewed, deflate_compress(zeros, 1), zlib.compress(zeros, 9), synced]
+        + [deflate_compress(b"", 2), skewed, deflate_compress(zeros, 1), zlib.compress(zeros, 9), synced, two_fixed]
     )
     for stream in corpus:
         assert inflate(stream) == zlib.decompress(stream)
@@ -1239,9 +1243,10 @@ def _emit_block_peak_bytes(nops: int) -> int:
 
 
 def test_emit_block_memory_does_not_grow_with_block():
-    """Merged blocks may span the whole input. The packer's temporaries, a
-    dozen uint64 per op it is given, stay bounded by _EMIT_OPS whatever the
-    block; only the written stream grows, here about a byte per op."""
+    """A level 1 block spans the whole input and a merged one may. The
+    packer's temporaries, a dozen uint64 per op it is given, stay bounded by
+    _EMIT_OPS whatever the block; only the written stream grows, here about
+    a byte per op."""
     small = _emit_block_peak_bytes(2 * _EMIT_OPS)
     large = _emit_block_peak_bytes(10 * _EMIT_OPS)
     assert large - small < 3 * 8 * _EMIT_OPS, (small, large)
@@ -1316,47 +1321,13 @@ def test_span_histogram_matches_per_op_count():
     f = _op_fields(np.array(ops, np.int64))
     # the whole run of ops as one span of chunks, end-of-block added as
     # _priced_block adds it, and the test's own per-op histogram
-    sums = _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64), [0])
+    sums = _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64))
     span = np.zeros(_NSYM, np.int64)
     span[sums.cols] = sums.freq[-1] - sums.freq[0]
     span[256] += 1
     for freq in (span, op_histogram(f, 0, len(ops))):
         assert (freq[:286].tolist(), freq[286:].tolist(), int(freq @ _SYM_XB)) == (lit_freq, dist_freq, extra)
     assert f.cover.tolist() == [1 if op < 256 else op >> 16 for op in ops]
-
-
-def split_blocks_reference(cover):
-    """Per-op loop: a block ends at the first op that brings it to
-    _BLOCK_INPUT bytes or more."""
-    blocks = []
-    op_start = byte_start = pos = 0
-    for idx, c in enumerate(cover):
-        pos += c
-        if pos - byte_start >= _BLOCK_INPUT:
-            blocks.append((op_start, idx + 1, byte_start, pos))
-            op_start = idx + 1
-            byte_start = pos
-    if op_start < len(cover) or not blocks:
-        blocks.append((op_start, len(cover), byte_start, pos))
-    return blocks
-
-
-@pytest.mark.parametrize(
-    "cover",
-    [
-        [],
-        [1],
-        [1] * (_BLOCK_INPUT - 1),
-        [1] * _BLOCK_INPUT,
-        [1] * (_BLOCK_INPUT + 1),
-        [258] * 1000,
-        [1] * (_BLOCK_INPUT - 1) + [258] + [1] * (_BLOCK_INPUT - 2),
-        [random.Random(9).choice([1, 1, 3, 40, 258]) for _ in range(20000)],
-    ],
-    ids=["empty", "one", "just-under", "exact", "just-over", "long-matches", "overshoot", "random"],
-)
-def test_split_blocks_matches_per_op_loop(cover):
-    assert _split_blocks(np.cumsum(np.array(cover, np.uint16), dtype=np.int64)) == split_blocks_reference(cover)
 
 
 @pytest.mark.parametrize(
@@ -1479,8 +1450,8 @@ def _frequency_vectors():
     # the histograms of real blocks, at both dynamic levels
     for level in (2, 3):
         f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), level == 3))
-        for op_s, op_e, _, _ in _split_blocks(np.cumsum(f.cover, dtype=np.int64)):
-            freq = op_histogram(f, op_s, op_e)
+        for block in _plan_blocks(f):
+            freq = op_histogram(f, block.op_start, block.op_end)
             vecs += [(freq[:286].tolist(), 15), (freq[286:].tolist(), 15)]
     return vecs
 
@@ -1516,14 +1487,17 @@ def word_text(seed, n):
     return bytes(out[:n])
 
 
+# input bytes per block of the 64 KiB cut, which the plan is measured against
+CUT_INPUT = 65536
+
 MERGE_INPUTS = {
-    "uniform": word_text(1, 4 * _BLOCK_INPUT),
+    "uniform": word_text(1, 4 * CUT_INPUT),
     "alternating": b"".join(
-        word_text(i, _BLOCK_INPUT) if i % 2 == 0 else random.Random(i).randbytes(_BLOCK_INPUT) for i in range(4)
+        word_text(i, CUT_INPUT) if i % 2 == 0 else random.Random(i).randbytes(CUT_INPUT) for i in range(4)
     ),
     # a random stretch that covers a whole 64 KiB cut, which is stored
-    "stored-stretch": word_text(2, _BLOCK_INPUT) + random.Random(3).randbytes(2 * _BLOCK_INPUT + 1000)
-    + word_text(4, _BLOCK_INPUT),
+    "stored-stretch": word_text(2, CUT_INPUT) + random.Random(3).randbytes(2 * CUT_INPUT + 1000)
+    + word_text(4, CUT_INPUT),
 }
 
 
@@ -1534,17 +1508,36 @@ MERGE_STREAM_SHA256 = {
 
 
 def plan_sums(f):
-    """The chunk prefix sums _plan_blocks builds, and the spans of the 64 KiB
-    cut, each a span of chunks."""
-    ends = np.cumsum(f.cover, dtype=np.int64)
-    cut = _split_blocks(ends)
-    return _chunk_sums(f, ends, [span[0] for span in cut]), cut
+    """The chunk prefix sums _plan_blocks builds."""
+    return _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64))
+
+
+def cut_spans(cover):
+    """The 64 KiB cut, by a per-op loop: a block ends at the first op that
+    brings it to CUT_INPUT bytes or more. (op_start, op_end, byte_start,
+    byte_end) per block."""
+    blocks = []
+    op_start = byte_start = pos = 0
+    for idx, c in enumerate(cover):
+        pos += c
+        if pos - byte_start >= CUT_INPUT:
+            blocks.append((op_start, idx + 1, byte_start, pos))
+            op_start = idx + 1
+            byte_start = pos
+    if op_start < len(cover) or not blocks:
+        blocks.append((op_start, len(cover), byte_start, pos))
+    return blocks
 
 
 def priced_cut(f):
-    """The blocks of the 64 KiB cut, priced exactly."""
-    sums, cut = plan_sums(f)
-    return [_priced_block(sums, *np.searchsorted(sums.op, span[:2]).tolist()) for span in cut]
+    """The bits of each block of the 64 KiB cut: the cheapest of its
+    dynamic, fixed and stored bits, from the test's per-op histogram."""
+    bits = []
+    for op_start, op_end, byte_start, byte_end in cut_spans(f.cover.tolist()):
+        freq = op_histogram(f, op_start, op_end)
+        fixed = 3 + int(freq @ _SYM_FIXED_BITS)
+        bits.append(min(_DynamicPlan(freq).bits, fixed, int(_stored_bits_upper(byte_end - byte_start))))
+    return bits
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -1558,12 +1551,11 @@ def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     # the blocks partition the ops and the input in order
     assert [(b.op_start, b.byte_start) for b in blocks] == [(0, 0)] + [(b.op_end, b.byte_end) for b in blocks[:-1]]
     assert (blocks[-1].op_end, blocks[-1].byte_end) == (len(f.cover), len(data))
-    assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
-    if name == "uniform":
-        # one vocabulary throughout: the plan costs no more than the whole
-        # input as one block
-        sums, _ = plan_sums(f)
-        assert sum(b.bits for b in blocks) <= _priced_block(sums, 0, len(sums.op) - 1).bits
+    # measured, not built in: the plan places its blocks by its own estimate
+    assert sum(b.bits for b in blocks) <= sum(cut)
+    # built in: the plan costs no more than the whole input as one block
+    sums = plan_sums(f)
+    assert sum(b.bits for b in blocks) <= _priced_block(sums, 0, len(sums.op) - 1).bits
     if name == "stored-stretch":
         assert 0 in [b.btype for b in blocks]
 
@@ -1585,13 +1577,12 @@ TEXT_RANDOM_TEXT = word_text(5, CHANGES[0]) + random.Random(9).randbytes(CHANGES
 @pytest.mark.parametrize("level", [2, 3])
 def test_plan_cuts_where_the_content_changes(level):
     data = TEXT_RANDOM_TEXT
-    assert all(c % _CHUNK_INPUT and c % _BLOCK_INPUT for c in CHANGES)
+    assert all(c % _CHUNK_INPUT and c % CUT_INPUT for c in CHANGES)
     f = _op_fields(_tokenize_ops(data, level == 3))
     blocks = _plan_blocks(f)
     starts = [b.byte_start for b in blocks]
     assert all(min(abs(s - c) for s in starts) <= _CHUNK_INPUT for c in CHANGES), starts
-    cut = priced_cut(f)
-    assert sum(b.bits for b in blocks) <= sum(b.bits for b in cut)
+    assert sum(b.bits for b in blocks) <= sum(priced_cut(f))
     stream = deflate_compress(data, level)
     assert zlib.decompress(stream) == data
     assert inflate(stream) == data
@@ -1612,10 +1603,17 @@ def test_plan_of_tiny_inputs(data, level):
 def test_chunk_sums_match_per_span_count(level):
     f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, level == 3))
     ends = np.cumsum(f.cover, dtype=np.int64)
-    sums = _chunk_sums(f, ends, [0, 70_000, 70_001])
-    rng = random.Random(level)
-    assert {70_000, 70_001} <= set(sums.op.tolist())
+    sums = _chunk_sums(f, ends)
+    # each chunk starts at the first op at or past a multiple of _CHUNK_INPUT
+    starts = []
+    grid = 0
+    for i, byte in enumerate([0] + ends[:-1].tolist()):
+        if byte >= grid:
+            starts.append(i)
+            grid = (byte // _CHUNK_INPUT + 1) * _CHUNK_INPUT
+    assert sums.op.tolist() == starts + [len(ends)]
     assert sums.byte.tolist() == [int(ends[i - 1]) if i else 0 for i in sums.op.tolist()]
+    rng = random.Random(level)
     for a, b in [(0, len(sums.op) - 1)] + [sorted(rng.sample(range(len(sums.op)), 2)) for _ in range(20)]:
         want = op_histogram(f, sums.op[a], sums.op[b])
         want[256] -= 1  # op_histogram counts end-of-block
@@ -1626,7 +1624,7 @@ def test_chunk_sums_match_per_span_count(level):
 
 def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
     """Exact codes are built for the spans kept, the merges tried and the
-    blocks of the 64 KiB cut only: a count, not a time."""
+    whole input only, at most two per kept span: a count, not a time."""
     built = []
 
     class CountingPlan(_DynamicPlan):
@@ -1639,18 +1637,18 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
     monkeypatch.setattr(flate, "_DynamicPlan", CountingPlan)
     f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, True))
     blocks = _plan_blocks(f)
-    assert len(_split_blocks(np.cumsum(f.cover, dtype=np.int64))) == 3
-    assert len(blocks) == 5
-    # five spans kept, no merge estimated near paying, three cut blocks
-    assert len(built) == 8
-    assert len(built) <= 2.25 * len(TEXT_RANDOM_TEXT) / _MIN_BLOCK + 1
+    _, bounds = kept_spans(f)
+    assert len(bounds) - 1 == len(blocks) == 5
+    # five spans kept, no merge estimated near paying, and the whole span
+    assert len(built) == 6
+    assert len(built) <= 2 * (len(bounds) - 1) <= 2 * len(TEXT_RANDOM_TEXT) / _MIN_BLOCK
 
 
 @pytest.mark.parametrize("k", [None, 10])
 def test_plan_prices_each_span_once(k, monkeypatch):
-    """scripts/deflate_parity.py's 64x64 flat-shapes tile at level 3 is under
-    one 64 KiB cut, so its plan keeps one block that is also the cut's one
-    block: that span is priced once, not once for each."""
+    """scripts/deflate_parity.py's 64x64 flat-shapes tile at level 3 is one
+    span kept, the whole input: a plan of one block does not price the
+    whole input again."""
     img = generate(CorpusSpec("flat-shapes", 64, 64, seed=3))
     img = kmm_transform(img, k) if k else img
     data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
@@ -1664,15 +1662,35 @@ def test_plan_prices_each_span_once(k, monkeypatch):
 
     monkeypatch.setattr(flate, "_priced_block", counting)
     (block,) = _plan_blocks(f)
-    nchunks = len(plan_sums(f)[0].op) - 1
+    nchunks = len(plan_sums(f).op) - 1
     assert spans == [(0, nchunks)]
     assert block.bits == written_bits(f, block)
+
+
+def test_plan_prices_the_whole_input_once(monkeypatch):
+    """With every merge priced, the level 3 plan of "uniform" tries the
+    whole input as a merge and keeps its two spans apart: the whole input,
+    its safety net, is not priced again."""
+    monkeypatch.setattr(flate, "_MERGE_SLACK", 1 << 30)
+    f = _op_fields(_tokenize_ops(MERGE_INPUTS["uniform"], True))
+    spans = []
+
+    def counting(sums, a, b):
+        spans.append((a, b))
+        return _priced_block(sums, a, b)
+
+    monkeypatch.setattr(flate, "_priced_block", counting)
+    blocks = _plan_blocks(f)
+    nchunks = len(plan_sums(f).op) - 1
+    assert len(blocks) == 2
+    assert spans[-1] == (0, nchunks)
+    assert len(set(spans)) == len(spans) == 3
 
 
 def kept_spans(f):
     """The chunk prefix sums _plan_blocks builds, and the chunk bounds of the
     spans its split keeps, before any merge."""
-    sums, _ = plan_sums(f)
+    sums = plan_sums(f)
     nchunks = len(sums.op) - 1
     return sums, _cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks]
 
@@ -1704,7 +1722,8 @@ def test_plan_merges_kept_spans_when_that_pays():
 def test_plan_is_the_64k_cut_when_the_cut_costs_less():
     # scripts/deflate_parity.py's seed-0 "repeat at distance 32768": the split
     # stores the first 16 KiB and codes the rest, which priced exactly is 9
-    # bits dearer than one dynamic block, the 64 KiB cut
+    # bits dearer than one dynamic block, the whole span; the input is one
+    # block of the 64 KiB cut too
     rng = random.Random(0)
     for size in (0, 1, 2, 3, 700, rng.randrange(70_001), 70_000):
         rng.randbytes(size)
@@ -1714,11 +1733,12 @@ def test_plan_is_the_64k_cut_when_the_cut_costs_less():
     f = _op_fields(_tokenize_ops(data, False))
     sums, bounds = kept_spans(f)
     apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
-    (cut,) = priced_cut(f)
+    whole = _priced_block(sums, 0, bounds[-1])
     blocks = _plan_blocks(f)
     assert [b.btype for b in apart] == [0, 2]
-    assert sum(b.bits for b in apart) - cut.bits == 9
-    assert [b[:6] for b in blocks] == [cut[:6]]
+    assert priced_cut(f) == [whole.bits]
+    assert sum(b.bits for b in apart) - whole.bits == 9
+    assert [b[:6] for b in blocks] == [whole[:6]]
     assert blocks[0].bits == written_bits(f, blocks[0])
 
 

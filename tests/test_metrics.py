@@ -161,6 +161,18 @@ def test_ssim_window_requirement():
         ssim(small, small)
 
 
+def test_compare_below_the_window_reports_nan_ssim():
+    # ssim refuses an image this small; compare still gives MSE and PSNR
+    rng = np.random.default_rng(6)
+    small = random_image(rng, 8, SSIM_WINDOW, 3)
+    quant = kmm_transform(small, 10)
+    report = compare(small, quant)
+    assert math.isnan(report.ssim)
+    assert (report.mse, report.psnr) == (mse(small, quant), psnr(small, quant))
+    with pytest.raises(DimensionMismatchError):
+        compare(small, random_image(rng, 9, SSIM_WINDOW, 3))
+
+
 def test_ssim_range():
     rng = np.random.default_rng(7)
     for _ in range(5):
