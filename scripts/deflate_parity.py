@@ -12,7 +12,8 @@ both and compares the streams. The corpus:
 - random inputs of 0 to 70 KB;
 - a block repeated at distance 32768, the window's edge, and at 32769,
   one byte past it;
-- runs that make 258-byte matches far longer than ``_INSERT_CAP``;
+- runs of 128 to 4,000 bytes that make chains of 258-byte matches, whose
+  insides are on the chains that later walks read;
 - the scanlines of a 256x256 noise tile at k=10, on which level 3 builds
   its "no 4-byte copy" mask and skips dead walks.
 
@@ -43,7 +44,7 @@ from pathlib import Path
 
 from inflate_parity import load_flate
 from kpng.corpus import GENERATOR_KINDS, CorpusSpec, generate
-from kpng.flate import _INSERT_CAP, WINDOW_SIZE, deflate_compress, inflate
+from kpng.flate import WINDOW_SIZE, deflate_compress, inflate
 from kpng.kmodulus import kmm_transform
 from kpng.pngcodec import encode_png, parse_chunks
 
@@ -65,8 +66,8 @@ def corpus(seed: int) -> list[tuple[str, bytes]]:
     block = rng.randbytes(600)
     for dist in (WINDOW_SIZE, WINDOW_SIZE + 1):
         inputs.append((f"repeat at distance {dist}", block + rng.randbytes(dist - len(block)) + block))
-    # runs of one byte and of a short period, each far past _INSERT_CAP
-    runs = b"".join(bytes([rng.randrange(256)]) * rng.randrange(_INSERT_CAP, 4000)
+    # runs of one byte and of a short period, each 128 bytes or longer
+    runs = b"".join(bytes([rng.randrange(256)]) * rng.randrange(128, 4000)
                     + rng.randbytes(rng.randrange(1, 8)) * rng.randrange(40, 400) for _ in range(12))
     inputs.append(("258-byte matches", runs))
     noise = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=seed)), 10)

@@ -64,56 +64,63 @@ the next one's last, priced as one span, cost less than the two apart.
 When the plan has more than one block, the whole input is priced the same
 way as one span; if it costs no more, it is the plan.
 Levels 1-2 match greedily and walk up to 128 hash-chain links, zlib level
-6's chain (``configuration_table``, deflate.c). Level 3 matches lazily
-and walks up to 32 links, a quarter of that for the lazy search when the
+6's chain (``configuration_table``, deflate.c). Level 3 matches lazily and
+walks up to 32 links, a quarter of that for the lazy search when the
 pending match is already 32 bytes long (``_GOOD_LENGTH``). zlib's
-``longest_match`` walks its chain in C; here the walk is a Python loop, and
-a match longer than ``_INSERT_CAP`` leaves its inside off every chain, so
-the row above a flat k=10 row is seldom on it. So when level 3's walk
-spends its whole budget and holds a match shorter than the longest
-possible, it searches the window at C speed: ``bytes.rfind`` finds the
-nearest earlier copy of the held match's bytes and one more, the XOR
+``longest_match`` walks its chain in C; here the walk is a Python loop,
+and 32 links can end among nearer copies of a key before they reach an
+older, longer one, such as the row above a flat k=10 row. So when level
+3's walk spends its whole budget and holds a match shorter than the
+longest possible, it searches the window at C speed: ``bytes.rfind`` finds
+the nearest earlier copy of the held match's bytes and one more, the XOR
 compare measures it, and the next round asks for one byte more than the
 new best, scanning only below the last hit, for at most ``_FIND_ROUNDS``
 rounds. A level 3 position thus costs at most 32 links plus at most 8
-``rfind`` calls whose scans together cover the window at most once.
-Every search stops at a 258-byte match.
+``rfind`` calls whose scans together cover the window at most once. Every
+search stops at a 258-byte match.
 Level 3 then drops a match of length 3 farther than 256 bytes or of length
 4 farther than 4096 (``_FAR_LIMIT``), after zlib's ``TOO_FAR`` in
 ``deflate_slow``, which drops length 3 beyond 4096: on noisy content such a
 match's codes and extra bits cost more than its literals. Levels 1-2 take
 every match.
 
-The tokenizer builds every 3-byte key in one numpy pass, a stride-1
-big-endian uint32 view of the data masked to 24 bits, and reads it through
-a ``memoryview``; the chain links ``prev`` are an int32 array, so no Python
-int stays alive per linked position. A lone position, one whose key has no
-earlier position inside the window, cannot match: with no match pending it
-starts a literal run that takes every lone position after it too. The run
-only updates ``head``; its ``prev`` links stay -1, which ends a later walk
-at the same link as the earlier position, below the window floor, would.
-Every chain candidate shares the position's 3 bytes, and a walk visits them
-nearest first, so while level 3's walk holds nothing, a candidate farther
-than 256 bytes whose fourth byte differs is a match ``_FAR_LIMIT`` drops:
-the walk passes over it without building the 258-byte compare.
+The tokenizer builds every hash chain link before it parses, in numpy
+(``_chain_links``), as zlib's ``deflate.c`` keeps ``prev[]``: ``prev[i]``
+is the latest earlier position with ``i``'s 3-byte key, in an int32 array,
+so no Python int stays alive per position. A position whose key is the key
+one back links to ``i - 1``. Only the last position of each run of equal
+keys goes into one ``np.sort`` of ``key << 17 | run`` per
+``_LINK_SEGMENT`` = 64 KiB of positions and the 32 KiB window before them,
+and each run's first position links to the end of the run before it with
+its key. The sort keys are unique, so the links do not depend on the
+sort's algorithm, and the temporaries stay near 5 MB whatever the input's
+size (about 2 ms per 786 KB of flat content, 25 ms of noisy). The parse
+reads ``prev`` through a ``memoryview`` and writes nothing: it keeps no
+dict and inserts nothing, and the inside of every match is on its key's
+chain. A lone position, one whose link is more than a window back, cannot
+match: with no match pending it starts a literal run that takes every lone
+position after it too. Every chain candidate shares the position's 3
+bytes, and a walk visits them nearest first, so while level 3's walk holds
+nothing, a candidate farther than 256 bytes whose fourth byte differs is a
+match ``_FAR_LIMIT`` drops: the walk passes over it without building the
+258-byte compare.
 
 Level 3 skips the walk at a dead position: one whose 4 bytes have no
-earlier copy starting inside the window and whose ``head`` entry is farther
-than ``_FAR_LIMIT[3]``. The skip is exact. The chain visits only positions
-in the window at or beyond the ``head`` entry's distance; each shares the
-position's 3-byte key and, with no 4-byte copy in the window, none its
-fourth byte, so each is a length-3 match past the limit. With nothing
-pending the walk passes every one over and holds nothing, so no window
-search starts and it returns no match. With a match pending, a candidate
-must beat at least 3 bytes, and none is longer than 3. A dead position
-still writes ``head`` and ``prev``; with nothing pending it joins the
-literal run, with a match pending it lets the match commit. The "no
-4-byte copy" mask (``_no_copy4``) is one ``np.sort`` of
-``key << 17 | offset`` per ``_DEAD_SEGMENT`` = 64 KiB of positions and
-the 32 KiB window before them, so its temporaries stay near 5 MB. It is
-built only after ``_DEAD_TRIGGER`` = 64 walks that started past the limit
-found nothing, which flat k=10 content does not reach, so only content
-that pays for it builds it (about 20 ms per 786 KB).
+earlier copy starting inside the window and whose link is farther than
+``_FAR_LIMIT[3]``. The skip is exact. The chain visits only positions in
+the window at or beyond the link's distance; each shares the position's
+3-byte key and, with no 4-byte copy in the window, none its fourth byte,
+so each is a length-3 match past the limit. With nothing pending the walk
+passes every one over and holds nothing, so no window search starts and it
+returns no match. With a match pending, a candidate must beat at least 3
+bytes, and none is longer than 3. With nothing pending a dead position
+joins the literal run, with a match pending it lets the match commit. The
+"no 4-byte copy" mask (``_no_copy4``) is one ``np.sort`` of ``key << 17 |
+offset`` per ``_DEAD_SEGMENT`` = 64 KiB of positions and the 32 KiB window
+before them, so its temporaries stay near 5 MB. It is built only after
+``_DEAD_TRIGGER`` = 64 walks that started past the limit found nothing,
+which flat k=10 content does not reach, so only content that pays for it
+builds it (about 20 ms per 786 KB).
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
@@ -146,7 +153,6 @@ WINDOW_SIZE = 32768
 MIN_MATCH = 3
 MAX_MATCH = 258
 _STORED_MAX = 65535  # LEN is 16 bits
-_INSERT_CAP = 128  # do not hash interior positions of matches longer than this
 _EMIT_OPS = 1 << 16  # ops coded per _BitWriter.pack call
 # levels 2-3 place block boundaries by estimated cost (_plan_blocks)
 _CHUNK_INPUT = 2048  # input bytes per chunk, the grain of a boundary
@@ -478,6 +484,53 @@ def _no_copy4(data: bytes, lo: int) -> memoryview:
     return memoryview(dead)
 
 
+# positions per pass of the chain-link build (``_chain_links``); each pass
+# also reads the window before them
+_LINK_SEGMENT = 65536
+_LINK_RUN_BITS = (_LINK_SEGMENT + WINDOW_SIZE - 1).bit_length()
+
+
+def _chain_links(data: bytes) -> memoryview:
+    """``prev[i]`` links position ``i`` to the latest earlier position with
+    its 3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1
+    where there is none, and at the last two positions, which have no key.
+    A link more than a window back may read -1 instead: a walk stops at
+    either, below its floor.
+
+    A position whose key is the key one position back links to ``i - 1``.
+    Only the last position of each run of equal keys is sorted: one
+    ``np.sort`` of ``key << _LINK_RUN_BITS | run`` puts the runs of each key
+    together in order, and each run's first position links to the last
+    position of the run before it there. The sort keys are unique, so the
+    links do not depend on the sort's algorithm. Each segment of
+    ``_LINK_SEGMENT`` positions is one sort over the segment and the window
+    before it, so the temporaries are a few arrays of 98,304 entries
+    whatever the input's size."""
+    n = len(data)
+    prev = np.full(n, -1, np.int32 if n < 1 << 31 else np.int64)
+    limit = n - 2  # positions below this have a full 3-byte key
+    # the 4 bytes at each position read as a little-endian uint32; the low 24 bits are its key
+    keys = np.ndarray((max(limit, 0),), "<u4", data + b"\0", 0, (1,))
+    for a in range(0, limit, _LINK_SEGMENT):
+        s = max(a - WINDOW_SIZE, 0)
+        b = min(a + _LINK_SEGMENT, limit)
+        k = keys[s:b] & 0xFFFFFF
+        ends = np.append(np.flatnonzero(k[1:] != k[:-1]), b - s - 1)  # each run's last offset
+        v = k[ends].astype(np.uint64)
+        v <<= _LINK_RUN_BITS
+        v |= np.arange(len(ends), dtype=np.uint64)
+        v.sort()
+        run = (v & ((1 << _LINK_RUN_BITS) - 1)).astype(np.intp)
+        v >>= _LINK_RUN_BITS
+        # back[r]: the last position of the run before run r with its key, or -1
+        back = np.full(len(ends), -1, np.int64)
+        back[run[1:]] = np.where(v[1:] == v[:-1], ends[run[:-1]] + s, -1)
+        link = np.arange(s - 1, b - 1, dtype=prev.dtype)  # each position links to the one before
+        link[ends[:-1] + 1] = back[1:]  # but a run's first to the run before it with its key
+        prev[a:b] = link[a - s :]
+    return memoryview(prev)
+
+
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
     bytes, a match is ``length << 16 | distance`` (always above 255).
@@ -494,13 +547,11 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     Otherwise matching is greedy, walks at most 128 links and takes every
     match.
 
-    ``keys[i]`` is the 3-byte key at ``i``; ``head`` maps a key to its
-    latest position and ``prev[i]`` links ``i`` to the previous position
-    with its key (int32, -1 for none). With no match pending, a lone
-    position (its ``head`` entry is below the window floor) and the lone
-    positions after it are taken as one literal run that writes ``head``
-    only: their ``prev`` stays -1 instead of the key's earlier position,
-    which is below the floor, and a walk stops at either. The walk's set-up
+    ``prev`` is ``_chain_links(data)``: the parse reads it and writes
+    nothing, so every position is on its key's chain, the inside of a
+    match too. A position is lone when its link is more than a window back:
+    no candidate is in its window. With no match pending, a lone position
+    and the lone positions after it are one literal run. The walk's set-up
     (``max_len``, ``bl``) waits for a candidate, and ``here``, the bytes at
     ``i`` as one integer, for a candidate that passes the one-byte
     reject. While the lazy walk holds nothing, a candidate farther than
@@ -509,10 +560,9 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
 
     After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
     found nothing, ``dead`` is ``_no_copy4`` of the rest of the data. A
-    position it marks whose ``head`` entry is past ``_FAR_LIMIT[3]`` is
-    dead: every candidate on its chain is such a length-3 match, so the
-    walk would return no match and is skipped. A dead position writes
-    ``head`` and ``prev`` as a walked one does; with no match pending it
+    position it marks whose link is past ``_FAR_LIMIT[3]`` is dead: every
+    candidate on its chain is such a length-3 match, so the walk would
+    return no match and is skipped. With no match pending a dead position
     joins a literal run, which goes on over lone and dead positions alike,
     and with one pending it lets that match commit."""
     max_chain = 32 if lazy else 128
@@ -522,16 +572,8 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     n = len(data)
     ops: list[int] = []
     append = ops.append
-    if n == 0:
-        return np.zeros(0, np.int64)
-    limit = n - 2  # positions below this have a full 3-byte prefix
-    # every 3-byte key at once: a big-endian uint32 at each byte offset of
-    # the data behind one zero byte, masked to its low 24 bits
-    keys = memoryview(np.ndarray((max(limit, 0),), ">u4", b"\0" + data, 0, (1,)) & 0xFFFFFF)
-    head: dict[int, int] = {}
-    get = head.get
-    unseen = -WINDOW_SIZE - 1  # the head entry of a new key: outside every window
-    prev = memoryview(np.full(n, -1, np.int32 if n < 1 << 31 else np.int64))
+    limit = n - 2  # positions below this have a full 3-byte key
+    prev = _chain_links(data)
     dead = None  # the lazy parse's _no_copy4 mask, once built
     misses = 0  # walks that started past far3 and found nothing
     trigger = _DEAD_TRIGGER
@@ -543,35 +585,23 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
         best_len = 0
         best_dist = 0
         if i < limit:
-            t = keys[i]
-            j = get(t, unseen)
-            head[t] = i
+            j = prev[i]
             if j < i - WINDOW_SIZE or (i - j > far3 and dead is not None and dead[i]):
                 # a lone position, or a dead one: every candidate is a
                 # length-3 match past far3 and no copy of its 4 bytes is in
                 # the window, so the walk would find nothing
-                if j >= i - WINDOW_SIZE:
-                    prev[i] = j
                 if not pend_len:
-                    # a literal, and so is every lone or dead position after
-                    # it. A lone one goes into head only: a walk that
-                    # reaches it reads prev -1 and stops there, as it would
-                    # at the earlier position with its key, below the floor
+                    # a literal, and so is every lone or dead position after it
                     e = i + 1
                     while e < limit:
-                        t = keys[e]
-                        j = get(t, unseen)
-                        if j >= e - WINDOW_SIZE:
-                            if e - j <= far3 or dead is None or not dead[e]:
-                                break
-                            prev[e] = j
-                        head[t] = e
+                        j = prev[e]
+                        if j >= e - WINDOW_SIZE and (e - j <= far3 or dead is None or not dead[e]):
+                            break
                         e += 1
                     ops.extend(data[i:e])
                     i = e
                     continue
             else:
-                prev[i] = j
                 far = i - j > far3
                 floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
                 max_len = n - i
@@ -653,13 +683,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
             i += 1
         else:
             append(best_len << 16 | best_dist)
-            end = start + best_len
-            lo = i + 1 if best_len <= _INSERT_CAP else max(i + 1, end - 2)
-            for p in range(lo, min(end, limit)):
-                t = keys[p]
-                prev[p] = get(t, -1)
-                head[t] = p
-            i = end
+            i = start + best_len
     return np.fromiter(ops, np.int64, len(ops))
 
 

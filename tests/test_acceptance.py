@@ -35,7 +35,7 @@ from test_pngcodec import hand_assembled_1x1_png
 from test_bmpcodec import hand_bmp
 from test_corpus import SHAPES_01_BMP_SHA256
 
-SHAPES_01_PNG_SHA256 = "5da467000bc67e2baaeff6ff683a7bb5f7bb55b5585fd980ef23c7086e15ffd8"
+SHAPES_01_PNG_SHA256 = "a3f17e2258f8732821e9cf09016a9a5153f8c45cb4d10ef50fe5cb6e54058f46"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -30,7 +30,7 @@ from kpng.flate import (
     _FIND_ROUNDS,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
-    _INSERT_CAP,
+    _LINK_SEGMENT,
     _MIN_BLOCK,
     _NO_DIST,
     _NSYM,
@@ -44,6 +44,7 @@ from kpng.flate import (
     _BitWriter,
     _Block,
     _build_decode_table,
+    _chain_links,
     _chunk_sums,
     _cost_cuts,
     _codes_from_lengths,
@@ -310,7 +311,7 @@ TOKENIZE_INPUTS = {
     # 49,152 bytes of 26 sample values: 865 positions last saw their key
     # more than a window back, so runs of literals cross the window floor
     "noise-k10": kmm_transform(generate(CorpusSpec("noise", 128, 128, seed=3)), 10).samples,
-    # matches of 258 bytes, longer than _INSERT_CAP
+    # matches of 258 bytes, whose insides are on the chains the walks read
     "long-matches": b"\x00" * 1000 + random.Random(5).randbytes(300) * 3 + b"ab" * 400 + bytes(range(256)) * 4,
     "distance-32768": repeat_at(WINDOW_SIZE),
     "distance-32769": repeat_at(WINDOW_SIZE + 1),
@@ -333,8 +334,8 @@ TOKENIZE_OPS_SHA256 = {
     ("length-3", True): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
     ("length-4", False): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
     ("length-4", True): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
-    ("long-matches", False): "3472ac4c0253ff357a6119659f6491fb9f9288e738bd59d0f6819ba7853cb879",
-    ("long-matches", True): "3472ac4c0253ff357a6119659f6491fb9f9288e738bd59d0f6819ba7853cb879",
+    ("long-matches", False): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
+    ("long-matches", True): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
     ("noise-k10", False): "ce49d3338575a5f1d1e87eead3cc20643d1eaa5a355103ee00366ac3a937cc17",
     ("noise-k10", True): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
 }
@@ -393,15 +394,93 @@ def test_expand_rejects_bad_tokens():
 
 
 # ---------------------------------------------------------------------------
+# the hash chain links, built in numpy from one sort of the key runs
+
+
+def chain_links_reference(data):
+    """``_chain_links`` by a dict of each 3-byte key's latest position, -1
+    once that position is more than a window back."""
+    latest = {}
+    prev = [-1] * len(data)
+    for i in range(len(data) - 2):
+        key = data[i : i + 3]
+        p = latest.get(key, -1)
+        prev[i] = p if i - p <= WINDOW_SIZE else -1
+        latest[key] = i
+    return prev
+
+
+def windowed_links(data):
+    """``_chain_links``, each link more than a window back read as -1, as a
+    walk reads it."""
+    prev = np.asarray(_chain_links(data), np.int64)
+    return np.where(prev < np.arange(len(prev)) - WINDOW_SIZE, -1, prev).tolist()
+
+
+# the key runs of a segment can end exactly at its edge, one before or one
+# after it; a segment of n - 2 positions ends at n - 2
+CHAIN_LENGTHS = list(range(6)) + [
+    WINDOW_SIZE - 1, WINDOW_SIZE, WINDOW_SIZE + 1,
+    _LINK_SEGMENT + 1, _LINK_SEGMENT + 2, _LINK_SEGMENT + 3,
+    _LINK_SEGMENT + WINDOW_SIZE + 2, 2 * _LINK_SEGMENT + 2,
+]
+
+
+@pytest.mark.parametrize("values", [1, 2, 4, 26, 256])
+@pytest.mark.parametrize("n", CHAIN_LENGTHS)
+def test_chain_links_match_a_dict_reference(n, values):
+    # one value makes one run of keys across every segment; two and four
+    # make runs that cross segment edges; 26 and 256 keys that recur
+    # inside and beyond a window
+    data = bytes(random.Random(n * 257 + values).choices(range(values), k=n))
+    assert windowed_links(data) == chain_links_reference(data)
+
+
+@pytest.mark.parametrize("name", sorted(TOKENIZE_INPUTS))
+def test_chain_links_match_a_dict_reference_on_pinned_inputs(name):
+    data = TOKENIZE_INPUTS[name]
+    assert windowed_links(data) == chain_links_reference(data)
+
+
+def test_chain_links_reach_exactly_one_window_back():
+    # the marker's second copy links to its first at WINDOW_SIZE; one byte
+    # farther the link is past the window, as a walk reads it
+    assert windowed_links(repeat_at(WINDOW_SIZE))[WINDOW_SIZE] == 0
+    assert windowed_links(repeat_at(WINDOW_SIZE + 1))[WINDOW_SIZE + 1] == -1
+
+
+def chain_links_temporary_bytes(data):
+    """Peak bytes the build holds beyond its int32 ``prev`` and its copy of
+    the data."""
+    tracemalloc.start()
+    try:
+        _chain_links(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - 5 * len(data)
+
+
+def test_chain_links_temporaries_stay_bounded():
+    """Each sort's temporaries are bounded by a segment and its window,
+    whatever the input's size: random bytes, where nearly every position
+    ends a run of keys, hold under 6 MiB at 256 KiB and at 2 MiB."""
+    rng = random.Random(11)
+    small = chain_links_temporary_bytes(rng.randbytes(4 * _LINK_SEGMENT))
+    large = chain_links_temporary_bytes(rng.randbytes(32 * _LINK_SEGMENT))
+    assert small <= 6 << 20 and large <= 6 << 20, (small, large)
+
+
+# ---------------------------------------------------------------------------
 # level 3's window search once its chain walk runs out
 
 
 def copy_inside_a_long_match():
     """A random 400-byte block, its copy, 40 decoys and the block's tail from
     byte 100, and the tail's distance to the copy. The copy is coded as two
-    matches longer than _INSERT_CAP, so its byte 100 is on no hash chain;
-    each decoy starts with the block's bytes 100-102 and fills a chain walk's
-    budget before the walk reaches the first block."""
+    long matches, and its byte 100 is on the hash chain behind the decoys;
+    each decoy starts with the block's bytes 100-102, so 40 of them fill
+    level 3's 32-link walk before it reaches the copy."""
     rng = random.Random(1)
     block = rng.randbytes(400)
     decoys = b"".join(block[100:103] + rng.randbytes(5) for _ in range(40))
@@ -469,24 +548,26 @@ SEARCH_INPUTS = {
 
 def test_lazy_parse_finds_a_copy_inside_a_long_match():
     data, distance = copy_inside_a_long_match()
-    assert 400 - MAX_MATCH > _INSERT_CAP
     ops, calls = spied_lazy_ops(data)
     assert ops.tolist()[-2] == MAX_MATCH << 16 | distance
     check_search_rounds(data, calls)
-    # the chain alone reaches only the first block
-    assert _tokenize_ops(data, False).tolist()[-2] == MAX_MATCH << 16 | distance + 400
+    # the decoys spend level 3's 32 links, so the window search found it
+    assert len(data) - 300 - distance in [hit for *_, hit in calls]
+    # the greedy 128-link walk passes the 40 decoys and reaches the copy
+    assert _tokenize_ops(data, False).tolist()[-2] == MAX_MATCH << 16 | distance
 
 
 def test_lazy_parse_copies_the_row_above_on_flat_shapes():
     # 128 rows of 385 bytes: a filter byte and 128 RGB pixels. A 256-link
     # chain walk with no window search found 18 matches at the row's
-    # distance, covering 4,362 bytes
+    # distance, covering 4,362 bytes; with the inside of a long match off
+    # every chain, the walk and the window search found 66 covering 16,771
     data = SEARCH_INPUTS["flat-shapes-k10"]
     assert len(data) == 128 * 385
     matches = _tokenize_ops(data, True)
     matches = matches[matches > 255]
     above = matches[matches & 0xFFFF == 385] >> 16
-    assert (len(above), int(above.sum())) == (66, 16_771)
+    assert (len(above), int(above.sum())) == (71, 17_772)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_INPUTS))
@@ -652,9 +733,9 @@ def test_deterministic_output():
 # block writer that moves them shows.
 GREEDY_LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
-    1: "6634e981332d1da91c52243a64088cec7424339af41e206898dc4de697a30512",
-    2: "beacaa7b5556edbe1812177114644da5c3ea100a5e7659e14bc3561752fd8730",
-    3: "0964c257f1537fe4707accb9eb3ec49008398a70f59d433fc8e6437f8ac2b7b4",
+    1: "c577e291d85ac215374efc81925d7bda407fb66712521f6a1d49e1a454137dd4",
+    2: "85e6b5dedb80421420ce55a914f5df560dd97f35aa7cbd93e7b8f5b3c50c757c",
+    3: "c7d0cebc44d49f51cc8b3a2bb3cfea8beee47e72611d9c7b2b5997b2f66be301",
 }
 
 
