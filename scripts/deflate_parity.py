@@ -15,7 +15,10 @@ both and compares the streams. The corpus:
 - runs of 128 to 4,000 bytes that make chains of 258-byte matches, whose
   insides are on the chains that later walks read;
 - the scanlines of a 256x256 noise tile at k=10, on which level 3 builds
-  its "no 4-byte copy" mask and skips dead walks.
+  its "no 4-byte copy" mask and skips dead walks;
+- 65,600 random bytes, the same at every ``--seed``, whose last literal
+  run crosses the 64 KiB segment edge of the chain links and the live mask
+  and ends at the input's end.
 
 ``--seed`` picks the tiles and the random bytes. ``--bench-seed S`` adds the
 benchmark's inputs: the filtered scanlines of three 512x512 images of every
@@ -44,7 +47,7 @@ from pathlib import Path
 
 from inflate_parity import load_flate
 from kpng.corpus import GENERATOR_KINDS, CorpusSpec, generate
-from kpng.flate import WINDOW_SIZE, deflate_compress, inflate
+from kpng.flate import _LINK_SEGMENT, WINDOW_SIZE, deflate_compress, inflate
 from kpng.kmodulus import kmm_transform
 from kpng.pngcodec import encode_png, parse_chunks
 
@@ -72,6 +75,8 @@ def corpus(seed: int) -> list[tuple[str, bytes]]:
     inputs.append(("258-byte matches", runs))
     noise = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=seed)), 10)
     inputs.append(("noise 256x256 k=10", scanlines(noise)))
+    # the same bytes at every seed: no position past 64,353 has a link inside its window
+    inputs.append(("literal run across a segment", random.Random(1).randbytes(_LINK_SEGMENT + 64)))
     return inputs
 
 

@@ -31,7 +31,8 @@ codes, bit-reversed for LSB-first bits, that one numpy function,
 inflate's decode tables all read that pair.
 
 The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
-match is ``length << 16 | distance``. The Huffman stage derives per-op
+match is ``length << 16 | distance``, assembled from the parse's matches
+(below). The Huffman stage derives per-op
 symbol and extra-bit arrays once and places the blocks (below), each priced
 from one histogram of its symbols. One numpy packer, ``_BitWriter.pack``,
 writes every bit: a fixed or dynamic block's header, its ops at most
@@ -97,10 +98,20 @@ sort's algorithm, and the temporaries stay near 5 MB whatever the input's
 size (about 2 ms per 786 KB of flat content, 25 ms of noisy). The parse
 reads ``prev`` through a ``memoryview`` and writes nothing: it keeps no
 dict and inserts nothing, and the inside of every match is on its key's
-chain. A lone position, one whose link is more than a window back, cannot
-match: with no match pending it starts a literal run that takes every lone
-position after it too. Every chain candidate shares the position's 3
-bytes, and a walk visits them nearest first, so while level 3's walk holds
+chain. Beside ``prev`` it keeps ``live`` (``_live_mask``), a ``bytearray``
+of one byte per position, 1 where the position's link is inside its window
+and 0 where the position is lone, built from ``prev`` one
+``_LINK_SEGMENT`` at a time (about 0.4 ms per 786 KB). A lone position
+cannot match: with no match pending it starts a literal run, which ends at
+the next live position, found by ``live.find`` at C speed (``memchr``), or
+at the end of the input. The parse records only its matches, each as one
+int ``start << 25 | length << 16 | distance``: it touches no literal, and
+a pending match the next position beats records nothing. Once ``prev`` and
+``live`` are freed, ``_ops_from_matches`` builds the op array in numpy.
+Each op advances the input by one byte and a match by its length, so one
+cumulative sum gives every op's end, and a literal op is the byte before
+its end; the temporaries are the size of the op count. Every chain
+candidate shares the position's 3 bytes, and a walk visits them nearest first, so while level 3's walk holds
 nothing, a candidate farther than 256 bytes whose fourth byte differs is a
 match ``_FAR_LIMIT`` drops: the walk passes over it without building the
 258-byte compare.
@@ -113,14 +124,17 @@ the window at or beyond the link's distance; each shares the position's
 so each is a length-3 match past the limit. With nothing pending the walk
 passes every one over and holds nothing, so no window search starts and it
 returns no match. With a match pending, a candidate must beat at least 3
-bytes, and none is longer than 3. With nothing pending a dead position
-joins the literal run, with a match pending it lets the match commit. The
-"no 4-byte copy" mask (``_no_copy4``) is one ``np.sort`` of ``key << 17 |
-offset`` per ``_DEAD_SEGMENT`` = 64 KiB of positions and the 32 KiB window
-before them, so its temporaries stay near 5 MB. It is built only after
+bytes, and none is longer than 3. The "no 4-byte copy" mask
+(``_no_copy4``) is one ``np.sort`` of ``key << 17 | offset`` per
+``_DEAD_SEGMENT`` = 64 KiB of positions and the 32 KiB window before
+them, so its temporaries stay near 2.5 MB. It is built only after
 ``_DEAD_TRIGGER`` = 64 walks that started past the limit found nothing,
 which flat k=10 content does not reach, so only content that pays for it
-builds it (about 20 ms per 786 KB).
+builds it (about 20 ms per 786 KB). ``_clear_dead`` then clears each dead
+position's byte in ``live``, one ``_LINK_SEGMENT`` at a time, and the mask
+is freed: from there on a dead position is lone, so with nothing pending
+it joins a literal run and with a match pending it lets the match commit,
+and the parse tests ``live`` alone.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
@@ -476,7 +490,7 @@ def _no_copy4(data: bytes, lo: int) -> memoryview:
         v <<= _DEAD_POS_BITS
         v |= np.arange(b - s, dtype=np.uint64)
         v.sort()
-        off = (v & ((1 << _DEAD_POS_BITS) - 1)).astype(np.int64)
+        off = (v & ((1 << _DEAD_POS_BITS) - 1)).astype(np.int32)
         v >>= _DEAD_POS_BITS
         copied = np.zeros(b - s, bool)
         copied[off[1:]] = (v[1:] == v[:-1]) & (off[1:] - off[:-1] <= WINDOW_SIZE)
@@ -531,6 +545,57 @@ def _chain_links(data: bytes) -> memoryview:
     return memoryview(prev)
 
 
+def _live_mask(prev: memoryview, limit: int) -> bytearray:
+    """``live[i]`` is 1 where a chain walk from position ``i`` may run, its
+    link inside its window (``prev[i] >= i - WINDOW_SIZE``), and 0 where the
+    position is lone; one byte per position below ``limit``, built a
+    ``_LINK_SEGMENT`` at a time. A position in the first window with no
+    link (-1) is live: its walk runs and stops at once, and it counts
+    toward ``_DEAD_TRIGGER``."""
+    live = bytearray(max(limit, 0))
+    mask = np.frombuffer(live, bool)
+    links = np.asarray(prev)
+    floor = np.arange(-WINDOW_SIZE, _LINK_SEGMENT - WINDOW_SIZE, dtype=links.dtype)  # i - WINDOW_SIZE, less a
+    for a in range(0, limit, _LINK_SEGMENT):
+        b = min(a + _LINK_SEGMENT, limit)
+        np.greater_equal(links[a:b] - a, floor[: b - a], out=mask[a:b])
+    return live
+
+
+def _clear_dead(live: bytearray, prev: memoryview, dead: memoryview, lo: int, far: int) -> None:
+    """Clears ``live`` at each dead position from ``lo`` on: one ``dead``
+    marks (no copy of its 4 bytes in its window) whose link is farther than
+    ``far``, a ``_LINK_SEGMENT`` at a time."""
+    mask = np.frombuffer(live, bool)
+    links = np.asarray(prev)
+    no_copy = np.asarray(dead)
+    for a in range(lo, len(live), _LINK_SEGMENT):
+        b = min(a + _LINK_SEGMENT, len(live))
+        mask[a:b][no_copy[a:b] & (np.arange(a, b) - links[a:b] > far)] = False
+
+
+def _ops_from_matches(data: bytes, matches: list[int]) -> np.ndarray:
+    """The op array of a parse that recorded only its matches, each as
+    ``start << 25 | length << 16 | distance`` in input order: every byte no
+    match covers is a literal op. Each op advances the input by 1, a match
+    by its length, so a cumulative sum gives every op's end, and a literal
+    is the byte before its end. The temporaries are the size of the op
+    count."""
+    m = np.fromiter(matches, np.int64, len(matches))
+    length = (m >> 16) & 0x1FF
+    # a match's index among the ops: its start, less what the matches
+    # before it cover beyond one op each
+    at = (m >> 25) - (np.cumsum(length) - length) + np.arange(len(m))
+    m &= (1 << 25) - 1
+    ops = np.ones(len(data) - int(length.sum()) + len(m), np.int64)
+    ops[at] = length
+    np.cumsum(ops, out=ops)
+    ops -= 1
+    ops[:] = np.frombuffer(data, np.uint8)[ops]
+    ops[at] = m
+    return ops
+
+
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     """Internal token stream as one int64 array: values 0..255 are literal
     bytes, a match is ``length << 16 | distance`` (always above 255).
@@ -549,33 +614,42 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
 
     ``prev`` is ``_chain_links(data)``: the parse reads it and writes
     nothing, so every position is on its key's chain, the inside of a
-    match too. A position is lone when its link is more than a window back:
-    no candidate is in its window. With no match pending, a lone position
-    and the lone positions after it are one literal run. The walk's set-up
-    (``max_len``, ``bl``) waits for a candidate, and ``here``, the bytes at
-    ``i`` as one integer, for a candidate that passes the one-byte
+    match too. ``live`` is ``_live_mask(prev, limit)``: a position is lone, its
+    byte 0, when its link is more than a window back, so no candidate is in
+    its window, and the loop tests that byte alone. With no match pending,
+    a lone position starts a literal run, which ends at ``live.find(1, i +
+    1)``, the next live position, or at the end of the input. The walk's
+    set-up (``max_len``, ``bl``) waits for a candidate, and ``here``, the
+    bytes at ``i`` as one integer, for a candidate that passes the one-byte
     reject. While the lazy walk holds nothing, a candidate farther than
     ``_FAR_LIMIT[3]`` whose fourth byte differs is passed over without a
     compare: it is a length-3 match the walk would take and then drop.
 
     After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
-    found nothing, ``dead`` is ``_no_copy4`` of the rest of the data. A
-    position it marks whose link is past ``_FAR_LIMIT[3]`` is dead: every
-    candidate on its chain is such a length-3 match, so the walk would
-    return no match and is skipped. With no match pending a dead position
-    joins a literal run, which goes on over lone and dead positions alike,
-    and with one pending it lets that match commit."""
+    found nothing, ``_no_copy4`` of the rest of the data marks the
+    positions with no copy of their 4 bytes in the window. One of them
+    whose link is past ``_FAR_LIMIT[3]`` is dead: every candidate on its
+    chain is such a length-3 match, so the walk would return no match.
+    ``_clear_dead`` makes each dead position lone in ``live``, so with no
+    match pending it joins a literal run, and with one pending it lets that
+    match commit.
+
+    The parse records only its matches, as ``start << 25 | length << 16 |
+    distance``; a pending match that the next position beats records
+    nothing, and the bytes no match covers are literals.
+    ``_ops_from_matches`` builds the op array from the matches once
+    ``prev`` and ``live`` are freed."""
     max_chain = 32 if lazy else 128
     good_length = _GOOD_LENGTH
     far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
     far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
     n = len(data)
-    ops: list[int] = []
-    append = ops.append
+    matches: list[int] = []  # start << 25 | length << 16 | distance
+    append = matches.append
     limit = n - 2  # positions below this have a full 3-byte key
     prev = _chain_links(data)
-    dead = None  # the lazy parse's _no_copy4 mask, once built
-    misses = 0  # walks that started past far3 and found nothing
+    live = _live_mask(prev, limit)
+    misses = 0  # walks that started past far3 and found nothing; equals trigger once at most
     trigger = _DEAD_TRIGGER
 
     i = 0
@@ -585,23 +659,19 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
         best_len = 0
         best_dist = 0
         if i < limit:
-            j = prev[i]
-            if j < i - WINDOW_SIZE or (i - j > far3 and dead is not None and dead[i]):
+            if not live[i]:
                 # a lone position, or a dead one: every candidate is a
                 # length-3 match past far3 and no copy of its 4 bytes is in
                 # the window, so the walk would find nothing
                 if not pend_len:
-                    # a literal, and so is every lone or dead position after it
-                    e = i + 1
-                    while e < limit:
-                        j = prev[e]
-                        if j >= e - WINDOW_SIZE and (e - j <= far3 or dead is None or not dead[e]):
-                            break
-                        e += 1
-                    ops.extend(data[i:e])
-                    i = e
+                    # a literal, and so is every position before the next
+                    # live one; past the last, the rest of the input
+                    i = live.find(1, i + 1)
+                    if i < 0:
+                        break
                     continue
             else:
+                j = prev[i]
                 far = i - j > far3
                 floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
                 max_len = n - i
@@ -660,31 +730,29 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                     if bd and (bl > 4 or bd <= far4):
                         best_len = bl
                         best_dist = bd
-                    elif far and dead is None and not bd:
+                    elif far and not bd:
                         misses += 1
                         if misses == trigger:
-                            dead = _no_copy4(data, i + 1)
+                            _clear_dead(live, prev, _no_copy4(data, i + 1), i + 1, far3)
 
         start = i
         if pend_len:
-            if best_len > pend_len:
-                # the next position found a strictly longer match; demote
-                # the pending one to a literal and go on from here
-                append(data[i - 1])
-            else:
+            # unless the next position found a strictly longer match, which
+            # demotes the pending one to a literal, the pending one commits
+            if best_len <= pend_len:
                 start, best_len, best_dist = i - 1, pend_len, pend_dist
             pend_len = 0
         if not best_len:
-            append(data[i])
             i += 1
         elif lazy and start == i and best_len < MAX_MATCH:
             # hold the match back and see whether the next position beats it
             pend_len, pend_dist = best_len, best_dist
             i += 1
         else:
-            append(best_len << 16 | best_dist)
+            append(start << 25 | best_len << 16 | best_dist)
             i = start + best_len
-    return np.fromiter(ops, np.int64, len(ops))
+    del prev, live  # freed before the op array is built
+    return _ops_from_matches(data, matches)
 
 
 def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> list[Token]:

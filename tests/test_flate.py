@@ -52,8 +52,10 @@ from kpng.flate import (
     _emit_block,
     _estimated_bits,
     _limited_code_lengths,
+    _live_mask,
     _no_copy4,
     _op_fields,
+    _ops_from_matches,
     _plan_blocks,
     _priced_block,
     _rle_code_lengths,
@@ -305,6 +307,13 @@ def repeat_at(distance: int, size: int = 16) -> bytes:
     return marker + between + marker + bytes([between[0] ^ 1]) + rng.randbytes(99)
 
 
+def ends_in_a_copy():
+    """Random bytes whose last 258 are a copy of their first 258."""
+    rng = random.Random(6)
+    copy = rng.randbytes(MAX_MATCH)
+    return copy + rng.randbytes(3000) + copy
+
+
 TOKENIZE_INPUTS = {
     # below 3 bytes there is no key
     **{f"length-{n}": b"aaaa"[:n] for n in range(5)},
@@ -315,6 +324,16 @@ TOKENIZE_INPUTS = {
     "long-matches": b"\x00" * 1000 + random.Random(5).randbytes(300) * 3 + b"ab" * 400 + bytes(range(256)) * 4,
     "distance-32768": repeat_at(WINDOW_SIZE),
     "distance-32769": repeat_at(WINDOW_SIZE + 1),
+    # 65,600 random bytes: no position past 64,353 has a link inside its
+    # window, and no match ends past 64,356, so the last literal run crosses
+    # the 64 KiB _LINK_SEGMENT edge and ends at the last key
+    "literal-run-across-a-segment": random.Random(1).randbytes(_LINK_SEGMENT + 64),
+    # the last match is 258 bytes long and ends at the last byte
+    "match-at-the-end": ends_in_a_copy(),
+    # 12,288 samples of k=10 noise: the lazy parse builds its "no 4-byte
+    # copy" mask after the walk at 319, which clears 320 and 321 from the
+    # live mask, so a literal run starts where the mask was just built
+    "noise-k10-mask-mid-run": kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples,
 }
 
 # the op arrays of the greedy (False) and lazy (True) parse, so a change to
@@ -334,10 +353,16 @@ TOKENIZE_OPS_SHA256 = {
     ("length-3", True): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
     ("length-4", False): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
     ("length-4", True): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("literal-run-across-a-segment", False): "ba918cfab8a4e2538c9625f6caf337f72c04a4ba5bea11af21fe54a34f7d5a69",
+    ("literal-run-across-a-segment", True): "397c94d0c46ae8794507a5581d83f7cbe184114edc6249f03f4676eacb0395ef",
     ("long-matches", False): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
     ("long-matches", True): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
+    ("match-at-the-end", False): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
+    ("match-at-the-end", True): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
     ("noise-k10", False): "ce49d3338575a5f1d1e87eead3cc20643d1eaa5a355103ee00366ac3a937cc17",
     ("noise-k10", True): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
+    ("noise-k10-mask-mid-run", False): "c69003f18fce21191ca2a25f51a0aa351b050a6b7c9151f7bf5f906921c9b8f3",
+    ("noise-k10-mask-mid-run", True): "280cd13f2b3619f5dc715046b7d832ee8ce7948e93832725e9c268ebffd8308b",
 }
 
 
@@ -348,6 +373,36 @@ def test_tokenize_ops_are_pinned(name, lazy):
     assert hashlib.sha256(ops.tobytes()).hexdigest() == TOKENIZE_OPS_SHA256[name, lazy]
     tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
     assert lz77_expand(tokens) == data
+
+
+def recorded_matches(ops):
+    """The parse's record of an op array: each match as ``start << 25 |
+    op``, where ``start`` is the input position it copies to."""
+    matches, pos = [], 0
+    for op in ops.tolist():
+        if op > 255:
+            matches.append(pos << 25 | op)
+            pos += op >> 16
+        else:
+            pos += 1
+    return matches
+
+
+@pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
+def test_ops_from_matches_rebuild_the_op_array(name, lazy):
+    data = TOKENIZE_INPUTS[name]
+    ops = _tokenize_ops(data, lazy)
+    assert _ops_from_matches(data, recorded_matches(ops)).tolist() == ops.tolist()
+
+
+def test_ops_from_matches_at_the_edges():
+    # no match, matches only, matches back to back and one at each end
+    assert _ops_from_matches(b"", []).tolist() == []
+    assert _ops_from_matches(b"xyz", []).tolist() == list(b"xyz")
+    run = b"a" * 520
+    both = [1 << 25 | MAX_MATCH << 16 | 1, (1 + MAX_MATCH) << 25 | 3 << 16 | 1]
+    assert _ops_from_matches(run[:262], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1]
+    assert _ops_from_matches(run[:263], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1, 97]
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -447,6 +502,17 @@ def test_chain_links_reach_exactly_one_window_back():
     # farther the link is past the window, as a walk reads it
     assert windowed_links(repeat_at(WINDOW_SIZE))[WINDOW_SIZE] == 0
     assert windowed_links(repeat_at(WINDOW_SIZE + 1))[WINDOW_SIZE + 1] == -1
+
+
+@pytest.mark.parametrize("n", CHAIN_LENGTHS)
+def test_live_mask_marks_every_position_whose_walk_runs(n):
+    # a position is live where its link is inside its window, a position in
+    # the first window with no link included
+    data = bytes(random.Random(n).choices(range(26), k=n))
+    prev = np.asarray(_chain_links(data), np.int64)
+    limit = max(n - 2, 0)
+    live = _live_mask(_chain_links(data), n - 2)
+    assert list(live) == (prev[:limit] >= np.arange(limit) - WINDOW_SIZE).astype(int).tolist()
 
 
 def chain_links_temporary_bytes(data):
@@ -692,6 +758,22 @@ def test_mask_adds_at_most_2_mib_to_the_parse():
     masked = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
     plain = lazy_parse_peak_bytes(data, 1 << 62)
     assert masked - plain <= 2 << 20, (masked, plain)
+
+
+# level 3's peak bytes on k10_scanlines(kind, 512) when the parse stepped
+# through each literal run in Python and kept every op as a Python int
+# (tracemalloc, Python 3.11, numpy 2.4)
+STEPPED_PARSE_PEAK_BYTES = {"flat-shapes": 5_159_942, "mixed": 7_281_436, "noise": 17_172_704}
+
+
+@pytest.mark.parametrize("kind", sorted(STEPPED_PARSE_PEAK_BYTES))
+def test_live_mask_adds_at_most_a_byte_per_position(kind):
+    """The live mask is one byte per position; the op array is built once
+    the links and the mask are freed, with temporaries the size of the op
+    count, so no content peaks higher than that above the stepped parse."""
+    data = k10_scanlines(kind, 512)
+    peak = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
+    assert peak <= STEPPED_PARSE_PEAK_BYTES[kind] + len(data), peak
 
 
 # ---------------------------------------------------------------------------
