@@ -14,8 +14,9 @@ both and compares the streams. The corpus:
   one byte past it;
 - runs of 128 to 4,000 bytes that make chains of 258-byte matches, whose
   insides are on the chains that later walks read;
-- the scanlines of a 256x256 noise tile at k=10, on which level 3 builds
-  its "no 4-byte copy" mask and skips dead walks;
+- the scanlines of a 256x256 noise tile at k=10, on which level 3 links
+  its 4-byte keys, clears its dead positions from the live mask and skips
+  their walks;
 - 65,600 random bytes, the same at every ``--seed``, whose last literal
   run crosses the 64 KiB segment edge of the chain links and the live mask
   and ends at the input's end.

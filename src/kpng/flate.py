@@ -91,17 +91,18 @@ is the latest earlier position with ``i``'s 3-byte key, in an int32 array,
 so no Python int stays alive per position. A position whose key is the key
 one back links to ``i - 1``. Only the last position of each run of equal
 keys goes into one ``np.sort`` of ``key << 17 | run`` per
-``_LINK_SEGMENT`` = 64 KiB of positions and the 32 KiB window before them,
-and each run's first position links to the end of the run before it with
-its key. The sort keys are unique, so the links do not depend on the
-sort's algorithm, and the temporaries stay near 5 MB whatever the input's
-size (about 2 ms per 786 KB of flat content, 25 ms of noisy). The parse
+``_LINK_SEGMENT`` = 64 KiB of positions and the 32 KiB window before them
+(``_run_links``), and each run's first position links to the end of the
+run before it with its key. The sort keys are unique, so the links do not
+depend on the sort's algorithm, and the temporaries stay near 5 MB
+whatever the input's size (about 2 ms per 786 KB of flat content, 25 ms
+of noisy). The parse
 reads ``prev`` through a ``memoryview`` and writes nothing: it keeps no
 dict and inserts nothing, and the inside of every match is on its key's
-chain. Beside ``prev`` it keeps ``live`` (``_live_mask``), a ``bytearray``
-of one byte per position, 1 where the position's link is inside its window
-and 0 where the position is lone, built from ``prev`` one
-``_LINK_SEGMENT`` at a time (about 0.4 ms per 786 KB). A lone position
+chain. Beside ``prev`` it keeps ``live``, a ``bytearray`` of one byte per
+position, 1 where the position's link is inside its window and 0 where
+the position is lone (a first-window position with no link included),
+filled from each segment's links in the same pass. A lone position
 cannot match: with no match pending it starts a literal run, which ends at
 the next live position, found by ``live.find`` at C speed (``memchr``), or
 at the end of the input. The parse records only its matches, each as one
@@ -124,17 +125,16 @@ the window at or beyond the link's distance; each shares the position's
 so each is a length-3 match past the limit. With nothing pending the walk
 passes every one over and holds nothing, so no window search starts and it
 returns no match. With a match pending, a candidate must beat at least 3
-bytes, and none is longer than 3. The "no 4-byte copy" mask
-(``_no_copy4``) is one ``np.sort`` of ``key << 17 | offset`` per
-``_DEAD_SEGMENT`` = 64 KiB of positions and the 32 KiB window before
-them, so its temporaries stay near 2.5 MB. It is built only after
-``_DEAD_TRIGGER`` = 64 walks that started past the limit found nothing,
-which flat k=10 content does not reach, so only content that pays for it
-builds it (about 20 ms per 786 KB). ``_clear_dead`` then clears each dead
-position's byte in ``live``, one ``_LINK_SEGMENT`` at a time, and the mask
-is freed: from there on a dead position is lone, so with nothing pending
-it joins a literal run and with a match pending it lets the match commit,
-and the parse tests ``live`` alone.
+bytes, and none is longer than 3. ``_clear_dead`` finds the dead
+positions with the chain's own run sort on 4-byte keys: a position has a
+4-byte copy in its window when its 4-byte link is inside the window, one
+``_LINK_SEGMENT`` at a time, and it clears each dead position's byte in
+``live``. It runs only after ``_DEAD_TRIGGER`` = 64 walks that started
+past the limit found nothing, which flat k=10 content does not reach, so
+only content that pays for the sort runs it (15-25 ms per 786 KB). From
+there on a dead position is lone, so with nothing pending it joins a
+literal run and with a match pending it lets the match commit, and the
+parse tests ``live`` alone.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
@@ -463,115 +463,96 @@ _GOOD_LENGTH = 32
 _FAR_LIMIT = (0, 0, 0, 256, 4096)
 # the most rfind rounds of the lazy parse's window search after its chain walk
 _FIND_ROUNDS = 8
-# the lazy parse builds its "no 4-byte copy" mask (``_no_copy4``) after this
-# many walks that started past ``_FAR_LIMIT[3]`` and found nothing
+# the lazy parse clears its dead positions from ``live`` (``_clear_dead``)
+# after this many walks that started past ``_FAR_LIMIT[3]`` and found nothing
 _DEAD_TRIGGER = 64
-# positions per sort of the mask; each sort also reads the window before them
-_DEAD_SEGMENT = 65536
-_DEAD_POS_BITS = (_DEAD_SEGMENT + WINDOW_SIZE - 1).bit_length()
-
-
-def _no_copy4(data: bytes, lo: int) -> memoryview:
-    """``dead[i]`` is True when no position in ``i``'s window, from ``i -
-    WINDOW_SIZE`` to ``i - 1``, starts with the 4 bytes at ``i``; False below
-    ``lo`` and at the last three positions, which have no 4 bytes. Each
-    segment of ``_DEAD_SEGMENT`` positions is one ``np.sort`` of ``key <<
-    _DEAD_POS_BITS | offset`` over the segment and the window before it, so
-    equal 4-byte keys sit together in position order and a position's
-    nearest earlier copy is the entry before it. The temporaries are a few
-    arrays of 98,304 entries whatever the input's size."""
-    n = len(data)
-    dead = np.zeros(n, bool)
-    keys = np.ndarray((max(n - 3, 0),), "<u4", data, 0, (1,))
-    for a in range(lo, len(keys), _DEAD_SEGMENT):
-        s = max(a - WINDOW_SIZE, 0)
-        b = min(a + _DEAD_SEGMENT, len(keys))
-        v = keys[s:b].astype(np.uint64)
-        v <<= _DEAD_POS_BITS
-        v |= np.arange(b - s, dtype=np.uint64)
-        v.sort()
-        off = (v & ((1 << _DEAD_POS_BITS) - 1)).astype(np.int32)
-        v >>= _DEAD_POS_BITS
-        copied = np.zeros(b - s, bool)
-        copied[off[1:]] = (v[1:] == v[:-1]) & (off[1:] - off[:-1] <= WINDOW_SIZE)
-        dead[a:b] = ~copied[a - s :]
-    return memoryview(dead)
-
-
-# positions per pass of the chain-link build (``_chain_links``); each pass
-# also reads the window before them
+# positions per pass of the link build (``_run_links``); each pass also
+# reads the window before them
 _LINK_SEGMENT = 65536
 _LINK_RUN_BITS = (_LINK_SEGMENT + WINDOW_SIZE - 1).bit_length()
 
 
-def _chain_links(data: bytes) -> memoryview:
-    """``prev[i]`` links position ``i`` to the latest earlier position with
-    its 3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1
-    where there is none, and at the last two positions, which have no key.
-    A link more than a window back may read -1 instead: a walk stops at
-    either, below its floor.
+def _run_links(keys: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
+    """The links of positions ``a`` to ``b - 1``, each to the latest earlier
+    position with its ``width``-byte key, the low ``width`` bytes of its
+    little-endian uint32 in ``keys``; -1 where there is none from ``a -
+    WINDOW_SIZE`` on. A link more than a window back may read as a position.
 
     A position whose key is the key one position back links to ``i - 1``.
     Only the last position of each run of equal keys is sorted: one
-    ``np.sort`` of ``key << _LINK_RUN_BITS | run`` puts the runs of each key
-    together in order, and each run's first position links to the last
-    position of the run before it there. The sort keys are unique, so the
-    links do not depend on the sort's algorithm. Each segment of
-    ``_LINK_SEGMENT`` positions is one sort over the segment and the window
-    before it, so the temporaries are a few arrays of 98,304 entries
-    whatever the input's size."""
+    ``np.sort`` of ``key << _LINK_RUN_BITS | run`` over the positions and
+    the window before them puts the runs of each key together in order, and
+    each run's first position links to the last position of the run before
+    it there. The sort keys are unique, so the links do not depend on the
+    sort's algorithm, and the temporaries are a few arrays of the segment
+    and its window."""
+    s = max(a - WINDOW_SIZE, 0)
+    k = keys[s:b] & ((1 << 8 * width) - 1)
+    ends = np.append(np.flatnonzero(k[1:] != k[:-1]), b - s - 1)  # each run's last offset
+    v = k[ends].astype(np.uint64)
+    del k  # freed before the links are built
+    v <<= _LINK_RUN_BITS
+    v |= np.arange(len(ends), dtype=np.uint64)
+    v.sort()
+    run = (v & ((1 << _LINK_RUN_BITS) - 1)).astype(np.intp)
+    v >>= _LINK_RUN_BITS
+    # back[r]: the last position of the run before run r with its key, or -1
+    back = np.full(len(ends), -1, np.int64)
+    back[run[1:]] = np.where(v[1:] == v[:-1], ends[run[:-1]] + s, -1)
+    link = np.arange(s - 1, b - 1, dtype=np.int32 if b < 1 << 31 else np.int64)  # each links to the one before
+    link[ends[:-1] + 1] = back[1:]  # but a run's first to the run before it with its key
+    return link[a - s :]
+
+
+def _in_window(link: np.ndarray, a: int) -> np.ndarray:
+    """Where the link of each position ``i`` from ``a`` on is inside its
+    window: at or past ``max(i - WINDOW_SIZE, 0)``, so -1 never is."""
+    floor = np.arange(a - WINDOW_SIZE, a - WINDOW_SIZE + len(link), dtype=link.dtype)
+    np.maximum(floor, 0, out=floor)
+    return link >= floor
+
+
+def _chain_links(data: bytes) -> tuple[memoryview, bytearray]:
+    """``prev`` and ``live``, from one ``_run_links`` of 3-byte keys per
+    ``_LINK_SEGMENT`` positions.
+
+    ``prev[i]`` links position ``i`` to the latest earlier position with its
+    3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1 where
+    there is none, and at the last two positions, which have no key. A link
+    more than a window back may read -1 instead: a walk stops at either,
+    below its floor.
+
+    ``live[i]`` is 1 where a chain walk from position ``i`` may run, its
+    link at or past ``max(i - WINDOW_SIZE, 0)``, and 0 where the position
+    is lone; one byte per position with a key."""
     n = len(data)
     prev = np.full(n, -1, np.int32 if n < 1 << 31 else np.int64)
     limit = n - 2  # positions below this have a full 3-byte key
+    live = bytearray(max(limit, 0))
+    mask = np.frombuffer(live, bool)
     # the 4 bytes at each position read as a little-endian uint32; the low 24 bits are its key
     keys = np.ndarray((max(limit, 0),), "<u4", data + b"\0", 0, (1,))
     for a in range(0, limit, _LINK_SEGMENT):
-        s = max(a - WINDOW_SIZE, 0)
         b = min(a + _LINK_SEGMENT, limit)
-        k = keys[s:b] & 0xFFFFFF
-        ends = np.append(np.flatnonzero(k[1:] != k[:-1]), b - s - 1)  # each run's last offset
-        v = k[ends].astype(np.uint64)
-        v <<= _LINK_RUN_BITS
-        v |= np.arange(len(ends), dtype=np.uint64)
-        v.sort()
-        run = (v & ((1 << _LINK_RUN_BITS) - 1)).astype(np.intp)
-        v >>= _LINK_RUN_BITS
-        # back[r]: the last position of the run before run r with its key, or -1
-        back = np.full(len(ends), -1, np.int64)
-        back[run[1:]] = np.where(v[1:] == v[:-1], ends[run[:-1]] + s, -1)
-        link = np.arange(s - 1, b - 1, dtype=prev.dtype)  # each position links to the one before
-        link[ends[:-1] + 1] = back[1:]  # but a run's first to the run before it with its key
-        prev[a:b] = link[a - s :]
-    return memoryview(prev)
+        prev[a:b] = link = _run_links(keys, a, b, 3)
+        mask[a:b] = _in_window(link, a)
+    return memoryview(prev), live
 
 
-def _live_mask(prev: memoryview, limit: int) -> bytearray:
-    """``live[i]`` is 1 where a chain walk from position ``i`` may run, its
-    link inside its window (``prev[i] >= i - WINDOW_SIZE``), and 0 where the
-    position is lone; one byte per position below ``limit``, built a
-    ``_LINK_SEGMENT`` at a time. A position in the first window with no
-    link (-1) is live: its walk runs and stops at once, and it counts
-    toward ``_DEAD_TRIGGER``."""
-    live = bytearray(max(limit, 0))
+def _clear_dead(data: bytes, live: bytearray, prev: memoryview, lo: int, far: int) -> None:
+    """Clears ``live`` at each dead position from ``lo`` on: one whose 4
+    bytes have no copy starting in its window and whose link is farther
+    than ``far``. The copies are one ``_run_links`` of 4-byte keys per
+    ``_LINK_SEGMENT`` positions; a position without 4 bytes stays as it
+    is."""
     mask = np.frombuffer(live, bool)
     links = np.asarray(prev)
-    floor = np.arange(-WINDOW_SIZE, _LINK_SEGMENT - WINDOW_SIZE, dtype=links.dtype)  # i - WINDOW_SIZE, less a
-    for a in range(0, limit, _LINK_SEGMENT):
-        b = min(a + _LINK_SEGMENT, limit)
-        np.greater_equal(links[a:b] - a, floor[: b - a], out=mask[a:b])
-    return live
-
-
-def _clear_dead(live: bytearray, prev: memoryview, dead: memoryview, lo: int, far: int) -> None:
-    """Clears ``live`` at each dead position from ``lo`` on: one ``dead``
-    marks (no copy of its 4 bytes in its window) whose link is farther than
-    ``far``, a ``_LINK_SEGMENT`` at a time."""
-    mask = np.frombuffer(live, bool)
-    links = np.asarray(prev)
-    no_copy = np.asarray(dead)
-    for a in range(lo, len(live), _LINK_SEGMENT):
-        b = min(a + _LINK_SEGMENT, len(live))
-        mask[a:b][no_copy[a:b] & (np.arange(a, b) - links[a:b] > far)] = False
+    keys = np.ndarray((max(len(data) - 3, 0),), "<u4", data, 0, (1,))
+    for a in range(lo, len(keys), _LINK_SEGMENT):
+        b = min(a + _LINK_SEGMENT, len(keys))
+        dead = ~_in_window(_run_links(keys, a, b, 4), a)
+        dead &= np.arange(a, b) - links[a:b] > far
+        mask[a:b][dead] = False
 
 
 def _ops_from_matches(data: bytes, matches: list[int]) -> np.ndarray:
@@ -612,13 +593,13 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     Otherwise matching is greedy, walks at most 128 links and takes every
     match.
 
-    ``prev`` is ``_chain_links(data)``: the parse reads it and writes
-    nothing, so every position is on its key's chain, the inside of a
-    match too. ``live`` is ``_live_mask(prev, limit)``: a position is lone, its
-    byte 0, when its link is more than a window back, so no candidate is in
-    its window, and the loop tests that byte alone. With no match pending,
-    a lone position starts a literal run, which ends at ``live.find(1, i +
-    1)``, the next live position, or at the end of the input. The walk's
+    ``prev, live`` is ``_chain_links(data)``: the parse reads ``prev`` and
+    writes nothing, so every position is on its key's chain, the inside of
+    a match too. A position is lone, its ``live`` byte 0, when it has no
+    link inside its window, so no candidate is there, and the loop tests
+    that byte alone. With no match pending, a lone position starts a
+    literal run, which ends at ``live.find(1, i + 1)``, the next live
+    position, or at the end of the input. The walk's
     set-up (``max_len``, ``bl``) waits for a candidate, and ``here``, the
     bytes at ``i`` as one integer, for a candidate that passes the one-byte
     reject. While the lazy walk holds nothing, a candidate farther than
@@ -626,13 +607,12 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     compare: it is a length-3 match the walk would take and then drop.
 
     After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
-    found nothing, ``_no_copy4`` of the rest of the data marks the
-    positions with no copy of their 4 bytes in the window. One of them
-    whose link is past ``_FAR_LIMIT[3]`` is dead: every candidate on its
-    chain is such a length-3 match, so the walk would return no match.
-    ``_clear_dead`` makes each dead position lone in ``live``, so with no
-    match pending it joins a literal run, and with one pending it lets that
-    match commit.
+    found nothing, ``_clear_dead`` links the rest of the data by 4-byte
+    keys. A position with no copy of its 4 bytes in the window whose link
+    is past ``_FAR_LIMIT[3]`` is dead: every candidate on its chain is such
+    a length-3 match, so the walk would return no match. ``_clear_dead``
+    makes each dead position lone in ``live``, so with no match pending it
+    joins a literal run, and with one pending it lets that match commit.
 
     The parse records only its matches, as ``start << 25 | length << 16 |
     distance``; a pending match that the next position beats records
@@ -647,8 +627,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     matches: list[int] = []  # start << 25 | length << 16 | distance
     append = matches.append
     limit = n - 2  # positions below this have a full 3-byte key
-    prev = _chain_links(data)
-    live = _live_mask(prev, limit)
+    prev, live = _chain_links(data)
     misses = 0  # walks that started past far3 and found nothing; equals trigger once at most
     trigger = _DEAD_TRIGGER
 
@@ -733,7 +712,7 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
                     elif far and not bd:
                         misses += 1
                         if misses == trigger:
-                            _clear_dead(live, prev, _no_copy4(data, i + 1), i + 1, far3)
+                            _clear_dead(data, live, prev, i + 1, far3)
 
         start = i
         if pend_len:

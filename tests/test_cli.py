@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ def test_convert_is_idempotent_through_the_container(tmp_path, shapes_bmp):
     assert main(["convert", "--k", "10", str(shapes_bmp), "-o", str(once)]) == 0
     assert main(["convert", "--k", "10", str(once), "-o", str(twice)]) == 0
     assert decode_png(once.read_bytes()) == decode_png(twice.read_bytes())
+
+
+def test_convert_noise_at_k10_clears_dead_positions(tmp_path, capsys):
+    # the 128x128 noise image of the CI console round trip: level 3's parse
+    # clears its dead positions once, after the walk at 3,067
+    assert main(["synth", "--kind", "noise", "--size", "128x128", "--seed", "1", "-o", str(tmp_path)]) == 0
+    with mock.patch.object(kpng.flate, "_clear_dead", wraps=kpng.flate._clear_dead) as clear:
+        assert main(["convert", str(tmp_path / "noise-s001-128x128.bmp"), "-o", str(tmp_path / "k10-noise.png"),
+                     "--k", "10"]) == 0
+    clear.assert_called_once()
+    assert clear.call_args.args[3] == 3068
 
 
 @pytest.mark.parametrize("bad_k", ["1", "26"])

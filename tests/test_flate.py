@@ -24,7 +24,6 @@ from kpng.flate import (
     _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
-    _DEAD_SEGMENT,
     _EMIT_OPS,
     _FAR_LIMIT,
     _FIND_ROUNDS,
@@ -45,6 +44,7 @@ from kpng.flate import (
     _Block,
     _build_decode_table,
     _chain_links,
+    _clear_dead,
     _chunk_sums,
     _cost_cuts,
     _codes_from_lengths,
@@ -52,13 +52,12 @@ from kpng.flate import (
     _emit_block,
     _estimated_bits,
     _limited_code_lengths,
-    _live_mask,
-    _no_copy4,
     _op_fields,
     _ops_from_matches,
     _plan_blocks,
     _priced_block,
     _rle_code_lengths,
+    _run_links,
     _stored_bits_upper,
     _tokenize_ops,
     adler32,
@@ -326,13 +325,15 @@ TOKENIZE_INPUTS = {
     "distance-32769": repeat_at(WINDOW_SIZE + 1),
     # 65,600 random bytes: no position past 64,353 has a link inside its
     # window, and no match ends past 64,356, so the last literal run crosses
-    # the 64 KiB _LINK_SEGMENT edge and ends at the last key
+    # the 64 KiB _LINK_SEGMENT edge and ends at the last key; 103 positions
+    # are live, none of them a first-window position with no link
     "literal-run-across-a-segment": random.Random(1).randbytes(_LINK_SEGMENT + 64),
     # the last match is 258 bytes long and ends at the last byte
     "match-at-the-end": ends_in_a_copy(),
-    # 12,288 samples of k=10 noise: the lazy parse builds its "no 4-byte
-    # copy" mask after the walk at 319, which clears 320 and 321 from the
-    # live mask, so a literal run starts where the mask was just built
+    # 12,288 samples of k=10 noise: the lazy parse clears its dead
+    # positions after the walk at 1,790; 1,791 is lone, so a literal run
+    # starts where the mask was just built and goes over 1,795, which the
+    # build cleared
     "noise-k10-mask-mid-run": kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples,
 }
 
@@ -452,23 +453,31 @@ def test_expand_rejects_bad_tokens():
 # the hash chain links, built in numpy from one sort of the key runs
 
 
-def chain_links_reference(data):
-    """``_chain_links`` by a dict of each 3-byte key's latest position, -1
-    once that position is more than a window back."""
+def chain_links_reference(data, width=3):
+    """The links of ``width``-byte keys by a dict of each key's latest
+    position, -1 once that position is more than a window back."""
     latest = {}
     prev = [-1] * len(data)
-    for i in range(len(data) - 2):
-        key = data[i : i + 3]
+    for i in range(len(data) - width + 1):
+        key = data[i : i + width]
         p = latest.get(key, -1)
         prev[i] = p if i - p <= WINDOW_SIZE else -1
         latest[key] = i
     return prev
 
 
-def windowed_links(data):
-    """``_chain_links``, each link more than a window back read as -1, as a
-    walk reads it."""
-    prev = np.asarray(_chain_links(data), np.int64)
+def windowed_links(data, width=3):
+    """``_chain_links``' ``prev``, or for ``width`` 4 the ``_run_links`` of
+    each ``_LINK_SEGMENT`` as ``_clear_dead`` builds them, each link more
+    than a window back read as -1, as a walk reads it."""
+    if width == 3:
+        prev = np.asarray(_chain_links(data)[0], np.int64)
+    else:
+        prev = np.full(len(data), -1, np.int64)
+        keys = np.ndarray((max(len(data) - 3, 0),), "<u4", data, 0, (1,))
+        for a in range(0, len(keys), _LINK_SEGMENT):
+            b = min(a + _LINK_SEGMENT, len(keys))
+            prev[a:b] = _run_links(keys, a, b, 4)
     return np.where(prev < np.arange(len(prev)) - WINDOW_SIZE, -1, prev).tolist()
 
 
@@ -491,6 +500,13 @@ def test_chain_links_match_a_dict_reference(n, values):
     assert windowed_links(data) == chain_links_reference(data)
 
 
+@pytest.mark.parametrize("n", CHAIN_LENGTHS)
+def test_4_byte_links_match_a_dict_reference(n):
+    # 26 values: 4-byte keys recur both inside and beyond a window apart
+    data = bytes(random.Random(n).choices(range(26), k=n))
+    assert windowed_links(data, 4) == chain_links_reference(data, 4)
+
+
 @pytest.mark.parametrize("name", sorted(TOKENIZE_INPUTS))
 def test_chain_links_match_a_dict_reference_on_pinned_inputs(name):
     data = TOKENIZE_INPUTS[name]
@@ -499,42 +515,52 @@ def test_chain_links_match_a_dict_reference_on_pinned_inputs(name):
 
 def test_chain_links_reach_exactly_one_window_back():
     # the marker's second copy links to its first at WINDOW_SIZE; one byte
-    # farther the link is past the window, as a walk reads it
-    assert windowed_links(repeat_at(WINDOW_SIZE))[WINDOW_SIZE] == 0
-    assert windowed_links(repeat_at(WINDOW_SIZE + 1))[WINDOW_SIZE + 1] == -1
+    # farther the link is past the window, as a walk reads it; so for
+    # 4-byte keys
+    for width in (3, 4):
+        assert windowed_links(repeat_at(WINDOW_SIZE), width)[WINDOW_SIZE] == 0
+        assert windowed_links(repeat_at(WINDOW_SIZE + 1), width)[WINDOW_SIZE + 1] == -1
 
 
 @pytest.mark.parametrize("n", CHAIN_LENGTHS)
 def test_live_mask_marks_every_position_whose_walk_runs(n):
-    # a position is live where its link is inside its window, a position in
-    # the first window with no link included
+    # a position is live where it has a link inside its window; a position
+    # in the first window with no link is lone
     data = bytes(random.Random(n).choices(range(26), k=n))
-    prev = np.asarray(_chain_links(data), np.int64)
+    prev, live = _chain_links(data)
     limit = max(n - 2, 0)
-    live = _live_mask(_chain_links(data), n - 2)
-    assert list(live) == (prev[:limit] >= np.arange(limit) - WINDOW_SIZE).astype(int).tolist()
+    floor = np.maximum(np.arange(limit) - WINDOW_SIZE, 0)
+    assert list(live) == (np.asarray(prev)[:limit] >= floor).astype(int).tolist()
 
 
-def chain_links_temporary_bytes(data):
-    """Peak bytes the build holds beyond its int32 ``prev`` and its copy of
-    the data."""
+def test_first_window_positions_with_no_link_are_lone():
+    # random bytes: 32,739 first-window positions have no link and are lone,
+    # so only 103 positions are live
+    live = _chain_links(TOKENIZE_INPUTS["literal-run-across-a-segment"])[1]
+    assert live.count(1) == 103
+
+
+def peak_traced_bytes(build):
     tracemalloc.start()
     try:
-        _chain_links(data)
-        peak = tracemalloc.get_traced_memory()[1]
+        build()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - 5 * len(data)
 
 
 def test_chain_links_temporaries_stay_bounded():
     """Each sort's temporaries are bounded by a segment and its window,
     whatever the input's size: random bytes, where nearly every position
-    ends a run of keys, hold under 6 MiB at 256 KiB and at 2 MiB."""
+    ends a run of keys, hold under 6 MiB at 256 KiB and at 2 MiB, beyond
+    the int32 ``prev``, the ``live`` byte per position and the build's copy
+    of the data; so does ``_clear_dead``'s 4-byte build of every position."""
     rng = random.Random(11)
-    small = chain_links_temporary_bytes(rng.randbytes(4 * _LINK_SEGMENT))
-    large = chain_links_temporary_bytes(rng.randbytes(32 * _LINK_SEGMENT))
-    assert small <= 6 << 20 and large <= 6 << 20, (small, large)
+    for data in (rng.randbytes(4 * _LINK_SEGMENT), rng.randbytes(32 * _LINK_SEGMENT)):
+        links = peak_traced_bytes(lambda: _chain_links(data)) - 6 * len(data)
+        prev, live = _chain_links(data)
+        dead = peak_traced_bytes(lambda: _clear_dead(data, live, prev, 0, _FAR_LIMIT[3]))
+        assert links <= 6 << 20 and dead <= 6 << 20, (len(data), links, dead)
 
 
 # ---------------------------------------------------------------------------
@@ -662,45 +688,61 @@ def test_only_the_lazy_parse_searches_the_window():
 # level 3 skips the walk at a position with no 4-byte copy in its window
 
 
+def no_copy4_cleared(data, lo):
+    """``live`` after ``_clear_dead`` from ``lo`` with a far limit of 0, so
+    that it clears every position with no copy of its 4 bytes in its
+    window."""
+    prev, live = _chain_links(data)
+    live[:] = b"\1" * len(live)
+    _clear_dead(data, live, prev, lo, 0)
+    return list(live)
+
+
 def no_copy4_reference(data, lo):
-    """``_no_copy4`` by a dict of each 4-byte key's latest position."""
-    last = {}
-    dead = [False] * len(data)
-    for i in range(len(data) - 3):
-        key = data[i : i + 4]
-        p = last.get(key)
-        dead[i] = i >= lo and (p is None or i - p > WINDOW_SIZE)
-        last[key] = i
-    return dead
+    """``no_copy4_cleared`` by a dict of each 4-byte key's latest position."""
+    links = chain_links_reference(data, 4)
+    return [int(i < lo or i == len(data) - 3 or links[i] >= 0) for i in range(max(len(data) - 2, 0))]
 
 
 @pytest.mark.parametrize("lo", [0, 1, WINDOW_SIZE + 1])
 @pytest.mark.parametrize(
-    "n", [0, 3, 4, 5, _DEAD_SEGMENT - 1, _DEAD_SEGMENT + 4, _DEAD_SEGMENT + WINDOW_SIZE + 4, 2 * _DEAD_SEGMENT + 4]
+    "n", [0, 3, 4, 5, _LINK_SEGMENT - 1, _LINK_SEGMENT + 4, _LINK_SEGMENT + WINDOW_SIZE + 4, 2 * _LINK_SEGMENT + 4]
 )
 def test_no_copy4_matches_a_dict_reference(n, lo):
     # 26 values: 4-byte keys recur both inside and beyond a window apart
     data = bytes(random.Random(n).choices(range(26), k=n))
-    assert np.asarray(_no_copy4(data, lo)).tolist() == no_copy4_reference(data, lo)
+    assert no_copy4_cleared(data, lo) == no_copy4_reference(data, lo)
 
 
 def test_no_copy4_reaches_exactly_one_window_back():
     # the 4-byte marker's second copy sees its first at WINDOW_SIZE, not
     # one byte farther
-    assert not _no_copy4(repeat_at(WINDOW_SIZE, 4), 0)[WINDOW_SIZE]
-    assert _no_copy4(repeat_at(WINDOW_SIZE + 1, 4), 0)[WINDOW_SIZE + 1]
+    assert no_copy4_cleared(repeat_at(WINDOW_SIZE, 4), 0)[WINDOW_SIZE]
+    assert not no_copy4_cleared(repeat_at(WINDOW_SIZE + 1, 4), 0)[WINDOW_SIZE + 1]
+
+
+def test_clear_dead_keeps_positions_with_a_near_link():
+    # far = _FAR_LIMIT[3] clears only the positions with no 4-byte copy
+    # whose link is farther than that
+    data = bytes(random.Random(3).choices(range(26), k=3 * _LINK_SEGMENT))
+    prev, live = _chain_links(data)
+    before = list(live)
+    _clear_dead(data, live, prev, 0, _FAR_LIMIT[3])
+    no_copy = [not kept for kept in no_copy4_reference(data, 0)]
+    far = np.arange(len(live)) - np.asarray(prev)[: len(live)] > _FAR_LIMIT[3]
+    assert list(live) == [int(b and not (d and f)) for b, d, f in zip(before, no_copy, far.tolist())]
 
 
 def lazy_ops_with_trigger(data, trigger):
     """Level 3's ops with the mask built after ``trigger`` fruitless walks,
-    and the positions ``_no_copy4`` was built from."""
+    and the positions ``_clear_dead`` was called from."""
     built = []
 
-    def spy(data, lo):
+    def spy(data, live, prev, lo, far):
         built.append(lo)
-        return _no_copy4(data, lo)
+        _clear_dead(data, live, prev, lo, far)
 
-    with mock.patch.object(flate, "_DEAD_TRIGGER", trigger), mock.patch.object(flate, "_no_copy4", spy):
+    with mock.patch.object(flate, "_DEAD_TRIGGER", trigger), mock.patch.object(flate, "_clear_dead", spy):
         return _tokenize_ops(data, True), built
 
 
@@ -718,7 +760,7 @@ def test_mask_keeps_the_parse_on_random_data(values, n, seed):
 
 
 @pytest.mark.parametrize("n", list(range(6)) + [WINDOW_SIZE - 1, WINDOW_SIZE, WINDOW_SIZE + 1,
-                                              _DEAD_SEGMENT - 1, _DEAD_SEGMENT, _DEAD_SEGMENT + 1])
+                                              _LINK_SEGMENT - 1, _LINK_SEGMENT, _LINK_SEGMENT + 1])
 def test_mask_keeps_the_parse_across_window_and_segment_edges(n):
     data = bytes(random.Random(n).choices(range(26), k=n))
     assert_mask_keeps_the_parse(data)
@@ -735,9 +777,24 @@ def test_flat_shapes_never_build_the_mask():
     # the pinned flat-shapes image at k=10: its walks that start past
     # _FAR_LIMIT[3] find nothing only a few times, far below the trigger
     img = kmm_transform(generate(CorpusSpec("flat-shapes", seed=1)), 10)
-    with mock.patch.object(flate, "_no_copy4", side_effect=AssertionError("mask built")) as builder:
+    with mock.patch.object(flate, "_clear_dead", side_effect=AssertionError("mask built")) as builder:
         encode_png(img)
     builder.assert_not_called()
+
+
+def test_noise_k10_builds_the_mask_mid_run():
+    # the walk at 1,790 is the trigger's last miss; 1,791 is lone, and the
+    # literal run from it ends at 1,796, past 1,795, which the build cleared
+    runs = []
+
+    def spy(data, live, prev, lo, far):
+        before = live.find(1, lo)
+        _clear_dead(data, live, prev, lo, far)
+        runs.append((lo, live[lo], before, live.find(1, lo)))
+
+    with mock.patch.object(flate, "_clear_dead", spy):
+        _tokenize_ops(TOKENIZE_INPUTS["noise-k10-mask-mid-run"], True)
+    assert runs == [(1791, 0, 1795, 1796)]
 
 
 def lazy_parse_peak_bytes(data, trigger):

@@ -82,7 +82,7 @@ def test_deflate_parity_corpus_builds_the_lazy_parse_mask():
     finally:
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["noise 256x256 k=10"]
-    with mock.patch.object(kpng.flate, "_no_copy4", wraps=kpng.flate._no_copy4) as builder:
+    with mock.patch.object(kpng.flate, "_clear_dead", wraps=kpng.flate._clear_dead) as builder:
         kpng.flate._tokenize_ops(data, True)
     builder.assert_called_once()
 
@@ -97,5 +97,5 @@ def test_deflate_parity_corpus_has_a_literal_run_across_a_segment():
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["literal run across a segment"]
     assert len(data) == kpng.flate._LINK_SEGMENT + 64
-    live = kpng.flate._live_mask(kpng.flate._chain_links(data), len(data) - 2)
+    live = kpng.flate._chain_links(data)[1]
     assert live.rfind(1) < kpng.flate._LINK_SEGMENT
