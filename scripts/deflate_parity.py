@@ -19,7 +19,10 @@ both and compares the streams. The corpus:
   their walks;
 - 65,600 random bytes, the same at every ``--seed``, whose last literal
   run crosses the 64 KiB segment edge of the chain links and the live mask
-  and ends at the input's end.
+  and ends at the input's end;
+- the scanlines of a 512x512 mixed image, the same at every ``--seed``,
+  786,944 bytes that the parse splits between two processes where it may
+  run on two CPUs (levels 1-3).
 
 ``--seed`` picks the tiles and the random bytes. ``--bench-seed S`` adds the
 benchmark's inputs: the filtered scanlines of three 512x512 images of every
@@ -78,6 +81,8 @@ def corpus(seed: int) -> list[tuple[str, bytes]]:
     inputs.append(("noise 256x256 k=10", scanlines(noise)))
     # the same bytes at every seed: no position past 64,353 has a link inside its window
     inputs.append(("literal run across a segment", random.Random(1).randbytes(_LINK_SEGMENT + 64)))
+    # the same bytes at every seed: the gate of the two-process parse passes at every level
+    inputs.append(("mixed 512x512, two processes", scanlines(generate(CorpusSpec("mixed", 512, 512, seed=1)))))
     return inputs
 
 

@@ -85,18 +85,20 @@ Level 3 then drops a match of length 3 farther than 256 bytes or of length
 match's codes and extra bits cost more than its literals. Levels 1-2 take
 every match.
 
-The tokenizer builds every hash chain link before it parses, in numpy
-(``_chain_links``), as zlib's ``deflate.c`` keeps ``prev[]``: ``prev[i]``
-is the latest earlier position with ``i``'s 3-byte key, in an int32 array,
-so no Python int stays alive per position. A position whose key is the key
-one back links to ``i - 1``. Only the last position of each run of equal
-keys goes into one ``np.sort`` of ``key << 17 | run`` per
-``_LINK_SEGMENT`` = 64 KiB of positions and the 32 KiB window before them
-(``_run_links``), and each run's first position links to the end of the
-run before it with its key. The sort keys are unique, so the links do not
-depend on the sort's algorithm, and the temporaries stay near 5 MB
-whatever the input's size (about 2 ms per 786 KB of flat content, 25 ms
-of noisy). The parse
+The tokenizer builds the hash chain links of the positions it parses in
+numpy before it parses them (``_Parse.link``), as zlib's ``deflate.c``
+keeps ``prev[]``: ``prev[i]`` is the latest earlier position with ``i``'s
+3-byte key, in an int32 array, so no Python int stays alive per position.
+A position whose key is the key one back links to ``i - 1``. Only the last
+position of each run of equal keys goes into one ``np.sort`` of ``key <<
+17 | run`` per ``_LINK_SEGMENT`` = 64 KiB of positions and the 32 KiB
+window before them (``_run_links``), and each run's first position links
+to the end of the run before it with its key. The keys are uint32 views of
+the data; only the last segment, whose last key reads past the end, copies
+its tail. The sort keys are unique, so the links do not depend on the
+sort's algorithm or on where a segment starts, and the temporaries stay
+near 5 MB whatever the input's size (about 2 ms per 786 KB of flat
+content, 25 ms of noisy). The parse
 reads ``prev`` through a ``memoryview`` and writes nothing: it keeps no
 dict and inserts nothing, and the inside of every match is on its key's
 chain. Beside ``prev`` it keeps ``live``, a ``bytearray`` of one byte per
@@ -136,6 +138,26 @@ there on a dead position is lone, so with nothing pending it joins a
 literal run and with a match pending it lets the match commit, and the
 parse tests ``live`` alone.
 
+On two CPUs, a long input whose parse steps often is parsed by two
+processes at once, and the ops are the serial parse's. The parse is a
+function of its loop state ``(i, pend_len, pend_dist)`` alone, since the
+dead positions change which walks run and not what they return. So a
+forked child parses the tail from a split point ``mid``, started cold with
+nothing pending, and records each loop state it passes; the parent parses
+up to ``mid``, then on until its state is one the child passed, and from
+there takes the child's matches. Where no state is shared, the parent
+parses to the end itself, which is the serial parse. The gate
+(``_split_point``) reads the input alone, past the CPU count: at least
+``_SPLIT_MIN`` = 256 KiB, and one loop step or more per
+``_SPLIT_STEP_BYTES`` = 128 bytes in the parse of the first eighth,
+which the parent runs first. Flat k=10 content
+takes about one per 250 bytes and stays serial, since its parse is short
+and its 258-byte matches re-align slowly; lossless and noisy content
+takes one per 15-60 bytes. The split point halves the rest of the input.
+The child ends with ``os._exit`` after it writes its piece to a pipe, and
+the parent reaps it, or kills and reaps it if the parent raises first
+(``_forked_matches``).
+
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
 ``crc32``, ``adler32``, ``lz77_tokenize``, ``deflate_compress`` and
@@ -144,7 +166,10 @@ fields) passes :func:`kpng.errors._check_int`, and the data given to
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
@@ -470,12 +495,26 @@ _DEAD_TRIGGER = 64
 # reads the window before them
 _LINK_SEGMENT = 65536
 _LINK_RUN_BITS = (_LINK_SEGMENT + WINDOW_SIZE - 1).bit_length()
+# the two-process parse (``_split_point``): an input shorter than this
+# parses serially, and so does one whose parse of its first eighth takes
+# fewer than one loop step per _SPLIT_STEP_BYTES bytes
+_SPLIT_MIN = 1 << 18
+_SPLIT_STEP_BYTES = 128
 
 
-def _run_links(keys: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
+def _keys(data: bytes, s: int, b: int) -> np.ndarray:
+    """The 4 bytes at each position from ``s`` to ``b - 1`` as little-endian
+    uint32s, a view of ``data``; where the last keys read past its end, a
+    copy of the tail from ``s`` with zeros after it."""
+    if b + 3 > len(data):
+        return np.ndarray((b - s,), "<u4", data[s:] + bytes(b + 3 - len(data)), 0, (1,))
+    return np.ndarray((b - s,), "<u4", data, s, (1,))
+
+
+def _run_links(data: bytes, a: int, b: int, width: int) -> np.ndarray:
     """The links of positions ``a`` to ``b - 1``, each to the latest earlier
     position with its ``width``-byte key, the low ``width`` bytes of its
-    little-endian uint32 in ``keys``; -1 where there is none from ``a -
+    little-endian uint32 (``_keys``); -1 where there is none from ``a -
     WINDOW_SIZE`` on. A link more than a window back may read as a position.
 
     A position whose key is the key one position back links to ``i - 1``.
@@ -487,7 +526,7 @@ def _run_links(keys: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
     sort's algorithm, and the temporaries are a few arrays of the segment
     and its window."""
     s = max(a - WINDOW_SIZE, 0)
-    k = keys[s:b] & ((1 << 8 * width) - 1)
+    k = _keys(data, s, b) & ((1 << 8 * width) - 1)
     ends = np.append(np.flatnonzero(k[1:] != k[:-1]), b - s - 1)  # each run's last offset
     v = k[ends].astype(np.uint64)
     del k  # freed before the links are built
@@ -512,57 +551,30 @@ def _in_window(link: np.ndarray, a: int) -> np.ndarray:
     return link >= floor
 
 
-def _chain_links(data: bytes) -> tuple[memoryview, bytearray]:
-    """``prev`` and ``live``, from one ``_run_links`` of 3-byte keys per
-    ``_LINK_SEGMENT`` positions.
-
-    ``prev[i]`` links position ``i`` to the latest earlier position with its
-    3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1 where
-    there is none, and at the last two positions, which have no key. A link
-    more than a window back may read -1 instead: a walk stops at either,
-    below its floor.
-
-    ``live[i]`` is 1 where a chain walk from position ``i`` may run, its
-    link at or past ``max(i - WINDOW_SIZE, 0)``, and 0 where the position
-    is lone; one byte per position with a key."""
-    n = len(data)
-    prev = np.full(n, -1, np.int32 if n < 1 << 31 else np.int64)
-    limit = n - 2  # positions below this have a full 3-byte key
-    live = bytearray(max(limit, 0))
-    mask = np.frombuffer(live, bool)
-    # the 4 bytes at each position read as a little-endian uint32; the low 24 bits are its key
-    keys = np.ndarray((max(limit, 0),), "<u4", data + b"\0", 0, (1,))
-    for a in range(0, limit, _LINK_SEGMENT):
-        b = min(a + _LINK_SEGMENT, limit)
-        prev[a:b] = link = _run_links(keys, a, b, 3)
-        mask[a:b] = _in_window(link, a)
-    return memoryview(prev), live
-
-
 def _clear_dead(data: bytes, live: bytearray, prev: memoryview, lo: int, far: int) -> None:
-    """Clears ``live`` at each dead position from ``lo`` on: one whose 4
-    bytes have no copy starting in its window and whose link is farther
-    than ``far``. The copies are one ``_run_links`` of 4-byte keys per
-    ``_LINK_SEGMENT`` positions; a position without 4 bytes stays as it
+    """Clears ``live`` at each dead position from ``lo`` to its end: one
+    whose 4 bytes have no copy starting in its window and whose link is
+    farther than ``far``. The copies are one ``_run_links`` of 4-byte keys
+    per ``_LINK_SEGMENT`` positions; a position without 4 bytes stays as it
     is."""
     mask = np.frombuffer(live, bool)
     links = np.asarray(prev)
-    keys = np.ndarray((max(len(data) - 3, 0),), "<u4", data, 0, (1,))
-    for a in range(lo, len(keys), _LINK_SEGMENT):
-        b = min(a + _LINK_SEGMENT, len(keys))
-        dead = ~_in_window(_run_links(keys, a, b, 4), a)
+    end = min(len(live), len(data) - 3)
+    for a in range(lo, end, _LINK_SEGMENT):
+        b = min(a + _LINK_SEGMENT, end)
+        dead = ~_in_window(_run_links(data, a, b, 4), a)
         dead &= np.arange(a, b) - links[a:b] > far
         mask[a:b][dead] = False
 
 
-def _ops_from_matches(data: bytes, matches: list[int]) -> np.ndarray:
+def _ops_from_matches(data: bytes, matches: list[int] | np.ndarray) -> np.ndarray:
     """The op array of a parse that recorded only its matches, each as
     ``start << 25 | length << 16 | distance`` in input order: every byte no
     match covers is a literal op. Each op advances the input by 1, a match
     by its length, so a cumulative sum gives every op's end, and a literal
     is the byte before its end. The temporaries are the size of the op
     count."""
-    m = np.fromiter(matches, np.int64, len(matches))
+    m = np.array(matches, np.int64)
     length = (m >> 16) & 0x1FF
     # a match's index among the ops: its start, less what the matches
     # before it cover beyond one op each
@@ -575,6 +587,310 @@ def _ops_from_matches(data: bytes, matches: list[int]) -> np.ndarray:
     ops[:] = np.frombuffer(data, np.uint8)[ops]
     ops[at] = m
     return ops
+
+
+class _Parse:
+    """One piece of the LZ77 parse: its loop state ``(i, pend_len,
+    pend_dist)``, the matches it recorded, its loop steps, and the hash
+    chain links it has built, from a window before its start on.
+
+    ``prev[i]`` links position ``i`` to the latest earlier position with its
+    3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1 where
+    there is none. A link more than a window back may read -1 instead: a
+    walk stops at either, below its floor. ``live[i]`` is 1 where a chain
+    walk from position ``i`` may run, its link at or past ``max(i -
+    WINDOW_SIZE, 0)``, and 0 where the position is lone. ``live`` grows by
+    a byte per position as the links are built, so its length is how far
+    they reach. A piece that starts at ``start`` reads no position before
+    ``start - WINDOW_SIZE``: their links are never built and their ``live``
+    bytes stay 0."""
+
+    def __init__(self, data: bytes, lazy: bool, start: int = 0):
+        n = len(data)
+        self.data, self.lazy = data, lazy
+        self.limit = max(n - 2, 0)  # positions below this have a full 3-byte key
+        self.links = np.empty(n, np.int32 if n < 1 << 31 else np.int64)  # read only where built
+        self.prev = memoryview(self.links)
+        self.live = bytearray(min(max(start - WINDOW_SIZE, 0), self.limit))
+        self.dead = False  # whether the links built from now on clear their dead positions
+        self.state = (start, 0, 0)
+        self.matches: list[int] = []  # start << 25 | length << 16 | distance
+        self.steps = 0  # loop iterations run
+        self.misses = 0  # lazy walks that started past far3 and found nothing
+
+    def link(self, to: int) -> None:
+        """Builds the links of every position up to ``to`` at least, one
+        ``_run_links`` of 3-byte keys per ``_LINK_SEGMENT`` positions; once
+        the lazy parse clears dead positions, one ``_clear_dead`` clears
+        those among them."""
+        lo = len(self.live)
+        for a in range(lo, min(to, self.limit), _LINK_SEGMENT):
+            b = min(a + _LINK_SEGMENT, self.limit)
+            self.links[a:b] = link = _run_links(self.data, a, b, 3)
+            self.live += memoryview(_in_window(link, a))
+        if self.dead:
+            _clear_dead(self.data, self.live, self.prev, lo, _FAR_LIMIT[3])
+
+    def run(self, stop: int, record: list[int] | None = None, join: np.ndarray | None = None) -> int | None:
+        """Parses on from ``state`` until the position reaches ``stop``, and
+        builds the next segment's links wherever the links run out.
+
+        ``record`` gets each loop state the parse passes, packed as ``i <<
+        25 | pend_len << 16 | pend_dist``, then the count of matches
+        recorded before it. With ``join``, a sorted int64 array of such
+        states, the parse stops at the first state it holds and returns that
+        state's index there; otherwise it returns None."""
+        data, live, prev, lazy = self.data, self.live, self.prev, self.lazy
+        matches = self.matches
+        append = matches.append
+        max_chain = 32 if lazy else 128
+        good_length = _GOOD_LENGTH
+        far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
+        far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
+        n = len(data)
+        limit = self.limit
+        trigger = _DEAD_TRIGGER
+        misses = self.misses  # equals trigger once at most
+        steps = self.steps
+        i, pend_len, pend_dist = self.state
+        at = None
+        while True:
+            end = stop if len(live) == limit else min(stop, len(live))
+            while i < end:
+                if record is not None:
+                    record += i << 25 | pend_len << 16 | pend_dist, len(matches)
+                elif join is not None:
+                    state = i << 25 | pend_len << 16 | pend_dist
+                    at = int(join.searchsorted(state))
+                    if at < len(join) and join[at] == state:
+                        break
+                    at = None
+                steps += 1
+                best_len = 0
+                best_dist = 0
+                if i < limit:
+                    if not live[i]:
+                        # a lone position, or a dead one: every candidate is a
+                        # length-3 match past far3 and no copy of its 4 bytes is
+                        # in the window, so the walk would find nothing
+                        if not pend_len:
+                            # a literal, and so is every position before the
+                            # next live one; past the last, every one to end
+                            i = live.find(1, i + 1, end)
+                            if i < 0:
+                                i = end
+                            continue
+                    else:
+                        j = prev[i]
+                        far = i - j > far3
+                        floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
+                        max_len = n - i
+                        if max_len > MAX_MATCH:
+                            max_len = MAX_MATCH
+                        # a lazy search only has to beat the pending match
+                        bl = pend_len or MIN_MATCH - 1
+                        if bl < max_len:
+                            bd = 0
+                            c = data[i + bl]
+                            here = None
+                            for _ in range(max_chain >> 2 if pend_len >= good_length else max_chain):
+                                if j < floor:
+                                    break
+                                # cheap reject: candidate must beat the current best length
+                                if data[j + bl] == c:
+                                    if bl == 2 and i - j > far3 and (max_len < 4 or data[j + 3] != data[i + 3]):
+                                        # nothing is held and this is a length-3
+                                        # match too far to keep. Every later
+                                        # candidate is farther and must be 4 long
+                                        # anyway, so passing it over leaves the
+                                        # walk's result as it was
+                                        j = prev[j]
+                                        continue
+                                    # the match length is the count of trailing
+                                    # zero bytes of the two windows XORed as
+                                    # little-endian integers
+                                    if here is None:
+                                        here = int.from_bytes(data[i : i + max_len], "little")
+                                    x = here ^ int.from_bytes(data[j : j + max_len], "little")
+                                    l = ((x & -x).bit_length() - 1) >> 3 if x else max_len
+                                    if l > bl:
+                                        bl = l
+                                        bd = i - j
+                                        if l >= max_len:
+                                            break
+                                        c = data[i + l]
+                                j = prev[j]
+                            else:
+                                if lazy and bd:
+                                    # the budget ran out holding a match: each
+                                    # round finds the nearest copy one byte
+                                    # longer, below the last hit, so the rounds
+                                    # scan the window once
+                                    top = i + bl
+                                    for _ in range(_FIND_ROUNDS):
+                                        if bl >= max_len:
+                                            break
+                                        j = data.rfind(data[i : i + bl + 1], floor, top)
+                                        if j < 0:
+                                            break
+                                        x = here ^ int.from_bytes(data[j : j + max_len], "little")
+                                        bl = ((x & -x).bit_length() - 1) >> 3 if x else max_len
+                                        bd = i - j
+                                        top = j + bl
+                            # no length-3 test: far ones were passed over, and a
+                            # held match is only ever lengthened
+                            if bd and (bl > 4 or bd <= far4):
+                                best_len = bl
+                                best_dist = bd
+                            elif far and not bd:
+                                misses += 1
+                                if misses == trigger:
+                                    self.dead = True
+                                    _clear_dead(data, live, prev, i + 1, far3)
+
+                start = i
+                if pend_len:
+                    # unless the next position found a strictly longer match,
+                    # which demotes the pending one to a literal, the pending
+                    # one commits
+                    if best_len <= pend_len:
+                        start, best_len, best_dist = i - 1, pend_len, pend_dist
+                    pend_len = 0
+                if not best_len:
+                    i += 1
+                elif lazy and start == i and best_len < MAX_MATCH:
+                    # hold the match back and see whether the next position beats it
+                    pend_len, pend_dist = best_len, best_dist
+                    i += 1
+                else:
+                    append(start << 25 | best_len << 16 | best_dist)
+                    i = start + best_len
+            if at is not None or i >= stop:
+                break
+            self.link(len(live) + 1)
+        self.state = (i, pend_len, pend_dist)
+        self.misses, self.steps = misses, steps
+        return at
+
+
+def _two_cpus() -> bool:
+    """Whether this process may fork and run on two CPUs at least."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _split_point(p: _Parse) -> int | None:
+    """Where the two-process parse splits the input of ``p``, a parse not yet
+    started, or None if it parses serially: on one CPU, below
+    ``_SPLIT_MIN`` bytes, and where the parse of the first eighth of the
+    input, which ``p`` runs, took fewer than one loop step per
+    ``_SPLIT_STEP_BYTES``. Past that eighth, the split point halves the rest."""
+    n = len(p.data)
+    if n < _SPLIT_MIN or not _two_cpus():
+        return None
+    gate = n >> 3
+    p.link(gate)
+    p.run(gate)
+    if p.steps * _SPLIT_STEP_BYTES < gate:
+        return None
+    return (n + gate) >> 1
+
+
+def _tail_piece(data: bytes, lazy: bool, mid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parse of ``data`` from ``mid`` on, started cold with nothing
+    pending: its matches, and each loop state it passed beside the count of
+    matches recorded before it, as int64 arrays (``_Parse.run``'s
+    ``record``). The states are in the order passed, so they are sorted."""
+    p = _Parse(data, lazy, mid)
+    p.link(p.limit)
+    states: list[int] = []
+    p.run(len(data), record=states)
+    return np.array(p.matches, np.int64), np.array(states, np.int64).reshape(-1, 2)
+
+
+def _rejoin(p: _Parse, tail: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The matches of ``p`` parsed on to the first loop state that the tail
+    piece passed, then the tail's matches from that state on; or those of
+    ``p`` parsed to the end of the input, if it passes no such state."""
+    at = p.run(len(p.data), join=np.ascontiguousarray(states[:, 0]))
+    head = np.array(p.matches, np.int64)
+    return head if at is None else np.concatenate((head, tail[states[at, 1] :]))
+
+
+def _send(fd: int, tail: np.ndarray, states: np.ndarray) -> None:
+    """Writes the tail piece to the pipe ``fd`` as int64s: the count of its
+    matches and of its states, its matches, then the states, each beside
+    its count of matches."""
+    head = np.array([len(tail), len(states)], np.int64)
+    view = memoryview(b"".join((head.tobytes(), tail.tobytes(), states.tobytes())))
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _received(fd: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The tail piece that ``_send`` wrote to the pipe ``fd``, read to its
+    end; None if what was written is not all there."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    raw = b"".join(chunks)
+    if len(raw) < 16 or len(raw) % 8:
+        return None
+    v = np.frombuffer(raw, np.int64)
+    m, s = int(v[0]), int(v[1])
+    if len(v) != 2 + m + 2 * s:
+        return None
+    return v[2 : 2 + m], v[2 + m :].reshape(-1, 2)
+
+
+# from Python 3.12 on, os.fork warns in a process with more than one OS
+# thread, and numpy's BLAS pool is one
+_FORK_WARNING = r"This process .*is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
+def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
+    """The matches of ``p``'s input, its tail piece from ``mid`` on parsed in
+    a forked child while ``p`` parses up to ``mid``, then ``_rejoin``.
+
+    The child runs only the tail piece: numpy sorts and comparisons, byte
+    compares and ``rfind``, no BLAS call and no lock another thread may
+    hold. It writes its piece to a pipe and ends with ``os._exit``, so no
+    exit handler, buffered file or test hook of the parent runs in it. The
+    parent reads the pipe to its end and reaps the child; if it raises
+    first, it kills and reaps the child before the exception leaves. A child
+    that fails leaves its piece incomplete, and the parent parses the rest
+    itself."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if not pid:
+        code = 1
+        try:
+            os.close(r)
+            _send(w, *_tail_piece(p.data, p.lazy, mid))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        p.link(mid)
+        p.run(mid)
+        tail = _received(r)
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+    finally:
+        os.close(r)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if tail is None or os.waitstatus_to_exitcode(status):
+        tail = np.zeros(0, np.int64), np.zeros((0, 2), np.int64)
+    return _rejoin(p, *tail)
 
 
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
@@ -593,144 +909,51 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     Otherwise matching is greedy, walks at most 128 links and takes every
     match.
 
-    ``prev, live`` is ``_chain_links(data)``: the parse reads ``prev`` and
-    writes nothing, so every position is on its key's chain, the inside of
-    a match too. A position is lone, its ``live`` byte 0, when it has no
-    link inside its window, so no candidate is there, and the loop tests
-    that byte alone. With no match pending, a lone position starts a
-    literal run, which ends at ``live.find(1, i + 1)``, the next live
-    position, or at the end of the input. The walk's
-    set-up (``max_len``, ``bl``) waits for a candidate, and ``here``, the
-    bytes at ``i`` as one integer, for a candidate that passes the one-byte
-    reject. While the lazy walk holds nothing, a candidate farther than
-    ``_FAR_LIMIT[3]`` whose fourth byte differs is passed over without a
-    compare: it is a length-3 match the walk would take and then drop.
+    The parse (``_Parse.run``) reads ``prev`` and writes nothing, so every
+    position is on its key's chain, the inside of a match too. A position
+    is lone, its ``live`` byte 0, when it has no link inside its window, so
+    no candidate is there, and the loop tests that byte alone. With no
+    match pending, a lone position starts a literal run, which ends at
+    ``live.find(1, i + 1)``, the next live position, or at the end of the
+    input. The walk's set-up (``max_len``, ``bl``) waits for a candidate,
+    and ``here``, the bytes at ``i`` as one integer, for a candidate that
+    passes the one-byte reject. While the lazy walk holds nothing, a
+    candidate farther than ``_FAR_LIMIT[3]`` whose fourth byte differs is
+    passed over without a compare: it is a length-3 match the walk would
+    take and then drop.
 
     After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
-    found nothing, ``_clear_dead`` links the rest of the data by 4-byte
-    keys. A position with no copy of its 4 bytes in the window whose link
-    is past ``_FAR_LIMIT[3]`` is dead: every candidate on its chain is such
-    a length-3 match, so the walk would return no match. ``_clear_dead``
-    makes each dead position lone in ``live``, so with no match pending it
-    joins a literal run, and with one pending it lets that match commit.
+    found nothing, ``_clear_dead`` links the linked rest of the data by
+    4-byte keys, and so does each later link build. A position with no
+    copy of its 4 bytes in the window whose link is past ``_FAR_LIMIT[3]``
+    is dead: every candidate on its chain is such a length-3 match, so the
+    walk would return no match. ``_clear_dead`` makes each dead position
+    lone in ``live``, so with no match pending it joins a literal run, and
+    with one pending it lets that match commit.
 
     The parse records only its matches, as ``start << 25 | length << 16 |
     distance``; a pending match that the next position beats records
     nothing, and the bytes no match covers are literals.
-    ``_ops_from_matches`` builds the op array from the matches once
-    ``prev`` and ``live`` are freed."""
-    max_chain = 32 if lazy else 128
-    good_length = _GOOD_LENGTH
-    far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
-    far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
-    n = len(data)
-    matches: list[int] = []  # start << 25 | length << 16 | distance
-    append = matches.append
-    limit = n - 2  # positions below this have a full 3-byte key
-    prev, live = _chain_links(data)
-    misses = 0  # walks that started past far3 and found nothing; equals trigger once at most
-    trigger = _DEAD_TRIGGER
+    ``_ops_from_matches`` builds the op array from the matches once the
+    links are freed.
 
-    i = 0
-    pend_len = 0
-    pend_dist = 0
-    while i < n:
-        best_len = 0
-        best_dist = 0
-        if i < limit:
-            if not live[i]:
-                # a lone position, or a dead one: every candidate is a
-                # length-3 match past far3 and no copy of its 4 bytes is in
-                # the window, so the walk would find nothing
-                if not pend_len:
-                    # a literal, and so is every position before the next
-                    # live one; past the last, the rest of the input
-                    i = live.find(1, i + 1)
-                    if i < 0:
-                        break
-                    continue
-            else:
-                j = prev[i]
-                far = i - j > far3
-                floor = i - WINDOW_SIZE if i > WINDOW_SIZE else 0
-                max_len = n - i
-                if max_len > MAX_MATCH:
-                    max_len = MAX_MATCH
-                # a lazy search only has to beat the pending match
-                bl = pend_len or MIN_MATCH - 1
-                if bl < max_len:
-                    bd = 0
-                    c = data[i + bl]
-                    here = None
-                    for _ in range(max_chain >> 2 if pend_len >= good_length else max_chain):
-                        if j < floor:
-                            break
-                        # cheap reject: candidate must beat the current best length
-                        if data[j + bl] == c:
-                            if bl == 2 and i - j > far3 and (max_len < 4 or data[j + 3] != data[i + 3]):
-                                # nothing is held and this is a length-3
-                                # match too far to keep. Every later
-                                # candidate is farther and must be 4 long
-                                # anyway, so passing it over leaves the
-                                # walk's result as it was
-                                j = prev[j]
-                                continue
-                            # the match length is the count of trailing zero
-                            # bytes of the two windows XORed as little-endian
-                            # integers
-                            if here is None:
-                                here = int.from_bytes(data[i : i + max_len], "little")
-                            x = here ^ int.from_bytes(data[j : j + max_len], "little")
-                            l = ((x & -x).bit_length() - 1) >> 3 if x else max_len
-                            if l > bl:
-                                bl = l
-                                bd = i - j
-                                if l >= max_len:
-                                    break
-                                c = data[i + l]
-                        j = prev[j]
-                    else:
-                        if lazy and bd:
-                            # the budget ran out holding a match: each round
-                            # finds the nearest copy one byte longer, below
-                            # the last hit, so the rounds scan the window once
-                            top = i + bl
-                            for _ in range(_FIND_ROUNDS):
-                                if bl >= max_len:
-                                    break
-                                j = data.rfind(data[i : i + bl + 1], floor, top)
-                                if j < 0:
-                                    break
-                                x = here ^ int.from_bytes(data[j : j + max_len], "little")
-                                bl = ((x & -x).bit_length() - 1) >> 3 if x else max_len
-                                bd = i - j
-                                top = j + bl
-                    # no length-3 test: far ones were passed over, and a held match is only ever lengthened
-                    if bd and (bl > 4 or bd <= far4):
-                        best_len = bl
-                        best_dist = bd
-                    elif far and not bd:
-                        misses += 1
-                        if misses == trigger:
-                            _clear_dead(data, live, prev, i + 1, far3)
-
-        start = i
-        if pend_len:
-            # unless the next position found a strictly longer match, which
-            # demotes the pending one to a literal, the pending one commits
-            if best_len <= pend_len:
-                start, best_len, best_dist = i - 1, pend_len, pend_dist
-            pend_len = 0
-        if not best_len:
-            i += 1
-        elif lazy and start == i and best_len < MAX_MATCH:
-            # hold the match back and see whether the next position beats it
-            pend_len, pend_dist = best_len, best_dist
-            i += 1
-        else:
-            append(start << 25 | best_len << 16 | best_dist)
-            i = start + best_len
-    del prev, live  # freed before the op array is built
+    The parse is a function of its loop state ``(i, pend_len, pend_dist)``
+    alone: the dead positions and their trigger change only which walks
+    run, not what they return. So where ``_split_point`` splits the input,
+    a child process parses the tail from ``mid``, started cold, while this
+    one parses up to ``mid`` and on until it reaches a state the child
+    passed; from there the child's matches are the serial parse's
+    (``_forked_matches``). The ops are the same bytes however many CPUs
+    there are."""
+    p = _Parse(data, lazy)
+    mid = _split_point(p)
+    if mid is None:
+        p.link(p.limit)
+        p.run(len(data))
+        matches = p.matches
+    else:
+        matches = _forked_matches(p, mid)
+    del p  # the links are freed before the op array is built
     return _ops_from_matches(data, matches)
 
 

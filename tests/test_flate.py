@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import tempfile
 import tracemalloc
 import zlib
 from unittest import mock
@@ -24,6 +26,7 @@ from kpng.flate import (
     _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
+    _DEAD_TRIGGER,
     _EMIT_OPS,
     _FAR_LIMIT,
     _FIND_ROUNDS,
@@ -43,8 +46,13 @@ from kpng.flate import (
     _BitWriter,
     _Block,
     _build_decode_table,
-    _chain_links,
+    _Parse,
     _clear_dead,
+    _received,
+    _rejoin,
+    _send,
+    _split_point,
+    _tail_piece,
     _chunk_sums,
     _cost_cuts,
     _codes_from_lengths,
@@ -466,18 +474,27 @@ def chain_links_reference(data, width=3):
     return prev
 
 
+def chain_links(data):
+    """``prev`` and ``live`` of a parse from the start that linked every
+    position with a key."""
+    p = _Parse(data, True)
+    p.link(p.limit)
+    return p.prev, p.live
+
+
 def windowed_links(data, width=3):
-    """``_chain_links``' ``prev``, or for ``width`` 4 the ``_run_links`` of
+    """``chain_links``' ``prev``, or for ``width`` 4 the ``_run_links`` of
     each ``_LINK_SEGMENT`` as ``_clear_dead`` builds them, each link more
-    than a window back read as -1, as a walk reads it."""
+    than a window back read as -1, as a walk reads it; -1 at the positions
+    with no key, whose links are not built."""
+    prev = np.full(len(data), -1, np.int64)
     if width == 3:
-        prev = np.asarray(_chain_links(data)[0], np.int64)
+        links, live = chain_links(data)
+        prev[: len(live)] = np.asarray(links)[: len(live)]
     else:
-        prev = np.full(len(data), -1, np.int64)
-        keys = np.ndarray((max(len(data) - 3, 0),), "<u4", data, 0, (1,))
-        for a in range(0, len(keys), _LINK_SEGMENT):
-            b = min(a + _LINK_SEGMENT, len(keys))
-            prev[a:b] = _run_links(keys, a, b, 4)
+        for a in range(0, len(data) - 3, _LINK_SEGMENT):
+            b = min(a + _LINK_SEGMENT, len(data) - 3)
+            prev[a:b] = _run_links(data, a, b, 4)
     return np.where(prev < np.arange(len(prev)) - WINDOW_SIZE, -1, prev).tolist()
 
 
@@ -527,7 +544,7 @@ def test_live_mask_marks_every_position_whose_walk_runs(n):
     # a position is live where it has a link inside its window; a position
     # in the first window with no link is lone
     data = bytes(random.Random(n).choices(range(26), k=n))
-    prev, live = _chain_links(data)
+    prev, live = chain_links(data)
     limit = max(n - 2, 0)
     floor = np.maximum(np.arange(limit) - WINDOW_SIZE, 0)
     assert list(live) == (np.asarray(prev)[:limit] >= floor).astype(int).tolist()
@@ -536,7 +553,7 @@ def test_live_mask_marks_every_position_whose_walk_runs(n):
 def test_first_window_positions_with_no_link_are_lone():
     # random bytes: 32,739 first-window positions have no link and are lone,
     # so only 103 positions are live
-    live = _chain_links(TOKENIZE_INPUTS["literal-run-across-a-segment"])[1]
+    live = chain_links(TOKENIZE_INPUTS["literal-run-across-a-segment"])[1]
     assert live.count(1) == 103
 
 
@@ -553,12 +570,13 @@ def test_chain_links_temporaries_stay_bounded():
     """Each sort's temporaries are bounded by a segment and its window,
     whatever the input's size: random bytes, where nearly every position
     ends a run of keys, hold under 6 MiB at 256 KiB and at 2 MiB, beyond
-    the int32 ``prev``, the ``live`` byte per position and the build's copy
-    of the data; so does ``_clear_dead``'s 4-byte build of every position."""
+    the int32 ``prev`` and the ``live`` byte per position; the keys are
+    views of the data, and only the last segment copies its tail. So does
+    ``_clear_dead``'s 4-byte build of every position."""
     rng = random.Random(11)
     for data in (rng.randbytes(4 * _LINK_SEGMENT), rng.randbytes(32 * _LINK_SEGMENT)):
-        links = peak_traced_bytes(lambda: _chain_links(data)) - 6 * len(data)
-        prev, live = _chain_links(data)
+        links = peak_traced_bytes(lambda: chain_links(data)) - 5 * len(data)
+        prev, live = chain_links(data)
         dead = peak_traced_bytes(lambda: _clear_dead(data, live, prev, 0, _FAR_LIMIT[3]))
         assert links <= 6 << 20 and dead <= 6 << 20, (len(data), links, dead)
 
@@ -627,6 +645,11 @@ def k10_scanlines(kind, size, seed=1):
     return inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
 
 
+def lossless_scanlines(kind, size, seed=1):
+    img = generate(CorpusSpec(kind, size, size, seed=seed))
+    return inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
+
+
 # inputs on which level 3's walk runs out holding a match, so it searches
 _search_rng = random.Random(24)
 SEARCH_INPUTS = {
@@ -692,7 +715,7 @@ def no_copy4_cleared(data, lo):
     """``live`` after ``_clear_dead`` from ``lo`` with a far limit of 0, so
     that it clears every position with no copy of its 4 bytes in its
     window."""
-    prev, live = _chain_links(data)
+    prev, live = chain_links(data)
     live[:] = b"\1" * len(live)
     _clear_dead(data, live, prev, lo, 0)
     return list(live)
@@ -725,7 +748,7 @@ def test_clear_dead_keeps_positions_with_a_near_link():
     # far = _FAR_LIMIT[3] clears only the positions with no 4-byte copy
     # whose link is farther than that
     data = bytes(random.Random(3).choices(range(26), k=3 * _LINK_SEGMENT))
-    prev, live = _chain_links(data)
+    prev, live = chain_links(data)
     before = list(live)
     _clear_dead(data, live, prev, 0, _FAR_LIMIT[3])
     no_copy = [not kept for kept in no_copy4_reference(data, 0)]
@@ -798,13 +821,43 @@ def test_noise_k10_builds_the_mask_mid_run():
 
 
 def lazy_parse_peak_bytes(data, trigger):
+    """The tracemalloc peak of level 3's parse: the greater of the serial
+    parse's and, where the gate splits the input, of each piece of the
+    two-process parse. tracemalloc does not see a forked child, so both
+    pieces run in process, one after the other (``piece_peak_bytes``)."""
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
-        tracemalloc.start()
-        try:
-            _tokenize_ops(data, True)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mock.patch.object(flate, "_two_cpus", return_value=False):
+            serial = peak_traced_bytes(lambda: _tokenize_ops(data, True))
+        with mock.patch.object(flate, "_two_cpus", return_value=True):
+            mid = _split_point(_Parse(data, True))
+            return max(serial, *piece_peak_bytes(data, mid)) if mid else serial
+
+
+def piece_peak_bytes(data, mid):
+    """The tracemalloc peaks of the two pieces of level 3's parse split at
+    ``mid``, each run in process as its process runs it: the child's, from
+    its links to what it writes to its pipe (a file here), and the
+    parent's, from the gate's parse through reading the child's piece back
+    to the op array, which must be the serial one."""
+    ops = []
+
+    def parent():
+        p = _Parse(data, True)
+        assert _split_point(p) == mid
+        p.link(mid)
+        p.run(mid)
+        matches = _rejoin(p, *_received(fd))
+        del p
+        ops.append(_ops_from_matches(data, matches))
+
+    with tempfile.TemporaryFile() as f:
+        fd = f.fileno()
+        child = peak_traced_bytes(lambda: _send(fd, *_tail_piece(data, True, mid)))
+        os.lseek(fd, 0, os.SEEK_SET)
+        head = peak_traced_bytes(parent)
+    with mock.patch.object(flate, "_two_cpus", return_value=False):
+        assert ops[0].tolist() == _tokenize_ops(data, True).tolist()
+    return child, head
 
 
 def test_mask_adds_at_most_2_mib_to_the_parse():
@@ -831,6 +884,149 @@ def test_live_mask_adds_at_most_a_byte_per_position(kind):
     data = k10_scanlines(kind, 512)
     peak = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
     assert peak <= STEPPED_PARSE_PEAK_BYTES[kind] + len(data), peak
+
+
+# ---------------------------------------------------------------------------
+# the two-process parse: a tail piece from mid, started cold, and a parent
+# piece that parses on to the first loop state the tail passed
+
+
+def two_piece_ops(data, lazy, mid):
+    """Both pieces of the parse split at ``mid``, run in process: the op
+    array, and the position where the parent piece re-joined the tail, or
+    the end of the input if it did not."""
+    tail = _tail_piece(data, lazy, mid)
+    p = _Parse(data, lazy)
+    p.link(mid)
+    p.run(mid)
+    matches = _rejoin(p, *tail)
+    return _ops_from_matches(data, matches), min(p.state[0], len(data))
+
+
+def piece_input(kind, n, seed):
+    """``n`` bytes of ``kind``: random bytes of that many values, or runs of
+    one byte, whose 258-byte matches re-align only where the runs end."""
+    rng = random.Random(seed)
+    if kind == "runs":
+        return b"".join(bytes([rng.randrange(4)]) * rng.randrange(1, 1500) for _ in range(n // 200 + 1))[:n]
+    return bytes(rng.choices(range(kind), k=n))
+
+
+@given(st.sampled_from(["runs", 2, 4, 26, 256]), st.integers(0, 6000), st.integers(0, 2**32),
+       st.floats(0, 1), st.sampled_from([1, 2, 3]), st.sampled_from([1, _DEAD_TRIGGER]))
+@settings(max_examples=80, deadline=None)
+def test_two_pieces_give_the_serial_parse(kind, n, seed, split, level, trigger):
+    # at any split point, at every level, with the dead positions cleared
+    # early or not, re-joined or not
+    data = piece_input(kind, n, seed)
+    with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
+        ops, _ = two_piece_ops(data, level == 3, round(split * n))
+        assert ops.tolist() == _tokenize_ops(data, level == 3).tolist()
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("data, mid", [
+    # one byte 5,000 times: the tail's 258-byte matches start 100 bytes off
+    # the serial ones, and both end at the input's end
+    (b"a" * 5000, 101 + 258 * 6),
+    # split at the end, the tail piece is empty
+    (random.Random(2).randbytes(3000), 3000),
+])
+def test_two_pieces_that_never_rejoin_give_the_serial_parse(data, mid, lazy):
+    ops, joined_at = two_piece_ops(data, lazy, mid)
+    assert joined_at == len(data)
+    assert ops.tolist() == _tokenize_ops(data, lazy).tolist()
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_two_pieces_rejoin_near_the_split(lazy):
+    # lossless mixed content re-aligns a few bytes past the split
+    data = lossless_scanlines("mixed", 256)
+    mid = len(data) // 2
+    ops, joined_at = two_piece_ops(data, lazy, mid)
+    assert mid <= joined_at < mid + 300
+    assert ops.tolist() == _tokenize_ops(data, lazy).tolist()
+
+
+class ForkSpy:
+    """``os.fork`` that records the pid of each child it starts."""
+
+    def __init__(self):
+        self.pids = []
+        self.fork = os.fork
+
+    def __call__(self):
+        pid = self.fork()
+        if pid:
+            self.pids.append(pid)
+        return pid
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def mixed_512():
+    return lossless_scanlines("mixed", 512)
+
+
+def test_two_process_parse_gives_the_serial_bytes(mixed_512):
+    # 786,944 bytes of lossless mixed content take the fork path on two
+    # CPUs, and the stream is the serial one
+    spy = ForkSpy()
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", spy):
+        two = deflate_compress(mixed_512, 3)
+    assert len(spy.pids) == 1
+    assert_no_child_left()
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0}), \
+            mock.patch.object(flate.os, "fork", side_effect=AssertionError("forked on one CPU")):
+        serial = deflate_compress(mixed_512, 3)
+    assert two == serial
+
+
+def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
+    parent = os.getpid()
+    spy = ForkSpy()
+    run = _Parse.run
+
+    def failing_run(self, stop, record=None, join=None):
+        if os.getpid() == parent and spy.pids:
+            raise RuntimeError("the parent fails mid-parse")
+        return run(self, stop, record, join)
+
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", spy), mock.patch.object(_Parse, "run", failing_run), \
+            pytest.raises(RuntimeError, match="mid-parse"):
+        _tokenize_ops(mixed_512, True)
+    assert len(spy.pids) == 1
+    assert_no_child_left()
+    with pytest.raises(ProcessLookupError):
+        os.kill(spy.pids[0], 0)
+
+
+def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
+    # the child ends before it writes its piece; the parent parses on alone
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate, "_tail_piece", side_effect=RuntimeError("the child fails")):
+        ops = _tokenize_ops(mixed_512, True)
+    assert_no_child_left()
+    with mock.patch.object(flate, "_two_cpus", return_value=False):
+        assert ops.tolist() == _tokenize_ops(mixed_512, True).tolist()
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_the_gate_keeps_flat_k10_shapes_serial(lazy):
+    # about 390 loop steps in the first eighth of 786,944 bytes, below one
+    # per _SPLIT_STEP_BYTES; lossless mixed content takes the split
+    with mock.patch.object(flate, "_two_cpus", return_value=True):
+        assert _split_point(_Parse(k10_scanlines("flat-shapes", 512), lazy)) is None
+        assert _split_point(_Parse(lossless_scanlines("mixed", 512), lazy)) is not None
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", side_effect=AssertionError("forked")):
+        _tokenize_ops(k10_scanlines("flat-shapes", 512), lazy)
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,15 @@ def test_deflate_parity_against_itself_finds_no_difference():
     out = _run("deflate_parity.py", "--against", kpng.flate.__file__, "--seed", "3")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "inputs 20, levels 0-3, seed 3"
-    assert lines[1:] == ["same 80", "differ 0"]
+    assert lines[0] == "inputs 21, levels 0-3, seed 3"
+    assert lines[1:] == ["same 84", "differ 0"]
 
 
 def test_deflate_parity_sizes_against_itself_passes():
     out = _run("deflate_parity.py", "--against", kpng.flate.__file__, "--seed", "3", "--sizes")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "inputs 20, levels 0-3, seed 3"
+    assert lines[0] == "inputs 21, levels 0-3, seed 3"
     assert len(lines) == 5
     for level, line in enumerate(lines[1:]):
         m = re.fullmatch(rf"level {level}: bytes (\d+) here, (\d+) there, 0 differ, 0 larger", line)
@@ -64,14 +64,14 @@ def test_deflate_parity_sizes_fails_on_a_larger_stream(tmp_path):
     assert out.returncode == 1, out.stderr
     lines = out.stdout.splitlines()
     assert lines[1].endswith(", 0 differ, 0 larger") and lines[2].endswith(", 0 differ, 0 larger")
-    assert lines[3].endswith(", 20 differ, 20 larger") and lines[4].endswith(", 20 differ, 20 larger")
+    assert lines[3].endswith(", 21 differ, 21 larger") and lines[4].endswith(", 21 differ, 21 larger")
     # every larger input is listed, with its size over the other side's
     listed = lines[5:]
-    assert len(listed) == 40
-    for line, level in zip(listed, [2] * 20 + [3] * 20):
+    assert len(listed) == 42
+    for line, level in zip(listed, [2] * 21 + [3] * 21):
         m = re.fullmatch(rf"  (.+) at level {level} is larger: (\d+) / (\d+) = (\d\.\d{{4}})", line)
         assert m and int(m[2]) == int(m[3]) + 1 and m[4] == f"{int(m[2]) / int(m[3]):.4f}", line
-    assert [line.split(" at level")[0] for line in listed[:20]] == [line.split(" at level")[0] for line in listed[20:]]
+    assert [line.split(" at level")[0] for line in listed[:21]] == [line.split(" at level")[0] for line in listed[21:]]
 
 
 def test_deflate_parity_corpus_builds_the_lazy_parse_mask():
@@ -97,5 +97,20 @@ def test_deflate_parity_corpus_has_a_literal_run_across_a_segment():
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["literal run across a segment"]
     assert len(data) == kpng.flate._LINK_SEGMENT + 64
-    live = kpng.flate._chain_links(data)[1]
+    p = kpng.flate._Parse(data, True)
+    p.link(p.limit)
+    live = p.live
     assert live.rfind(1) < kpng.flate._LINK_SEGMENT
+
+
+def test_deflate_parity_corpus_takes_the_two_process_parse():
+    # --against covers the parse split between two processes at every level
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import deflate_parity
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    data = dict(deflate_parity.corpus(3))["mixed 512x512, two processes"]
+    with mock.patch.object(kpng.flate, "_two_cpus", return_value=True):
+        for lazy in (False, True):
+            assert kpng.flate._split_point(kpng.flate._Parse(data, lazy)) is not None
