@@ -148,7 +148,7 @@ up to ``mid``, then on until its state is one the child passed, and from
 there takes the child's matches. Where no state is shared, the parent
 parses to the end itself, which is the serial parse. The gate
 (``_split_point``) reads the input alone, past the CPU count: at least
-``_SPLIT_MIN`` = 256 KiB, and one loop step or more per
+``_SPLIT_MIN`` = 320 KiB, and one loop step or more per
 ``_SPLIT_STEP_BYTES`` = 128 bytes in the parse of the first eighth,
 which the parent runs first. Flat k=10 content
 takes about one per 250 bytes and stays serial, since its parse is short
@@ -497,8 +497,11 @@ _LINK_SEGMENT = 65536
 _LINK_RUN_BITS = (_LINK_SEGMENT + WINDOW_SIZE - 1).bit_length()
 # the two-process parse (``_split_point``): an input shorter than this
 # parses serially, and so does one whose parse of its first eighth takes
-# fewer than one loop step per _SPLIT_STEP_BYTES bytes
-_SPLIT_MIN = 1 << 18
+# fewer than one loop step per _SPLIT_STEP_BYTES bytes. Level 3 on prefixes
+# of noisy k=10 content, the cheapest to parse that splits, tokenized in
+# 0.98-1.09x the serial time at 256 KiB and 0.77-0.94x at 320 KiB (seed 7,
+# a 90 MB process on 2 vCPUs); lossless content paid from 64 KiB
+_SPLIT_MIN = 5 << 16
 _SPLIT_STEP_BYTES = 128
 
 
@@ -631,15 +634,17 @@ class _Parse:
         if self.dead:
             _clear_dead(self.data, self.live, self.prev, lo, _FAR_LIMIT[3])
 
-    def run(self, stop: int, record: list[int] | None = None, join: np.ndarray | None = None) -> int | None:
+    def run(self, stop: int, record: list[int] | None = None, join: memoryview | None = None) -> int | None:
         """Parses on from ``state`` until the position reaches ``stop``, and
         builds the next segment's links wherever the links run out.
 
         ``record`` gets each loop state the parse passes, packed as ``i <<
         25 | pend_len << 16 | pend_dist``, then the count of matches
-        recorded before it. With ``join``, a sorted int64 array of such
-        states, the parse stops at the first state it holds and returns that
-        state's index there; otherwise it returns None."""
+        recorded before it. With ``join``, such states in increasing order,
+        the last past every state the parse reaches, the parse stops at the
+        first state it holds and returns that state's index there; otherwise
+        it returns None. A parse's states increase, since every loop step
+        advances ``i``, so one cursor walks ``join`` alongside."""
         data, live, prev, lazy = self.data, self.live, self.prev, self.lazy
         matches = self.matches
         append = matches.append
@@ -654,6 +659,7 @@ class _Parse:
         steps = self.steps
         i, pend_len, pend_dist = self.state
         at = None
+        cur = 0  # the first state in join not below the parse's
         while True:
             end = stop if len(live) == limit else min(stop, len(live))
             while i < end:
@@ -661,10 +667,11 @@ class _Parse:
                     record += i << 25 | pend_len << 16 | pend_dist, len(matches)
                 elif join is not None:
                     state = i << 25 | pend_len << 16 | pend_dist
-                    at = int(join.searchsorted(state))
-                    if at < len(join) and join[at] == state:
+                    while join[cur] < state:
+                        cur += 1
+                    if join[cur] == state:
+                        at = cur
                         break
-                    at = None
                 steps += 1
                 best_len = 0
                 best_dist = 0
@@ -811,7 +818,8 @@ def _rejoin(p: _Parse, tail: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The matches of ``p`` parsed on to the first loop state that the tail
     piece passed, then the tail's matches from that state on; or those of
     ``p`` parsed to the end of the input, if it passes no such state."""
-    at = p.run(len(p.data), join=np.ascontiguousarray(states[:, 0]))
+    # read in place: a Python int per state would add tens of bytes each
+    at = p.run(len(p.data), join=memoryview(np.append(states[:, 0], 1 << 62)))
     head = np.array(p.matches, np.int64)
     return head if at is None else np.concatenate((head, tail[states[at, 1] :]))
 

@@ -1017,6 +1017,34 @@ def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
         assert ops.tolist() == _tokenize_ops(mixed_512, True).tolist()
 
 
+def test_a_parse_stops_at_the_first_state_it_shares_with_join():
+    # join holds states the parse never passes, before, between and after
+    # the two it does; the cursor steps over them to the first shared one
+    data = lossless_scanlines("mixed", 128)
+    states = []
+    whole = _Parse(data, True)
+    whole.link(whole.limit)
+    whole.run(len(data), record=states)
+    passed = states[0::2]
+    join = sorted({passed[100] - 1, passed[200] + 1, passed[300], passed[400], (len(data) + 5) << 25})
+    p = _Parse(data, True)
+    p.link(p.limit)
+    at = p.run(len(data), join=memoryview(np.array(join, np.int64)))
+    assert join[at] == passed[300]
+    assert p.state[0] << 25 | p.state[1] << 16 | p.state[2] == passed[300]
+
+
+def test_the_gate_keeps_inputs_below_the_split_minimum_serial():
+    # 196,864 bytes of lossless mixed content step often enough to split,
+    # but below _SPLIT_MIN the fork costs about what the split saves
+    data = lossless_scanlines("mixed", 256)
+    assert len(data) < flate._SPLIT_MIN
+    with mock.patch.object(flate, "_two_cpus", return_value=True):
+        assert _split_point(_Parse(data, True)) is None
+        with mock.patch.object(flate, "_SPLIT_MIN", len(data)):
+            assert _split_point(_Parse(data, True)) is not None
+
+
 @pytest.mark.parametrize("lazy", [False, True])
 def test_the_gate_keeps_flat_k10_shapes_serial(lazy):
     # about 390 loop steps in the first eighth of 786,944 bytes, below one
