@@ -30,16 +30,18 @@ codes, bit-reversed for LSB-first bits, that one numpy function,
 ``_codes_from_lengths``, builds from it. The packer, the block plan and
 inflate's decode tables all read that pair.
 
-The tokenizer's ops are one int64 array: 0..255 is a literal byte and a
-match is ``length << 16 | distance``, assembled from the parse's matches
-(below). The Huffman stage derives per-op
-symbol and extra-bit arrays once and places the blocks (below), each priced
-from one histogram of its symbols. One numpy packer, ``_BitWriter.pack``,
-writes every bit: a fixed or dynamic block's header, its ops at most
-``_EMIT_OPS`` per call and its end-of-block (``_emit_block``), a stored
+The token stream is the parse's match array, one int64 ``start << 25 |
+length << 16 | distance`` per match in input order (below); the literals
+are the input bytes no match covers. The Huffman stage (``_tokens``) takes
+each token's start from one ``cumsum``, a literal's symbol from the input
+there and the length and distance fields from the matches alone, then
+places the blocks (below), each priced from one histogram of its symbols.
+One numpy packer, ``_BitWriter.pack``, writes every bit: a fixed or dynamic
+block's header, its tokens at most ``_EMIT_TOKENS`` per call and its
+end-of-block (``_emit_block``), a stored
 block's 3-bit header (``_emit_stored``). A level 1 block spans the whole
 input and a merged one may, so the cap keeps the packer's temporary arrays,
-a dozen uint64 per op, the same size whatever the blocks.
+a dozen uint64 per token, the same size whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
@@ -47,8 +49,8 @@ Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
 dynamic codes; 3 lazy matching + dynamic codes. One loop writes the blocks
 of every level: level 0 is one stored block, level 1 one fixed block.
 Levels 2-3 place their boundaries by cost (``_plan_blocks``), after zopfli's
-``ZopfliBlockSplitLZ77`` (blocksplitter.c). The ops are cut into chunks of
-2 KiB of input, whose symbol histograms come from one ``np.bincount`` and
+``ZopfliBlockSplitLZ77`` (blocksplitter.c). The tokens are cut into chunks
+of 2 KiB of input, whose symbol histograms come from one ``np.bincount`` and
 are summed into prefix sums, so any span of chunks has its histogram in one
 subtraction: 286 literal/length counts, then 30 distance counts. Every
 block the plan prices is such a span and is priced from that one histogram
@@ -109,12 +111,9 @@ cannot match: with no match pending it starts a literal run, which ends at
 the next live position, found by ``live.find`` at C speed (``memchr``), or
 at the end of the input. The parse records only its matches, each as one
 int ``start << 25 | length << 16 | distance``: it touches no literal, and
-a pending match the next position beats records nothing. Once ``prev`` and
-``live`` are freed, ``_ops_from_matches`` builds the op array in numpy.
-Each op advances the input by one byte and a match by its length, so one
-cumulative sum gives every op's end, and a literal op is the byte before
-its end; the temporaries are the size of the op count. Every chain
-candidate shares the position's 3 bytes, and a walk visits them nearest first, so while level 3's walk holds
+a pending match the next position beats records nothing. Those ints, as
+one int64 array, are the token stream. Every chain candidate shares the
+position's 3 bytes, and a walk visits them nearest first, so while level 3's walk holds
 nothing, a candidate farther than 256 bytes whose fourth byte differs is a
 match ``_FAR_LIMIT`` drops: the walk passes over it without building the
 258-byte compare.
@@ -139,7 +138,7 @@ literal run and with a match pending it lets the match commit, and the
 parse tests ``live`` alone.
 
 On two CPUs, a long input whose parse steps often is parsed by two
-processes at once, and the ops are the serial parse's. The parse is a
+processes at once, and the matches are the serial parse's. The parse is a
 function of its loop state ``(i, pend_len, pend_dist)`` alone, since the
 dead positions change which walks run and not what they return. So a
 forked child parses the tail from a split point ``mid``, started cold with
@@ -156,7 +155,8 @@ and its 258-byte matches re-align slowly; lossless and noisy content
 takes one per 15-60 bytes. The split point halves the rest of the input.
 The child ends with ``os._exit`` after it writes its piece to a pipe, and
 the parent reaps it, or kills and reaps it if the parent raises first
-(``_forked_matches``).
+(``_forked_matches``), through a pidfd only. If the fork fails or the
+child's piece is incomplete, the parent parses the rest itself.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
@@ -166,6 +166,7 @@ fields) passes :func:`kpng.errors._check_int`, and the data given to
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import sys
@@ -192,9 +193,10 @@ WINDOW_SIZE = 32768
 MIN_MATCH = 3
 MAX_MATCH = 258
 _STORED_MAX = 65535  # LEN is 16 bits
-_EMIT_OPS = 1 << 16  # ops coded per _BitWriter.pack call
+_EMIT_TOKENS = 1 << 16  # tokens coded per _BitWriter.pack call
 # levels 2-3 place block boundaries by estimated cost (_plan_blocks)
-_CHUNK_INPUT = 2048  # input bytes per chunk, the grain of a boundary
+_CHUNK_BITS = 11
+_CHUNK_INPUT = 1 << _CHUNK_BITS  # input bytes per chunk, the grain of a boundary
 _MIN_BLOCK = 16384  # input bytes a split leaves on each side, at least
 _SPLIT_DEPTH = 16  # the most nested splits of one span of chunks
 # a dynamic block's estimated bits above the order-0 entropy and extra bits:
@@ -356,24 +358,24 @@ def _base_values(first: int, xb: np.ndarray) -> np.ndarray:
 # literal/length symbol -> value and extra bits; code 285 is length 258 alone
 _LIT_XB = np.repeat(np.array([0, 1, 2, 3, 4, 5, 0], np.uint8), [265, 4, 4, 4, 4, 4, 1])
 _LIT_VALUE = np.concatenate((np.arange(257), 256 + _base_values(MIN_MATCH, _LIT_XB[257:285]), [256 + MAX_MATCH]))
-# distance symbol -> base and extra bits; _NO_DIST, a literal's, has an empty code
-_NO_DIST = 30
-_DIST_XB = np.append(np.repeat(np.arange(14, dtype=np.uint8), [4] + [2] * 13), np.uint8(0))
-_DIST_BASE = np.append(_base_values(1, _DIST_XB[:_NO_DIST]), 0)
+# distance symbol -> base and extra bits
+_NDIST = 30  # distance symbols
+_DIST_XB = np.repeat(np.arange(14, dtype=np.uint8), [4] + [2] * 13)
+_DIST_BASE = _base_values(1, _DIST_XB)
 # code-length symbols 16 (the previous length) and 17, 18 (zero) -> (shortest run, extra bits)
 _CODELEN_REPEATS = ((3, 2), (3, 3), (11, 7))
 
-# match length -> length symbol, extra bits and base; 0-2 (a literal's 0) map to end-of-block
+# match length -> length symbol, extra bits and base; 0-2 map to end-of-block
 _LEN_SYM = np.repeat(np.arange(256, 286, dtype=np.uint16), np.diff(_LIT_VALUE[256:], append=257 + MAX_MATCH))
 _LEN_XB = _LIT_XB[_LEN_SYM]
 _LEN_BASE = (_LIT_VALUE[_LEN_SYM] - 256).astype(np.uint16)
-# distance -> distance symbol; a literal's distance 0 is _NO_DIST
-_DIST_SYM = np.append(np.uint8(_NO_DIST), np.repeat(np.arange(_NO_DIST, dtype=np.uint8),
-                                                    np.diff(_DIST_BASE[:_NO_DIST], append=WINDOW_SIZE + 1)))
+# distance -> distance symbol; 0, which no match has, maps to 0
+_DIST_SYM = np.append(np.uint8(0), np.repeat(np.arange(_NDIST, dtype=np.uint8),
+                                             np.diff(_DIST_BASE, append=WINDOW_SIZE + 1)))
 
 # inflate's (value, extra bits) per symbol, as Python ints
 _LIT_MEANINGS = list(zip(_LIT_VALUE.tolist(), _LIT_XB.tolist()))
-_DIST_MEANINGS = list(zip(_DIST_BASE[:_NO_DIST].tolist(), _DIST_XB[:_NO_DIST].tolist()))
+_DIST_MEANINGS = list(zip(_DIST_BASE.tolist(), _DIST_XB.tolist()))
 _CODELEN_MEANINGS = [(s, 0) for s in range(16)] + [(sym, xb) for sym, (_, xb) in enumerate(_CODELEN_REPEATS, 16)]
 
 _CODELEN_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
@@ -464,14 +466,12 @@ def _codes_from_lengths(lengths: np.ndarray) -> np.ndarray:
 
 
 def _code_arrays(lengths: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, nbits) as uint64 arrays for symbols 0..nsym-1, plus one empty
-    code at index nsym for ops that have no such field."""
-    codes = np.append(_codes_from_lengths(lengths)[:nsym], np.uint64(0))
-    return codes, np.append(lengths[:nsym], 0).astype(np.uint64)
+    """(codes, nbits) as uint64 arrays for symbols 0..nsym-1."""
+    return _codes_from_lengths(lengths)[:nsym], lengths[:nsym].astype(np.uint64)
 
 
 _FIXED_LIT_CODES = _code_arrays(_FIXED_LIT_LENGTHS, 286)
-_FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NO_DIST)
+_FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NDIST)
 
 
 # ---------------------------------------------------------------------------
@@ -568,28 +568,6 @@ def _clear_dead(data: bytes, live: bytearray, prev: memoryview, lo: int, far: in
         dead = ~_in_window(_run_links(data, a, b, 4), a)
         dead &= np.arange(a, b) - links[a:b] > far
         mask[a:b][dead] = False
-
-
-def _ops_from_matches(data: bytes, matches: list[int] | np.ndarray) -> np.ndarray:
-    """The op array of a parse that recorded only its matches, each as
-    ``start << 25 | length << 16 | distance`` in input order: every byte no
-    match covers is a literal op. Each op advances the input by 1, a match
-    by its length, so a cumulative sum gives every op's end, and a literal
-    is the byte before its end. The temporaries are the size of the op
-    count."""
-    m = np.array(matches, np.int64)
-    length = (m >> 16) & 0x1FF
-    # a match's index among the ops: its start, less what the matches
-    # before it cover beyond one op each
-    at = (m >> 25) - (np.cumsum(length) - length) + np.arange(len(m))
-    m &= (1 << 25) - 1
-    ops = np.ones(len(data) - int(length.sum()) + len(m), np.int64)
-    ops[at] = length
-    np.cumsum(ops, out=ops)
-    ops -= 1
-    ops[:] = np.frombuffer(data, np.uint8)[ops]
-    ops[at] = m
-    return ops
 
 
 class _Parse:
@@ -864,18 +842,24 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
     hold. It writes its piece to a pipe and ends with ``os._exit``, so no
     exit handler, buffered file or test hook of the parent runs in it. The
     parent reads the pipe to its end and reaps the child; if it raises
-    first, it kills and reaps the child before the exception leaves. A child
-    that fails leaves its piece incomplete, and the parent parses the rest
-    itself."""
+    first, it kills and reaps the child before the exception leaves. If the
+    fork fails or the piece is incomplete, the parent parses the rest
+    itself. A host that ignores SIGCHLD or reaps every child may reap this
+    one first; ``waitpid`` then raises ``ChildProcessError``, and a complete
+    piece stands. The kill goes through a pidfd, which never names a process
+    that took the pid after a reap; without one, nothing is sent."""
+    no_piece = np.zeros(0, np.int64), np.zeros((0, 2), np.int64)
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
-    except BaseException:
+    except BaseException as exc:
         os.close(r)
         os.close(w)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        return _rejoin(p, *no_piece)  # no process to spare
     if not pid:
         code = 1
         try:
@@ -885,37 +869,47 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
         finally:
             os._exit(code)
     os.close(w)
+    pidfd = None
     try:
+        with contextlib.suppress(AttributeError, OSError):  # no pidfd on this host
+            pidfd = os.pidfd_open(pid)
         p.link(mid)
         p.run(mid)
         tail = _received(r)
-        status = os.waitpid(pid, 0)[1]
+        try:
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                tail = None
+        except ChildProcessError:
+            pass  # reaped elsewhere: only the piece tells whether it finished
         pid = 0
     finally:
         os.close(r)
         if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if tail is None or os.waitstatus_to_exitcode(status):
-        tail = np.zeros(0, np.int64), np.zeros((0, 2), np.int64)
-    return _rejoin(p, *tail)
+            if pidfd is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        if pidfd is not None:
+            os.close(pidfd)
+    return _rejoin(p, *(no_piece if tail is None else tail))
 
 
 def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
-    """Internal token stream as one int64 array: values 0..255 are literal
-    bytes, a match is ``length << 16 | distance`` (always above 255).
-    ``lazy`` is level 3's lazy matching (RFC 1951 section 4). Its walk
-    takes at most 32 chain links (8 past a pending match of
-    ``_GOOD_LENGTH``); a walk that spends them all holding a match shorter
-    than the longest possible goes on with at most ``_FIND_ROUNDS`` rounds
-    of ``rfind`` over the window, each for the bytes at ``i`` one longer
-    than the best so far and each below the last hit, so together they scan
-    each window byte once at most. It drops a match of length 3 farther
-    than 256 bytes or of length 4 farther than 4096 (``_FAR_LIMIT``, after
-    zlib's ``TOO_FAR``), so the position is a literal or lets the pending
-    match commit. Length 3 is checked in the walk and length 4 after it.
-    Otherwise matching is greedy, walks at most 128 links and takes every
-    match.
+    """The token stream of ``data``: the parse's matches as one int64 array,
+    each ``start << 25 | length << 16 | distance`` in input order; every
+    input byte that no match covers is a literal. ``lazy`` is level 3's lazy
+    matching (RFC 1951 section 4). Its walk takes at most 32 chain links (8
+    past a pending match of ``_GOOD_LENGTH``); a walk that spends them all
+    holding a match shorter than the longest possible goes on with at most
+    ``_FIND_ROUNDS`` rounds of ``rfind`` over the window, each for the bytes
+    at ``i`` one longer than the best so far and each below the last hit,
+    so together they scan each window byte once at most. It drops a match
+    of length 3 farther than 256 bytes or of length 4 farther than 4096
+    (``_FAR_LIMIT``, after zlib's ``TOO_FAR``), so the position is a literal
+    or lets the pending match commit. Length 3 is checked in the walk and
+    length 4 after it. Otherwise matching is greedy, walks at most 128
+    links and takes every match.
 
     The parse (``_Parse.run``) reads ``prev`` and writes nothing, so every
     position is on its key's chain, the inside of a match too. A position
@@ -939,11 +933,9 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     lone in ``live``, so with no match pending it joins a literal run, and
     with one pending it lets that match commit.
 
-    The parse records only its matches, as ``start << 25 | length << 16 |
-    distance``; a pending match that the next position beats records
-    nothing, and the bytes no match covers are literals.
-    ``_ops_from_matches`` builds the op array from the matches once the
-    links are freed.
+    The parse records only its matches, and a pending match that the next
+    position beats records nothing; the Huffman stage reads each literal
+    from the input at its token's start (``_tokens``).
 
     The parse is a function of its loop state ``(i, pend_len, pend_dist)``
     alone: the dead positions and their trigger change only which walks
@@ -951,18 +943,15 @@ def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
     a child process parses the tail from ``mid``, started cold, while this
     one parses up to ``mid`` and on until it reaches a state the child
     passed; from there the child's matches are the serial parse's
-    (``_forked_matches``). The ops are the same bytes however many CPUs
+    (``_forked_matches``). The matches are the same however many CPUs
     there are."""
     p = _Parse(data, lazy)
     mid = _split_point(p)
-    if mid is None:
-        p.link(p.limit)
-        p.run(len(data))
-        matches = p.matches
-    else:
-        matches = _forked_matches(p, mid)
-    del p  # the links are freed before the op array is built
-    return _ops_from_matches(data, matches)
+    if mid is not None:
+        return _forked_matches(p, mid)
+    p.link(p.limit)
+    p.run(len(data))
+    return np.array(p.matches, np.int64)
 
 
 def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> list[Token]:
@@ -974,8 +963,14 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     lv = check_level(level)
     if lv < 1:
         raise ParameterError("level 0 is stored-only and produces no token stream")
-    ops = _tokenize_ops(_check_bytes("data", data), lv == 3).tolist()
-    return [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops]
+    data = _check_bytes("data", data)
+    tokens: list[Token] = []
+    pos = 0
+    for m in _tokenize_ops(data, lv == 3).tolist():
+        tokens += map(Literal, data[pos : m >> 25])
+        tokens.append(Match(m >> 16 & 0x1FF, m & 0xFFFF))
+        pos = (m >> 25) + (m >> 16 & 0x1FF)
+    return tokens + list(map(Literal, data[pos:]))
 
 
 def lz77_expand(tokens) -> bytes:
@@ -1057,34 +1052,39 @@ class _BitWriter:
             self.cnt = 0
 
 
-class _OpFields(NamedTuple):
-    """Per-op arrays of the Huffman stage (RFC 1951 section 3.2.5). A literal
-    has no length or distance: its extra bits are 0 and its distance symbol
-    is ``_NO_DIST``, whose code is empty."""
+class _Tokens(NamedTuple):
+    """The token stream of a parse's match array, in the fields the Huffman
+    stage reads (RFC 1951 section 3.2.5). A literal is an input byte that no
+    match covers, its symbol the byte; only the matches have length and
+    distance fields, one entry per match."""
 
-    sym: np.ndarray  # literal byte, or length symbol 257..285
+    start: np.ndarray  # int64, each token's first input byte, then the input size
+    sym: np.ndarray  # uint16, each token's literal byte or length symbol 257..285
+    at: np.ndarray  # int64, each match's token index, ascending
     len_xv: np.ndarray  # length extra-bit value
     len_xb: np.ndarray  # length extra-bit count
-    dsym: np.ndarray  # distance symbol 0..29, or _NO_DIST
+    dsym: np.ndarray  # distance symbol 0..29
     dist_xv: np.ndarray
     dist_xb: np.ndarray
-    cover: np.ndarray  # input bytes the op covers
 
 
-def _op_fields(ops: np.ndarray) -> _OpFields:
-    length = ops >> 16
-    match = length > 0
-    dist = np.where(match, ops & 0xFFFF, 0)
+def _tokens(data: bytes, matches: np.ndarray) -> _Tokens:
+    """The token stream of ``data`` parsed into the match array ``matches``.
+    A token advances the input by 1 and a match by its length, so one
+    cumulative sum gives every token's start. A match's token index is its
+    start, less what the matches before it cover beyond one token each."""
+    length = matches >> 16 & 0x1FF
+    dist = matches & 0xFFFF
+    at = (matches >> 25) - (np.cumsum(length) - length) + np.arange(len(matches))
+    start = np.ones(len(data) - int(length.sum()) + len(matches) + 1, np.int64)
+    start[0] = 0
+    start[at + 1] = length
+    np.cumsum(start, out=start)
+    sym = np.frombuffer(data, np.uint8)[start[:-1]].astype(np.uint16)
+    sym[at] = _LEN_SYM[length]
     dsym = _DIST_SYM[dist]
-    return _OpFields(
-        np.where(match, _LEN_SYM[length], ops).astype(np.uint16),
-        (length - _LEN_BASE[length]).astype(np.uint16),
-        _LEN_XB[length],
-        dsym,
-        (dist - _DIST_BASE[dsym]).astype(np.uint16),
-        _DIST_XB[dsym],
-        np.maximum(length, 1).astype(np.uint16),
-    )
+    return _Tokens(start, sym, at, (length - _LEN_BASE[length]).astype(np.uint16), _LEN_XB[length],
+                   dsym, (dist - _DIST_BASE[dsym]).astype(np.uint16), _DIST_XB[dsym])
 
 
 def _rle_code_lengths(lengths) -> list[tuple[int, int, int]]:
@@ -1131,10 +1131,10 @@ def _force_two_codes(lengths: np.ndarray) -> None:
 _CODELEN_RANK = np.argsort(_CODELEN_ORDER)  # code-length symbol -> header position
 
 # a block's histogram: 286 literal/length symbols, then 30 distance symbols
-_NSYM = 286 + _NO_DIST
+_NSYM = 286 + _NDIST
 # per symbol: its extra bits, and its fixed code's bits plus the extra bits
-_SYM_XB = np.concatenate((_LIT_XB[:286], _DIST_XB[:_NO_DIST])).astype(np.int64)
-_SYM_FIXED_BITS = np.concatenate((_FIXED_LIT_LENGTHS[:286], _FIXED_DIST_LENGTHS[:_NO_DIST])) + _SYM_XB
+_SYM_XB = np.concatenate((_LIT_XB[:286], _DIST_XB)).astype(np.int64)
+_SYM_FIXED_BITS = np.concatenate((_FIXED_LIT_LENGTHS[:286], _FIXED_DIST_LENGTHS[:_NDIST])) + _SYM_XB
 
 
 class _DynamicPlan:
@@ -1182,13 +1182,13 @@ def _stored_bits_upper(nbytes):
 
 
 class _Block(NamedTuple):
-    """Ops [op_start, op_end), covering input bytes [byte_start, byte_end),
+    """Tokens [tok_start, tok_end), covering input bytes [byte_start, byte_end),
     written as BTYPE ``btype`` (0 stored, 1 fixed, 2 dynamic). A block from
     ``_priced_block`` also holds its dynamic codes and the size of its
     cheapest coding, which ``btype`` names."""
 
-    op_start: int
-    op_end: int
+    tok_start: int
+    tok_end: int
     byte_start: int
     byte_end: int
     btype: int
@@ -1197,38 +1197,35 @@ class _Block(NamedTuple):
 
 
 class _ChunkSums(NamedTuple):
-    """Prefix sums over chunks of ops, row k summing the chunks before chunk
-    k. Chunks start at the first op at or past each ``_CHUNK_INPUT`` bytes
-    of input. Only the symbols that occur have a column."""
+    """Prefix sums over chunks of tokens, row k summing the chunks before
+    chunk k; chunk k holds the tokens that start in input bytes ``k <<
+    _CHUNK_BITS`` up to ``k + 1 << _CHUNK_BITS``. Only occurring symbols have a column."""
 
-    op: np.ndarray  # int64, first op of each chunk, then the op count
+    tok: np.ndarray  # int64, first token of each chunk, then the token count
     byte: np.ndarray  # int64, first input byte of each chunk, then the input size
     cols: np.ndarray  # the _NSYM symbols that occur, ascending
     freq: np.ndarray  # int64 (chunks + 1, len(cols)) symbol counts, end-of-block not counted
     xlogx: np.ndarray  # float64, c * log2(c) for every count c a column reaches
 
 
-def _chunk_sums(f: _OpFields, ends: np.ndarray) -> _ChunkSums:
-    """The chunk prefix sums of the ops, whose input ends are ``ends``."""
-    n = len(ends)
-    # op i starts at byte ends[i - 1], so the first op at or past byte b is
-    # one past the first op to end there. A match is shorter than a chunk,
-    # so each grid point's op is a distinct one and only a last stretch of
-    # input can hold no op start
-    grid = np.searchsorted(ends, np.arange(_CHUNK_INPUT, ends[-1] if n else 0, _CHUNK_INPUT)) + 1
-    op = np.concatenate(([0], grid[grid < n], [n]))
-    nchunks = len(op) - 1
+def _chunk_sums(t: _Tokens) -> _ChunkSums:
+    """The chunk prefix sums of the tokens ``t``. A match is shorter than a
+    chunk, so only a last stretch of input, inside the last match, holds no token start."""
+    n = len(t.sym)
+    key = t.start[:n] >> _CHUNK_BITS  # each token's chunk
+    nchunks = int(key[-1]) + 1 if n else 1
     # one bincount: a literal/length symbol s counts at column s of its
     # chunk's row, a match's distance symbol d at column 286 + d
-    row = np.repeat(np.arange(nchunks) * _NSYM, np.diff(op))
-    match = np.flatnonzero(f.sym > 256)
-    hist = np.bincount(np.concatenate((row + f.sym, row[match] + 286 + f.dsym[match])), minlength=nchunks * _NSYM)
-    hist = hist.reshape(nchunks, _NSYM)
+    key *= _NSYM
+    dist = key[t.at] + 286 + t.dsym
+    key += t.sym
+    hist = np.bincount(np.concatenate((key, dist)), minlength=nchunks * _NSYM).reshape(nchunks, _NSYM)
     cols = np.flatnonzero(hist.any(axis=0))
     freq = np.zeros((nchunks + 1, len(cols)), np.int64)
     np.cumsum(hist[:, cols], axis=0, out=freq[1:])
     c = np.arange(freq[-1].max(initial=0) + 1)
-    return _ChunkSums(op, np.append(0, ends)[op], cols, freq, c * np.log2(np.maximum(c, 1)))
+    tok = np.append(np.searchsorted(t.start[:n], np.arange(nchunks) << _CHUNK_BITS), n)
+    return _ChunkSums(tok, t.start[tok], cols, freq, c * np.log2(np.maximum(c, 1)))
 
 
 def _priced_block(sums: _ChunkSums, a: int, b: int) -> _Block:
@@ -1247,7 +1244,7 @@ def _priced_block(sums: _ChunkSums, a: int, b: int) -> _Block:
         btype, bits = 2, plan.bits
     else:
         btype, bits = 1, fixed
-    return _Block(int(sums.op[a]), int(sums.op[b]), byte_start, byte_end, btype, bits, plan)
+    return _Block(int(sums.tok[a]), int(sums.tok[b]), byte_start, byte_end, btype, bits, plan)
 
 
 def _estimated_bits(sums: _ChunkSums, a, b) -> np.ndarray:
@@ -1298,12 +1295,12 @@ def _cost_cuts(sums: _ChunkSums, a: int, b: int, whole: float, depth: int = 0,
     return whole, [a]
 
 
-def _plan_blocks(f: _OpFields) -> list[_Block]:
+def _plan_blocks(t: _Tokens) -> list[_Block]:
     """Block boundaries for levels 2-3, placed by cost (RFC 1951 leaves them
     to the compressor).
 
-    The ops' input ends, one ``cumsum``, give the chunks (``_chunk_sums``),
-    cut at every ``_CHUNK_INPUT`` bytes of input. ``_cost_cuts`` splits the
+    The tokens' starts give the chunks (``_chunk_sums``), cut at every
+    ``_CHUNK_INPUT`` bytes of input. ``_cost_cuts`` splits the
     chunks where the estimate says a new code pays. Every block is then a
     span of chunks, priced exactly by ``_priced_block`` from the span's
     histogram. Neighbours merge left to right: the block so far absorbs the
@@ -1319,9 +1316,8 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     two per kept span, and a split leaves at least ``_MIN_BLOCK`` bytes on
     each side. Each span is priced once, also where the whole input was a
     merge tried."""
-    ends = np.cumsum(f.cover, dtype=np.int64)
-    sums = _chunk_sums(f, ends)
-    nchunks = len(sums.op) - 1
+    sums = _chunk_sums(t)
+    nchunks = len(sums.tok) - 1
     bounds = np.array(_cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks])
     apart = _estimated_bits(sums, bounds[:-1], bounds[1:])
     worth = _estimated_bits(sums, bounds[:-2], bounds[2:]) < apart[:-1] + apart[1:] + _MERGE_SLACK
@@ -1350,21 +1346,22 @@ def _plan_blocks(f: _OpFields) -> list[_Block]:
     return blocks
 
 
-def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None:
-    """A fixed or dynamic block: its header, its ops in ``pack`` calls of at
-    most ``_EMIT_OPS`` ops, and its end-of-block.
+def _emit_block(w: _BitWriter, t: _Tokens, block: _Block, final: bool) -> None:
+    """A fixed or dynamic block: its header, its tokens in ``pack`` calls of
+    at most ``_EMIT_TOKENS`` tokens, and its end-of-block.
 
     A dynamic header (RFC 1951 section 3.2.7) is BFINAL|BTYPE, HLIT, HDIST,
     HCLEN, the HCLEN code-length code lengths, then one value per code-length
-    run: its code, then its extra bits. Each op's code and extra-bit fields
-    join into one value of at most 15 + 5 + 15 + 13 = 48 bits."""
+    run: its code, then its extra bits. Each token's code, and a match's
+    extra bits, distance code and distance extra bits above it, join into
+    one value of at most 15 + 5 + 15 + 13 = 48 bits."""
     if block.btype == 1:
         head, head_nb = _uint64(final | 1 << 1), _uint64(3)
         (lit_code, lit_nb), (dist_code, dist_nb) = _FIXED_LIT_CODES, _FIXED_DIST_CODES
     else:
         plan = block.plan
         lit_code, lit_nb = _code_arrays(plan.lit_lengths, 286)
-        dist_code, dist_nb = _code_arrays(plan.dist_lengths, _NO_DIST)
+        dist_code, dist_nb = _code_arrays(plan.dist_lengths, _NDIST)
         cl_code, cl_nb = _code_arrays(plan.cl_lengths, 19)
         rle_sym, rle_xv, rle_xb = np.array(plan.rle, np.uint64).T
         head = np.concatenate((
@@ -1375,18 +1372,21 @@ def _emit_block(w: _BitWriter, f: _OpFields, block: _Block, final: bool) -> None
         head_nb = np.concatenate((_uint64(3, 5, 5, 4, *[3] * plan.hclen), cl_nb[rle_sym] + rle_xb))
 
     w.pack(head, head_nb)
-    for start in range(block.op_start, block.op_end, _EMIT_OPS):
-        ops = slice(start, min(start + _EMIT_OPS, block.op_end))
-        sym = f.sym[ops]
-        dsym = f.dsym[ops]
+    for start in range(block.tok_start, block.tok_end, _EMIT_TOKENS):
+        stop = min(start + _EMIT_TOKENS, block.tok_end)
+        sym = t.sym[start:stop]
         v = lit_code[sym]
         nb = lit_nb[sym]
-        v |= f.len_xv[ops] << nb
-        nb += f.len_xb[ops]
-        v |= dist_code[dsym] << nb
-        nb += dist_nb[dsym]
-        v |= f.dist_xv[ops] << nb
-        nb += f.dist_xb[ops]
+        m = slice(*np.searchsorted(t.at, (start, stop)))  # the matches among them
+        k = t.at[m] - start
+        dsym = t.dsym[m]
+        mb = nb[k]
+        mv = v[k] | t.len_xv[m] << mb
+        mb += t.len_xb[m]
+        mv |= dist_code[dsym] << mb
+        mb += dist_nb[dsym]
+        v[k] = mv | t.dist_xv[m] << mb
+        nb[k] = mb + t.dist_xb[m]
         w.pack(v, nb)
     w.pack(lit_code[256:257], lit_nb[256:257])
 
@@ -1414,17 +1414,17 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     out.append(flg)
 
     if lv == 0:
-        f, blocks = None, [_Block(0, 0, 0, len(data), 0)]
+        t, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
-        f = _op_fields(_tokenize_ops(data, lv == 3))
-        blocks = _plan_blocks(f) if lv > 1 else [_Block(0, len(f.sym), 0, len(data), 1)]
+        t = _tokens(data, _tokenize_ops(data, lv == 3))
+        blocks = _plan_blocks(t) if lv > 1 else [_Block(0, len(t.sym), 0, len(data), 1)]
     w = _BitWriter(out)
     for i, block in enumerate(blocks):
         final = i == len(blocks) - 1
         if block.btype == 0:
             _emit_stored(w, data, block.byte_start, block.byte_end, final)
         else:
-            _emit_block(w, f, block, final)
+            _emit_block(w, t, block, final)
     w.align()
 
     out += adler32(data).to_bytes(4, "big")

@@ -1,14 +1,18 @@
+import errno
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 import zlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kpng import flate, kmm_transform
 from kpng.corpus import CorpusSpec, generate
@@ -23,18 +27,18 @@ from kpng.errors import (
 from kpng.flate import (
     _ADLER_GROUP,
     _ADLER_NMAX,
+    _CHUNK_BITS,
     _CHUNK_INPUT,
     _CRC_LANE,
     _CRC_MIN_LANES,
     _DEAD_TRIGGER,
-    _EMIT_OPS,
+    _EMIT_TOKENS,
     _FAR_LIMIT,
     _FIND_ROUNDS,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
     _LINK_SEGMENT,
     _MIN_BLOCK,
-    _NO_DIST,
     _NSYM,
     _SYM_FIXED_BITS,
     _SYM_XB,
@@ -60,14 +64,13 @@ from kpng.flate import (
     _emit_block,
     _estimated_bits,
     _limited_code_lengths,
-    _op_fields,
-    _ops_from_matches,
     _plan_blocks,
     _priced_block,
     _rle_code_lengths,
     _run_links,
     _stored_bits_upper,
     _tokenize_ops,
+    _tokens,
     adler32,
     crc32,
     deflate_compress,
@@ -345,8 +348,9 @@ TOKENIZE_INPUTS = {
     "noise-k10-mask-mid-run": kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples,
 }
 
-# the op arrays of the greedy (False) and lazy (True) parse, so a change to
-# how the tokenizer searches shows even where the stream would not move
+# the op arrays that the greedy (False) and lazy (True) parse's matches
+# expand to (ops_from_matches), so a change to how the tokenizer searches
+# shows even where the stream would not move
 TOKENIZE_OPS_SHA256 = {
     ("distance-32768", False): "170fda1da5bb3f620aaaddf511117c5e5f40b5f428085a2e09b4afc786e3e10b",
     ("distance-32768", True): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
@@ -375,50 +379,72 @@ TOKENIZE_OPS_SHA256 = {
 }
 
 
+def ops_from_matches(data, matches):
+    """The op array a match array expands to, by a loop over the matches:
+    each input byte that no match covers is a literal op, the byte, and
+    each match is ``length << 16 | distance``."""
+    ops, pos = [], 0
+    for m in matches.tolist():
+        ops += data[pos : m >> 25]
+        ops.append(m & (1 << 25) - 1)
+        pos = (m >> 25) + (m >> 16 & 0x1FF)
+    return np.array(ops + list(data[pos:]), np.int64)
+
+
+def token_stream(data, lazy):
+    """The token stream the Huffman stage reads for ``data``."""
+    return _tokens(data, _tokenize_ops(data, lazy))
+
+
 @pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
 def test_tokenize_ops_are_pinned(name, lazy):
+    # the hashes are of the op array the match array expands to
     data = TOKENIZE_INPUTS[name]
-    ops = _tokenize_ops(data, lazy)
+    ops = ops_from_matches(data, _tokenize_ops(data, lazy))
     assert hashlib.sha256(ops.tobytes()).hexdigest() == TOKENIZE_OPS_SHA256[name, lazy]
     tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
     assert lz77_expand(tokens) == data
+    assert lz77_tokenize(data, 3 if lazy else 2) == tokens
 
 
-def recorded_matches(ops):
-    """The parse's record of an op array: each match as ``start << 25 |
-    op``, where ``start`` is the input position it copies to."""
-    matches, pos = [], 0
-    for op in ops.tolist():
-        if op > 255:
-            matches.append(pos << 25 | op)
-            pos += op >> 16
-        else:
-            pos += 1
-    return matches
+def assert_tokens_of(data, matches):
+    """``_tokens`` of a match array against the op array it expands to:
+    every token's start, its literal byte or length symbol, and the token
+    index of each match."""
+    ops = ops_from_matches(data, matches).tolist()
+    t = _tokens(data, matches)
+    assert t.start.tolist() == np.cumsum([0] + [op >> 16 or 1 for op in ops]).tolist()
+    assert t.sym.tolist() == [op if op < 256 else 257 + symbol_index(op >> 16, LEN_BASES) for op in ops]
+    assert t.at.tolist() == [i for i, op in enumerate(ops) if op > 255]
 
 
 @pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
 def test_ops_from_matches_rebuild_the_op_array(name, lazy):
+    # the token starts and symbols, built in numpy from the matches, are
+    # those of the op array the matches expand to
     data = TOKENIZE_INPUTS[name]
-    ops = _tokenize_ops(data, lazy)
-    assert _ops_from_matches(data, recorded_matches(ops)).tolist() == ops.tolist()
+    assert_tokens_of(data, _tokenize_ops(data, lazy))
 
 
 def test_ops_from_matches_at_the_edges():
-    # no match, matches only, matches back to back and one at each end
-    assert _ops_from_matches(b"", []).tolist() == []
-    assert _ops_from_matches(b"xyz", []).tolist() == list(b"xyz")
+    # no input, no match, matches back to back and one that ends at the last byte
+    none = np.zeros(0, np.int64)
     run = b"a" * 520
-    both = [1 << 25 | MAX_MATCH << 16 | 1, (1 + MAX_MATCH) << 25 | 3 << 16 | 1]
-    assert _ops_from_matches(run[:262], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1]
-    assert _ops_from_matches(run[:263], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1, 97]
+    both = np.array([1 << 25 | MAX_MATCH << 16 | 1, (1 + MAX_MATCH) << 25 | 3 << 16 | 1], np.int64)
+    assert ops_from_matches(b"", none).tolist() == []
+    assert ops_from_matches(b"xyz", none).tolist() == list(b"xyz")
+    assert ops_from_matches(run[:262], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1]
+    assert ops_from_matches(run[:263], both).tolist() == [97, MAX_MATCH << 16 | 1, 3 << 16 | 1, 97]
+    for data, matches in ((b"", none), (b"xyz", none), (run[:262], both), (run[:263], both)):
+        assert_tokens_of(data, matches)
+    t = _tokens(run[:262], both)
+    assert (t.start.tolist(), t.sym.tolist(), t.at.tolist()) == ([0, 1, 259, 262], [97, 285, 257], [1, 2])
 
 
 @pytest.mark.parametrize("lazy", [False, True])
 def test_tokenize_reaches_exactly_one_window_back(lazy):
     def longest_distance(distance):
-        ops = _tokenize_ops(repeat_at(distance), lazy)
-        return int((ops[ops > 255] & 0xFFFF).max(initial=0))
+        return int((_tokenize_ops(repeat_at(distance), lazy) & 0xFFFF).max(initial=0))
 
     # the marker at WINDOW_SIZE matches its first copy; one byte later the
     # first copy has left the window
@@ -612,7 +638,7 @@ class RfindSpy(bytes):
 
 def spied_lazy_ops(data):
     spy = RfindSpy(data)
-    return _tokenize_ops(spy, True), spy.calls
+    return ops_from_matches(data, _tokenize_ops(spy, True)), spy.calls
 
 
 def check_search_rounds(data, calls):
@@ -669,7 +695,7 @@ def test_lazy_parse_finds_a_copy_inside_a_long_match():
     # the decoys spend level 3's 32 links, so the window search found it
     assert len(data) - 300 - distance in [hit for *_, hit in calls]
     # the greedy 128-link walk passes the 40 decoys and reaches the copy
-    assert _tokenize_ops(data, False).tolist()[-2] == MAX_MATCH << 16 | distance
+    assert ops_from_matches(data, _tokenize_ops(data, False)).tolist()[-2] == MAX_MATCH << 16 | distance
 
 
 def test_lazy_parse_copies_the_row_above_on_flat_shapes():
@@ -679,8 +705,7 @@ def test_lazy_parse_copies_the_row_above_on_flat_shapes():
     # every chain, the walk and the window search found 66 covering 16,771
     data = SEARCH_INPUTS["flat-shapes-k10"]
     assert len(data) == 128 * 385
-    matches = _tokenize_ops(data, True)
-    matches = matches[matches > 255]
+    matches = _tokenize_ops(data, True) & (1 << 25) - 1
     above = matches[matches & 0xFFFF == 385] >> 16
     assert (len(above), int(above.sum())) == (71, 17_772)
 
@@ -757,7 +782,7 @@ def test_clear_dead_keeps_positions_with_a_near_link():
 
 
 def lazy_ops_with_trigger(data, trigger):
-    """Level 3's ops with the mask built after ``trigger`` fruitless walks,
+    """Level 3's matches with the mask built after ``trigger`` fruitless walks,
     and the positions ``_clear_dead`` was called from."""
     built = []
 
@@ -821,13 +846,14 @@ def test_noise_k10_builds_the_mask_mid_run():
 
 
 def lazy_parse_peak_bytes(data, trigger):
-    """The tracemalloc peak of level 3's parse: the greater of the serial
-    parse's and, where the gate splits the input, of each piece of the
-    two-process parse. tracemalloc does not see a forked child, so both
-    pieces run in process, one after the other (``piece_peak_bytes``)."""
+    """The tracemalloc peak of level 3's parse through its token stream: the
+    greater of the serial parse's and, where the gate splits the input, of
+    each piece of the two-process parse. tracemalloc does not see a forked
+    child, so both pieces run in process, one after the other
+    (``piece_peak_bytes``)."""
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
         with mock.patch.object(flate, "_two_cpus", return_value=False):
-            serial = peak_traced_bytes(lambda: _tokenize_ops(data, True))
+            serial = peak_traced_bytes(lambda: token_stream(data, True))
         with mock.patch.object(flate, "_two_cpus", return_value=True):
             mid = _split_point(_Parse(data, True))
             return max(serial, *piece_peak_bytes(data, mid)) if mid else serial
@@ -838,8 +864,9 @@ def piece_peak_bytes(data, mid):
     ``mid``, each run in process as its process runs it: the child's, from
     its links to what it writes to its pipe (a file here), and the
     parent's, from the gate's parse through reading the child's piece back
-    to the op array, which must be the serial one."""
-    ops = []
+    to the token stream of the re-joined matches, which must be the serial
+    ones."""
+    rejoined = []
 
     def parent():
         p = _Parse(data, True)
@@ -848,7 +875,8 @@ def piece_peak_bytes(data, mid):
         p.run(mid)
         matches = _rejoin(p, *_received(fd))
         del p
-        ops.append(_ops_from_matches(data, matches))
+        rejoined.append(matches)
+        _tokens(data, matches)
 
     with tempfile.TemporaryFile() as f:
         fd = f.fileno()
@@ -856,7 +884,7 @@ def piece_peak_bytes(data, mid):
         os.lseek(fd, 0, os.SEEK_SET)
         head = peak_traced_bytes(parent)
     with mock.patch.object(flate, "_two_cpus", return_value=False):
-        assert ops[0].tolist() == _tokenize_ops(data, True).tolist()
+        assert rejoined[0].tolist() == _tokenize_ops(data, True).tolist()
     return child, head
 
 
@@ -878,9 +906,10 @@ STEPPED_PARSE_PEAK_BYTES = {"flat-shapes": 5_159_942, "mixed": 7_281_436, "noise
 
 @pytest.mark.parametrize("kind", sorted(STEPPED_PARSE_PEAK_BYTES))
 def test_live_mask_adds_at_most_a_byte_per_position(kind):
-    """The live mask is one byte per position; the op array is built once
-    the links and the mask are freed, with temporaries the size of the op
-    count, so no content peaks higher than that above the stepped parse."""
+    """The live mask is one byte per position; the token stream is built
+    once the links and the mask are freed, with temporaries the size of the
+    token count, so no content peaks higher than that above the stepped
+    parse."""
     data = k10_scanlines(kind, 512)
     peak = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
     assert peak <= STEPPED_PARSE_PEAK_BYTES[kind] + len(data), peak
@@ -892,15 +921,14 @@ def test_live_mask_adds_at_most_a_byte_per_position(kind):
 
 
 def two_piece_ops(data, lazy, mid):
-    """Both pieces of the parse split at ``mid``, run in process: the op
+    """Both pieces of the parse split at ``mid``, run in process: the match
     array, and the position where the parent piece re-joined the tail, or
     the end of the input if it did not."""
     tail = _tail_piece(data, lazy, mid)
     p = _Parse(data, lazy)
     p.link(mid)
     p.run(mid)
-    matches = _rejoin(p, *tail)
-    return _ops_from_matches(data, matches), min(p.state[0], len(data))
+    return _rejoin(p, *tail), min(p.state[0], len(data))
 
 
 def piece_input(kind, n, seed):
@@ -987,9 +1015,9 @@ def test_two_process_parse_gives_the_serial_bytes(mixed_512):
     assert two == serial
 
 
-def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
+def failing_parent_run(spy):
+    """``_Parse.run`` that raises in this process once ``spy`` has forked."""
     parent = os.getpid()
-    spy = ForkSpy()
     run = _Parse.run
 
     def failing_run(self, stop, record=None, join=None):
@@ -997,8 +1025,13 @@ def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
             raise RuntimeError("the parent fails mid-parse")
         return run(self, stop, record, join)
 
+    return failing_run
+
+
+def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
+    spy = ForkSpy()
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(flate.os, "fork", spy), mock.patch.object(_Parse, "run", failing_run), \
+            mock.patch.object(flate.os, "fork", spy), mock.patch.object(_Parse, "run", failing_parent_run(spy)), \
             pytest.raises(RuntimeError, match="mid-parse"):
         _tokenize_ops(mixed_512, True)
     assert len(spy.pids) == 1
@@ -1015,6 +1048,142 @@ def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
     assert_no_child_left()
     with mock.patch.object(flate, "_two_cpus", return_value=False):
         assert ops.tolist() == _tokenize_ops(mixed_512, True).tolist()
+
+
+@pytest.fixture(scope="module")
+def mixed_512_serial(mixed_512):
+    """The level 3 stream of ``mixed_512`` parsed in one process: the bytes
+    every host must get."""
+    with mock.patch.object(flate, "_two_cpus", return_value=False):
+        return deflate_compress(mixed_512, 3)
+
+
+def test_a_failed_fork_leaves_the_parent_to_parse_the_rest(mixed_512, mixed_512_serial):
+    # fork fails with EAGAIN, as it does at the user's process limit
+    eagain = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", side_effect=eagain) as fork:
+        stream = deflate_compress(mixed_512, 3)
+    fork.assert_called_once()
+    assert stream == mixed_512_serial
+    assert_no_child_left()
+
+
+# a host process: it sets its SIGCHLD disposition first, SIG_IGN or a
+# handler that reaps every child, then encodes through the fork path. It
+# writes the stream to a file and prints how many children it forked and
+# how many are left
+SIGCHLD_HOST = """
+import os, signal, sys
+from unittest import mock
+from kpng import flate
+
+def reap_every_child(signum, frame):
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+
+signal.signal(signal.SIGCHLD, signal.SIG_IGN if sys.argv[1] == "ignore" else reap_every_child)
+with open(sys.argv[2], "rb") as f:
+    data = f.read()
+pids = []
+fork = os.fork
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+with mock.patch.object(flate, "_two_cpus", return_value=True), mock.patch.object(os, "fork", counting_fork):
+    stream = flate.deflate_compress(data, 3)
+with open(sys.argv[3], "wb") as f:
+    f.write(stream)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = 1
+except ChildProcessError:
+    left = 0
+print(len(pids), left)
+"""
+
+
+@pytest.mark.parametrize("host", ["ignore", "reap"])
+def test_a_host_that_reaps_the_child_gets_the_serial_bytes(host, mixed_512, mixed_512_serial, tmp_path):
+    # each host runs in its own process, so the test runner's signal
+    # handlers stay as they are
+    (tmp_path / "scanlines").write_bytes(mixed_512)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flate.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", SIGCHLD_HOST, host, str(tmp_path / "scanlines"),
+                          str(tmp_path / "stream")], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "0"]  # one fork, no child left
+    assert (tmp_path / "stream").read_bytes() == mixed_512_serial
+
+
+def test_two_threads_encoding_at_once_get_the_serial_bytes(mixed_512, mixed_512_serial):
+    spy = ForkSpy()
+    streams = {}
+
+    def encode(i):
+        streams[i] = deflate_compress(mixed_512, 3)
+
+    threads = [threading.Thread(target=encode, args=(i,)) for i in range(2)]
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", spy):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(spy.pids) == 2
+    assert streams == {0: mixed_512_serial, 1: mixed_512_serial}
+    assert_no_child_left()
+
+
+def test_no_signal_follows_a_child_reaped_elsewhere(mixed_512, mixed_512_serial):
+    # waitpid reaps the child, then reports it gone, as when a handler
+    # reaped it first: the complete piece stands and no signal is sent
+    waitpid = os.waitpid
+
+    def reaped_elsewhere(pid, options):
+        waitpid(pid, options)
+        raise ChildProcessError(errno.ECHILD, os.strerror(errno.ECHILD))
+
+    rejoin = mock.Mock(wraps=_rejoin)
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "waitpid", side_effect=reaped_elsewhere) as wait, \
+            mock.patch.object(flate.os, "kill") as kill, \
+            mock.patch.object(flate.signal, "pidfd_send_signal") as pidfd_kill, \
+            mock.patch.object(flate, "_rejoin", rejoin):
+        stream = deflate_compress(mixed_512, 3)
+    wait.assert_called_once()
+    kill.assert_not_called()
+    pidfd_kill.assert_not_called()
+    assert len(rejoin.call_args.args[1])  # the child's matches
+    assert stream == mixed_512_serial
+    assert_no_child_left()
+
+
+def test_without_a_pidfd_a_failing_parent_sends_no_signal(mixed_512):
+    # with no pidfd, the parent that raises waits for its child, whose
+    # write to the closed pipe fails, and sends nothing to its pid
+    spy = ForkSpy()
+    enosys = OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(flate.os, "fork", spy), mock.patch.object(_Parse, "run", failing_parent_run(spy)), \
+            mock.patch.object(flate.os, "pidfd_open", side_effect=enosys), \
+            mock.patch.object(flate.os, "kill") as kill, \
+            mock.patch.object(flate.signal, "pidfd_send_signal") as pidfd_kill, \
+            pytest.raises(RuntimeError, match="mid-parse"):
+        _tokenize_ops(mixed_512, True)
+    assert len(spy.pids) == 1
+    kill.assert_not_called()
+    pidfd_kill.assert_not_called()
+    assert_no_child_left()
 
 
 def test_a_parse_stops_at_the_first_state_it_shares_with_join():
@@ -1237,7 +1406,7 @@ def test_every_proper_prefix_is_truncated():
     skewed_src = bytes(rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600))
     skewed = deflate_compress(skewed_src, 2)
     assert skewed[2] & 7 == 0b101  # one final dynamic block
-    (block,) = _plan_blocks(_op_fields(_tokenize_ops(skewed_src, False)))
+    (block,) = _plan_blocks(token_stream(skewed_src, False))
     lit_lengths = block.plan.lit_lengths
     # the canonical all-zero code is the first symbol of the shortest length
     assert np.flatnonzero(lit_lengths == lit_lengths[lit_lengths > 0].min())[0] < 256
@@ -1286,7 +1455,7 @@ def test_stored_blocks_after_huffman_blocks_at_every_bit_offset():
     # bytes of where the stored data starts and ends, and of the trailer
     text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
     src = text + random.Random(3).randbytes(140_000) + text
-    _, stored, _ = blocks = _plan_blocks(_op_fields(_tokenize_ops(src, False)))
+    _, stored, _ = blocks = _plan_blocks(token_stream(src, False))
     assert [b.btype for b in blocks] == [2, 0, 2]
     stream = deflate_compress(src, 2)
     assert inflate(stream) == src
@@ -1610,14 +1779,29 @@ def reference_dynamic_header(final, lit_lengths, dist_lengths, cl_lengths):
     return p.bits
 
 
-def op_histogram(f, start, end):
-    """Reference histogram of ops [start, end) from the per-op arrays, in the
-    planner's form: the literal/length symbols, then the matches' distance
-    symbols at 286 + d, end-of-block counted once."""
-    dsym = f.dsym[start:end].astype(np.int64)
-    freq = np.bincount(np.concatenate((f.sym[start:end], 286 + dsym[dsym != _NO_DIST])), minlength=_NSYM)
+def token_histogram(t, start, end):
+    """Reference histogram of tokens [start, end) of the token stream ``t``,
+    in the planner's form: the literal/length symbols, then the distance
+    symbols of the matches among them at 286 + d, end-of-block counted
+    once."""
+    among = (t.at >= start) & (t.at < end)
+    freq = np.bincount(np.concatenate((t.sym[start:end], 286 + t.dsym[among].astype(np.int64))), minlength=_NSYM)
     freq[256] += 1
     return freq
+
+
+def tokens_of_ops(ops):
+    """The token stream of an op list, each op a literal byte or ``length <<
+    16 | distance``: its input holds each literal's byte and zeros where a
+    match copies, and its match array has each match at its start."""
+    data, matches = bytearray(), []
+    for op in ops:
+        if op > 255:
+            matches.append(len(data) << 25 | op)
+            data += bytes(op >> 16)
+        else:
+            data.append(op)
+    return _tokens(bytes(data), np.array(matches, np.int64))
 
 
 def assert_written(w, bits):
@@ -1634,11 +1818,11 @@ def assert_written(w, bits):
 def test_packer_matches_scalar_writer(pending, kind, dynamic):
     ops = PACKER_OPS[kind]
     pad = [7, 65, 3 << 16 | 1]  # ops on either side of the block, not written
-    f = _op_fields(np.array(pad + ops + pad, np.int64))
+    t = tokens_of_ops(pad + ops + pad)
     start, end = len(pad), len(pad) + len(ops)
     final = pending % 2
     if dynamic:
-        plan = _DynamicPlan(op_histogram(f, start, end))
+        plan = _DynamicPlan(token_histogram(t, start, end))
         lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
         head = reference_dynamic_header(final, lit_lengths, dist_lengths, plan.cl_lengths)
     else:
@@ -1648,20 +1832,20 @@ def test_packer_matches_scalar_writer(pending, kind, dynamic):
     pending_bits = [random.Random(pending).randrange(2) for _ in range(pending)]
     w = _BitWriter(bytearray())
     w.pack(np.array(pending_bits, np.uint64), np.ones(pending, np.uint64))
-    _emit_block(w, f, _Block(start, end, 0, 0, 2 if dynamic else 1, plan=plan), final)
+    _emit_block(w, t, _Block(start, end, 0, 0, 2 if dynamic else 1, plan=plan), final)
     assert_written(w, pending_bits + head + reference_block_bits(ops, lit_lengths, dist_lengths))
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
 @pytest.mark.parametrize("cap", [1, 5, 64])
 def test_emit_block_in_pieces_writes_the_same_bits(cap, dynamic, monkeypatch):
-    # the ops go to pack at most _EMIT_OPS at a time; the pending bits carry
+    # the tokens go to pack at most _EMIT_TOKENS at a time; the pending bits carry
     # across each seam, so the bits equal the scalar writer's at any cap
-    monkeypatch.setattr(flate, "_EMIT_OPS", cap)
+    monkeypatch.setattr(flate, "_EMIT_TOKENS", cap)
     ops = PACKER_OPS["mixed"] + PACKER_OPS["matches"]
-    f = _op_fields(np.array(ops, np.int64))
+    t = tokens_of_ops(ops)
     if dynamic:
-        plan = _DynamicPlan(op_histogram(f, 0, len(ops)))
+        plan = _DynamicPlan(token_histogram(t, 0, len(ops)))
         lit_lengths, dist_lengths = plan.lit_lengths, plan.dist_lengths
         head = reference_dynamic_header(0, lit_lengths, dist_lengths, plan.cl_lengths)
     else:
@@ -1670,17 +1854,16 @@ def test_emit_block_in_pieces_writes_the_same_bits(cap, dynamic, monkeypatch):
         head = BitPacker().put(0, 1).put(1, 2).bits
     w = _BitWriter(bytearray())
     w.pack(np.array([1, 0, 1], np.uint64), np.ones(3, np.uint64))
-    _emit_block(w, f, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), False)
+    _emit_block(w, t, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), False)
     assert_written(w, [1, 0, 1] + head + reference_block_bits(ops, lit_lengths, dist_lengths))
 
 
 def _emit_block_peak_bytes(nops: int) -> int:
-    ops = np.array(random.Random(nops).choices(range(256), k=nops), np.int64)
-    f = _op_fields(ops)
-    block = _Block(0, nops, 0, 0, 2, plan=_DynamicPlan(op_histogram(f, 0, nops)))
+    t = _tokens(random.Random(nops).randbytes(nops), np.zeros(0, np.int64))
+    block = _Block(0, nops, 0, 0, 2, plan=_DynamicPlan(token_histogram(t, 0, nops)))
     tracemalloc.start()
     try:
-        _emit_block(_BitWriter(bytearray()), f, block, True)
+        _emit_block(_BitWriter(bytearray()), t, block, True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1688,12 +1871,12 @@ def _emit_block_peak_bytes(nops: int) -> int:
 
 def test_emit_block_memory_does_not_grow_with_block():
     """A level 1 block spans the whole input and a merged one may. The
-    packer's temporaries, a dozen uint64 per op it is given, stay bounded by
-    _EMIT_OPS whatever the block; only the written stream grows, here about
-    a byte per op."""
-    small = _emit_block_peak_bytes(2 * _EMIT_OPS)
-    large = _emit_block_peak_bytes(10 * _EMIT_OPS)
-    assert large - small < 3 * 8 * _EMIT_OPS, (small, large)
+    packer's temporaries, a dozen uint64 per token it is given, stay bounded
+    by _EMIT_TOKENS whatever the block; only the written stream grows, here
+    about a byte per token."""
+    small = _emit_block_peak_bytes(2 * _EMIT_TOKENS)
+    large = _emit_block_peak_bytes(10 * _EMIT_TOKENS)
+    assert large - small < 3 * 8 * _EMIT_TOKENS, (small, large)
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["fixed", "dynamic"])
@@ -1708,10 +1891,10 @@ def test_inflate_decodes_every_length_and_distance_symbol(dynamic):
     matches = [(l, d) for l in lengths for d in distances]
     ops = prefix + [l << 16 | d for l, d in matches]
     want = lz77_expand([Literal(b) for b in prefix] + [Match(l, d) for l, d in matches])
-    f = _op_fields(np.array(ops, np.int64))
-    plan = _DynamicPlan(op_histogram(f, 0, len(ops))) if dynamic else None
+    t = tokens_of_ops(ops)
+    plan = _DynamicPlan(token_histogram(t, 0, len(ops))) if dynamic else None
     w = _BitWriter(bytearray(b"\x78\x01"))
-    _emit_block(w, f, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), True)
+    _emit_block(w, t, _Block(0, len(ops), 0, 0, 2 if dynamic else 1, plan=plan), True)
     w.align()
     stream = bytes(w.out) + adler32(want).to_bytes(4, "big")
     assert inflate(stream) == zlib.decompress(stream) == want
@@ -1738,13 +1921,18 @@ def test_op_fields_of_every_literal_length_and_distance():
     dists = range(1, WINDOW_SIZE + 1)
     lengths = [3 + d % 256 for d in dists]
     ops = list(range(256)) + [l << 16 | d for l, d in zip(lengths, dists)]
-    want = [(b, 0, 0, _NO_DIST, 0, 0, 1) for b in range(256)]
+    want = []  # per match: length symbol, extra value and bits, distance symbol, extra value and bits
     for l, d in zip(lengths, dists):
         li = symbol_index(l, LEN_BASES)
         di = symbol_index(d, DIST_BASES)
-        want.append((257 + li, l - LEN_BASES[li], LEN_XBITS[li], di, d - DIST_BASES[di], DIST_XBITS[di], l))
-    f = _op_fields(np.array(ops, np.int64))
-    assert [a.tolist() for a in f] == [list(col) for col in zip(*want)]
+        want.append((257 + li, l - LEN_BASES[li], LEN_XBITS[li], di, d - DIST_BASES[di], DIST_XBITS[di]))
+    t = tokens_of_ops(ops)
+    # every token's symbol and the input it covers; the fields of the matches alone
+    assert t.sym.tolist() == list(range(256)) + [w[0] for w in want]
+    assert np.diff(t.start).tolist() == [1] * 256 + lengths
+    assert t.at.tolist() == list(range(256, len(ops)))
+    fields = (t.len_xv, t.len_xb, t.dsym, t.dist_xv, t.dist_xb)
+    assert [a.tolist() for a in fields] == [list(col) for col in zip(*want)][1:]
 
 
 def test_span_histogram_matches_per_op_count():
@@ -1762,16 +1950,16 @@ def test_span_histogram_matches_per_op_count():
         dist_freq[di] += 1
         extra += LEN_XBITS[li] + DIST_XBITS[di]
     lit_freq[256] += 1
-    f = _op_fields(np.array(ops, np.int64))
-    # the whole run of ops as one span of chunks, end-of-block added as
-    # _priced_block adds it, and the test's own per-op histogram
-    sums = _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64))
+    t = tokens_of_ops(ops)
+    # the whole run of tokens as one span of chunks, end-of-block added as
+    # _priced_block adds it, and the test's own per-token histogram
+    sums = _chunk_sums(t)
     span = np.zeros(_NSYM, np.int64)
     span[sums.cols] = sums.freq[-1] - sums.freq[0]
     span[256] += 1
-    for freq in (span, op_histogram(f, 0, len(ops))):
+    for freq in (span, token_histogram(t, 0, len(ops))):
         assert (freq[:286].tolist(), freq[286:].tolist(), int(freq @ _SYM_XB)) == (lit_freq, dist_freq, extra)
-    assert f.cover.tolist() == [1 if op < 256 else op >> 16 for op in ops]
+    assert np.diff(t.start).tolist() == [1 if op < 256 else op >> 16 for op in ops]
 
 
 @pytest.mark.parametrize(
@@ -1893,9 +2081,9 @@ def _frequency_vectors():
         vecs.append((freqs, max_bits))
     # the histograms of real blocks, at both dynamic levels
     for level in (2, 3):
-        f = _op_fields(_tokenize_ops(b"".join(structured_inputs()), level == 3))
-        for block in _plan_blocks(f):
-            freq = op_histogram(f, block.op_start, block.op_end)
+        t = token_stream(b"".join(structured_inputs()), level == 3)
+        for block in _plan_blocks(t):
+            freq = token_histogram(t, block.tok_start, block.tok_end)
             vecs += [(freq[:286].tolist(), 15), (freq[286:].tolist(), 15)]
     return vecs
 
@@ -1951,11 +2139,6 @@ MERGE_STREAM_SHA256 = {
 }
 
 
-def plan_sums(f):
-    """The chunk prefix sums _plan_blocks builds."""
-    return _chunk_sums(f, np.cumsum(f.cover, dtype=np.int64))
-
-
 def cut_spans(cover):
     """The 64 KiB cut, by a per-op loop: a block ends at the first op that
     brings it to CUT_INPUT bytes or more. (op_start, op_end, byte_start,
@@ -1973,12 +2156,12 @@ def cut_spans(cover):
     return blocks
 
 
-def priced_cut(f):
+def priced_cut(t):
     """The bits of each block of the 64 KiB cut: the cheapest of its
     dynamic, fixed and stored bits, from the test's per-op histogram."""
     bits = []
-    for op_start, op_end, byte_start, byte_end in cut_spans(f.cover.tolist()):
-        freq = op_histogram(f, op_start, op_end)
+    for op_start, op_end, byte_start, byte_end in cut_spans(np.diff(t.start).tolist()):
+        freq = token_histogram(t, op_start, op_end)
         fixed = 3 + int(freq @ _SYM_FIXED_BITS)
         bits.append(min(_DynamicPlan(freq).bits, fixed, int(_stored_bits_upper(byte_end - byte_start))))
     return bits
@@ -1988,18 +2171,18 @@ def priced_cut(f):
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     data = MERGE_INPUTS[name]
-    f = _op_fields(_tokenize_ops(data, level == 3))
-    cut = priced_cut(f)
-    blocks = _plan_blocks(f)
+    t = token_stream(data, level == 3)
+    cut = priced_cut(t)
+    blocks = _plan_blocks(t)
     assert len(cut) >= 4
     # the blocks partition the ops and the input in order
-    assert [(b.op_start, b.byte_start) for b in blocks] == [(0, 0)] + [(b.op_end, b.byte_end) for b in blocks[:-1]]
-    assert (blocks[-1].op_end, blocks[-1].byte_end) == (len(f.cover), len(data))
+    assert [(b.tok_start, b.byte_start) for b in blocks] == [(0, 0)] + [(b.tok_end, b.byte_end) for b in blocks[:-1]]
+    assert (blocks[-1].tok_end, blocks[-1].byte_end) == (len(t.sym), len(data))
     # measured, not built in: the plan places its blocks by its own estimate
     assert sum(b.bits for b in blocks) <= sum(cut)
     # built in: the plan costs no more than the whole input as one block
-    sums = plan_sums(f)
-    assert sum(b.bits for b in blocks) <= _priced_block(sums, 0, len(sums.op) - 1).bits
+    sums = _chunk_sums(t)
+    assert sum(b.bits for b in blocks) <= _priced_block(sums, 0, len(sums.tok) - 1).bits
     if name == "stored-stretch":
         assert 0 in [b.btype for b in blocks]
 
@@ -2022,11 +2205,11 @@ TEXT_RANDOM_TEXT = word_text(5, CHANGES[0]) + random.Random(9).randbytes(CHANGES
 def test_plan_cuts_where_the_content_changes(level):
     data = TEXT_RANDOM_TEXT
     assert all(c % _CHUNK_INPUT and c % CUT_INPUT for c in CHANGES)
-    f = _op_fields(_tokenize_ops(data, level == 3))
-    blocks = _plan_blocks(f)
+    t = token_stream(data, level == 3)
+    blocks = _plan_blocks(t)
     starts = [b.byte_start for b in blocks]
     assert all(min(abs(s - c) for s in starts) <= _CHUNK_INPUT for c in CHANGES), starts
-    assert sum(b.bits for b in blocks) <= sum(priced_cut(f))
+    assert sum(b.bits for b in blocks) <= sum(priced_cut(t))
     stream = deflate_compress(data, level)
     assert zlib.decompress(stream) == data
     assert inflate(stream) == data
@@ -2035,9 +2218,9 @@ def test_plan_cuts_where_the_content_changes(level):
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("data", [b"", b"k", b"png"])
 def test_plan_of_tiny_inputs(data, level):
-    f = _op_fields(_tokenize_ops(data, level == 3))
-    (block,) = _plan_blocks(f)
-    assert (block.op_start, block.op_end, block.byte_start, block.byte_end) == (0, len(f.sym), 0, len(data))
+    t = token_stream(data, level == 3)
+    (block,) = _plan_blocks(t)
+    assert (block.tok_start, block.tok_end, block.byte_start, block.byte_end) == (0, len(t.sym), 0, len(data))
     stream = deflate_compress(data, level)
     assert zlib.decompress(stream) == data
     assert inflate(stream) == data
@@ -2045,25 +2228,89 @@ def test_plan_of_tiny_inputs(data, level):
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_chunk_sums_match_per_span_count(level):
-    f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, level == 3))
-    ends = np.cumsum(f.cover, dtype=np.int64)
-    sums = _chunk_sums(f, ends)
-    # each chunk starts at the first op at or past a multiple of _CHUNK_INPUT
+    data = TEXT_RANDOM_TEXT
+    t = token_stream(data, level == 3)
+    sums = _chunk_sums(t)
+    # each token's start from the op array the matches expand to; each
+    # chunk starts at the first token at or past a multiple of _CHUNK_INPUT
+    ops = ops_from_matches(data, _tokenize_ops(data, level == 3)).tolist()
+    ends = np.cumsum([op >> 16 or 1 for op in ops]).tolist()
     starts = []
     grid = 0
-    for i, byte in enumerate([0] + ends[:-1].tolist()):
+    for i, byte in enumerate([0] + ends[:-1]):
         if byte >= grid:
             starts.append(i)
             grid = (byte // _CHUNK_INPUT + 1) * _CHUNK_INPUT
-    assert sums.op.tolist() == starts + [len(ends)]
-    assert sums.byte.tolist() == [int(ends[i - 1]) if i else 0 for i in sums.op.tolist()]
+    assert sums.tok.tolist() == starts + [len(ends)]
+    assert sums.byte.tolist() == [ends[i - 1] if i else 0 for i in sums.tok.tolist()]
     rng = random.Random(level)
-    for a, b in [(0, len(sums.op) - 1)] + [sorted(rng.sample(range(len(sums.op)), 2)) for _ in range(20)]:
-        want = op_histogram(f, sums.op[a], sums.op[b])
-        want[256] -= 1  # op_histogram counts end-of-block
+    for a, b in [(0, len(sums.tok) - 1)] + [sorted(rng.sample(range(len(sums.tok)), 2)) for _ in range(20)]:
+        want = token_histogram(t, sums.tok[a], sums.tok[b])
+        want[256] -= 1  # token_histogram counts end-of-block
         freq = np.zeros(_NSYM, np.int64)
         freq[sums.cols] = sums.freq[b] - sums.freq[a]
         assert freq.tolist() == want.tolist()
+
+
+def per_token_chunk_sums(data, matches):
+    """The chunk prefix sums by a loop over the op array the matches expand
+    to: a chunk starts at the first token at or past each multiple of
+    _CHUNK_INPUT, and each token counts its literal/length symbol and a
+    match its distance symbol at 286 + d. (first token of each chunk, then
+    the token count; first byte of each chunk, then the input size; the
+    (chunks + 1, _NSYM) prefix sums)."""
+    ops = ops_from_matches(data, matches).tolist()
+    first, first_byte, rows = [0], [0], [[0] * _NSYM]
+    byte, grid = 0, _CHUNK_INPUT
+    for i, op in enumerate(ops):
+        if byte >= grid:
+            first.append(i)
+            first_byte.append(byte)
+            rows.append([0] * _NSYM)
+            grid = (byte // _CHUNK_INPUT + 1) * _CHUNK_INPUT
+        if op < 256:
+            rows[-1][op] += 1
+            byte += 1
+        else:
+            rows[-1][257 + symbol_index(op >> 16, LEN_BASES)] += 1
+            rows[-1][286 + symbol_index(op & 0xFFFF, DIST_BASES)] += 1
+            byte += op >> 16
+    prefix = np.cumsum([[0] * _NSYM] + rows, axis=0)
+    return first + [len(ops)], first_byte + [byte], prefix
+
+
+@given(st.integers(0, 2**32), st.integers(0, 12_000), st.floats(0, 1), st.booleans())
+@example(seed=1, n=12_000, density=1.0, last_covers_grid=True)
+@example(seed=2, n=0, density=0.0, last_covers_grid=True)
+@example(seed=3, n=0, density=0.0, last_covers_grid=False)
+@settings(max_examples=60, deadline=None)
+def test_chunk_sums_equal_a_per_token_histogram(seed, n, density, last_covers_grid):
+    """Random match arrays: each position starts a match with probability
+    ``density``, so matches straddle 2 KiB grid points, and with
+    ``last_covers_grid`` the last match covers the final grid point and ends
+    the input, so no token starts past it."""
+    rng = random.Random(seed)
+    matches, pos = [], 0
+    while pos < n:
+        if rng.random() < density:
+            length = rng.randrange(MIN_MATCH, MAX_MATCH + 1)
+            matches.append(pos << 25 | length << 16 | rng.randrange(1, WINDOW_SIZE + 1))
+            pos += length
+        else:
+            pos += 1
+    if last_covers_grid:
+        grid = ((pos >> _CHUNK_BITS) + 1) << _CHUNK_BITS
+        length = rng.randrange(MIN_MATCH, MAX_MATCH + 1)
+        pos = max(pos, grid - rng.randrange(1, length))
+        matches.append(pos << 25 | length << 16 | rng.randrange(1, WINDOW_SIZE + 1))
+        pos += length
+        assert pos - length < grid < pos
+    data = rng.randbytes(pos)
+    sums = _chunk_sums(_tokens(data, np.array(matches, np.int64)))
+    first, first_byte, prefix = per_token_chunk_sums(data, np.array(matches, np.int64))
+    assert (sums.tok.tolist(), sums.byte.tolist()) == (first, first_byte)
+    assert sums.freq.tolist() == prefix[:, sums.cols].tolist()
+    assert prefix[-1].sum() == prefix[-1, sums.cols].sum()  # no symbol outside the columns
 
 
 def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
@@ -2079,9 +2326,9 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
             super().__init__(freq)
 
     monkeypatch.setattr(flate, "_DynamicPlan", CountingPlan)
-    f = _op_fields(_tokenize_ops(TEXT_RANDOM_TEXT, True))
-    blocks = _plan_blocks(f)
-    _, bounds = kept_spans(f)
+    t = token_stream(TEXT_RANDOM_TEXT, True)
+    blocks = _plan_blocks(t)
+    _, bounds = kept_spans(t)
     assert len(bounds) - 1 == len(blocks) == 5
     # five spans kept, no merge estimated near paying, and the whole span
     assert len(built) == 6
@@ -2097,7 +2344,7 @@ def test_plan_prices_each_span_once(k, monkeypatch):
     img = kmm_transform(img, k) if k else img
     data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
     assert len(data) == 12_352
-    f = _op_fields(_tokenize_ops(data, True))
+    t = token_stream(data, True)
     spans = []
 
     def counting(sums, a, b):
@@ -2105,10 +2352,10 @@ def test_plan_prices_each_span_once(k, monkeypatch):
         return _priced_block(sums, a, b)
 
     monkeypatch.setattr(flate, "_priced_block", counting)
-    (block,) = _plan_blocks(f)
-    nchunks = len(plan_sums(f).op) - 1
+    (block,) = _plan_blocks(t)
+    nchunks = len(_chunk_sums(t).tok) - 1
     assert spans == [(0, nchunks)]
-    assert block.bits == written_bits(f, block)
+    assert block.bits == written_bits(t, block)
 
 
 def test_plan_prices_the_whole_input_once(monkeypatch):
@@ -2116,7 +2363,7 @@ def test_plan_prices_the_whole_input_once(monkeypatch):
     whole input as a merge and keeps its two spans apart: the whole input,
     its safety net, is not priced again."""
     monkeypatch.setattr(flate, "_MERGE_SLACK", 1 << 30)
-    f = _op_fields(_tokenize_ops(MERGE_INPUTS["uniform"], True))
+    t = token_stream(MERGE_INPUTS["uniform"], True)
     spans = []
 
     def counting(sums, a, b):
@@ -2124,24 +2371,24 @@ def test_plan_prices_the_whole_input_once(monkeypatch):
         return _priced_block(sums, a, b)
 
     monkeypatch.setattr(flate, "_priced_block", counting)
-    blocks = _plan_blocks(f)
-    nchunks = len(plan_sums(f).op) - 1
+    blocks = _plan_blocks(t)
+    nchunks = len(_chunk_sums(t).tok) - 1
     assert len(blocks) == 2
     assert spans[-1] == (0, nchunks)
     assert len(set(spans)) == len(spans) == 3
 
 
-def kept_spans(f):
+def kept_spans(t):
     """The chunk prefix sums _plan_blocks builds, and the chunk bounds of the
     spans its split keeps, before any merge."""
-    sums = plan_sums(f)
-    nchunks = len(sums.op) - 1
+    sums = _chunk_sums(t)
+    nchunks = len(sums.tok) - 1
     return sums, _cost_cuts(sums, 0, nchunks, _estimated_bits(sums, 0, nchunks)[0])[1] + [nchunks]
 
 
-def written_bits(f, block):
+def written_bits(t, block):
     w = _BitWriter(bytearray())
-    _emit_block(w, f, block, False)
+    _emit_block(w, t, block, False)
     return 8 * len(w.out) + w.cnt
 
 
@@ -2151,16 +2398,16 @@ def test_plan_merges_kept_spans_when_that_pays():
     img = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=4)), 10)
     data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
     assert len(data) == 196_864
-    f = _op_fields(_tokenize_ops(data, True))
-    sums, bounds = kept_spans(f)
+    t = token_stream(data, True)
+    sums, bounds = kept_spans(t)
     apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
-    blocks = _plan_blocks(f)
+    blocks = _plan_blocks(t)
     assert len(bounds) - 1 == 4
     assert len(blocks) == 3
     assert sum(b.bits for b in blocks) < sum(b.bits for b in apart)
     # every block starts where a kept span does
-    assert {b.op_start for b in blocks} < {b.op_start for b in apart}
-    assert all(b.bits == written_bits(f, b) for b in blocks)
+    assert {b.tok_start for b in blocks} < {b.tok_start for b in apart}
+    assert all(b.bits == written_bits(t, b) for b in blocks)
 
 
 def test_plan_is_the_64k_cut_when_the_cut_costs_less():
@@ -2174,23 +2421,23 @@ def test_plan_is_the_64k_cut_when_the_cut_costs_less():
     block = rng.randbytes(600)
     data = block + rng.randbytes(WINDOW_SIZE - len(block)) + block
     assert len(data) == 33_368
-    f = _op_fields(_tokenize_ops(data, False))
-    sums, bounds = kept_spans(f)
+    t = token_stream(data, False)
+    sums, bounds = kept_spans(t)
     apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
     whole = _priced_block(sums, 0, bounds[-1])
-    blocks = _plan_blocks(f)
+    blocks = _plan_blocks(t)
     assert [b.btype for b in apart] == [0, 2]
-    assert priced_cut(f) == [whole.bits]
+    assert priced_cut(t) == [whole.bits]
     assert sum(b.bits for b in apart) - whole.bits == 9
     assert [b[:6] for b in blocks] == [whole[:6]]
-    assert blocks[0].bits == written_bits(f, blocks[0])
+    assert blocks[0].bits == written_bits(t, blocks[0])
 
 
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_planned_bits_are_the_bits_written(name, level):
-    f = _op_fields(_tokenize_ops(MERGE_INPUTS[name], level == 3))
-    blocks = _plan_blocks(f)
+    t = token_stream(MERGE_INPUTS[name], level == 3)
+    blocks = _plan_blocks(t)
     coded = [b for b in blocks if b.btype]
     assert coded
-    assert [b.bits for b in coded] == [written_bits(f, b) for b in coded]
+    assert [b.bits for b in coded] == [written_bits(t, b) for b in coded]
