@@ -14,9 +14,9 @@ both and compares the streams. The corpus:
   one byte past it;
 - runs of 128 to 4,000 bytes that make chains of 258-byte matches, whose
   insides are on the chains that later walks read;
-- the scanlines of a 256x256 noise tile at k=10, on which level 3 links
-  its 4-byte keys, clears its dead positions from the live mask and skips
-  their walks;
+- the scanlines of a 256x256 noise tile at k=10, on which every level
+  links its 4-byte keys, clears its dead positions from the live mask and
+  skips their walks;
 - 65,600 random bytes, the same at every ``--seed``, whose last literal
   run crosses the 64 KiB segment edge of the chain links and the live mask
   and ends at the input's end;
@@ -36,7 +36,10 @@ prints, per level, the total stream bytes on both sides, how many inputs
 differ and how many came out larger than the other side's, then every
 input that fails: one that differs at levels 0-1, or one that comes out
 larger at levels 2-3, with its size over the other side's. Exits 1 when
-any input fails.
+any input fails. Level 1's bytes moved once on purpose, when levels 1-2
+took level 3's parse with smaller budgets (4 and 16 chain links, no window
+search): against a ``flate.py`` from before that change, ``--sizes``
+exits 1 on level 1 alone.
 
     git show HEAD~1:src/kpng/flate.py > /tmp/parent_flate.py
     python scripts/deflate_parity.py --against /tmp/parent_flate.py

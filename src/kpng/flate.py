@@ -45,8 +45,12 @@ a dozen uint64 per token, the same size whatever the blocks.
 ``Literal``/``Match`` objects exist only at the public edge,
 ``lz77_tokenize`` and ``lz77_expand``.
 
-Levels: 0 stored only; 1 greedy matching + fixed codes; 2 greedy matching +
-dynamic codes; 3 lazy matching + dynamic codes. One loop writes the blocks
+Levels: 0 stored only; 1 fixed codes; 2 and 3 dynamic codes. Levels 1-3
+run one LZ77 parse, lazy matching (RFC 1951 section 4), and differ only in
+its row of budgets (``_BUDGETS``), as a zlib level is a row of its
+``configuration_table`` (deflate.c): the most hash-chain links a walk takes,
+4, 16 and 32, and the most window search rounds after it, 8 at level 3 and
+none below. One loop writes the blocks
 of every level: level 0 is one stored block, level 1 one fixed block.
 Levels 2-3 place their boundaries by cost (``_plan_blocks``), after zopfli's
 ``ZopfliBlockSplitLZ77`` (blocksplitter.c). The tokens are cut into chunks
@@ -66,26 +70,25 @@ block so far absorbs the next one whenever the chunks from its first to
 the next one's last, priced as one span, cost less than the two apart.
 When the plan has more than one block, the whole input is priced the same
 way as one span; if it costs no more, it is the plan.
-Levels 1-2 match greedily and walk up to 128 hash-chain links, zlib level
-6's chain (``configuration_table``, deflate.c). Level 3 matches lazily and
-walks up to 32 links, a quarter of that for the lazy search when the
-pending match is already 32 bytes long (``_GOOD_LENGTH``). zlib's
-``longest_match`` walks its chain in C; here the walk is a Python loop,
-and 32 links can end among nearer copies of a key before they reach an
-older, longer one, such as the row above a flat k=10 row. So when level
-3's walk spends its whole budget and holds a match shorter than the
-longest possible, it searches the window at C speed: ``bytes.rfind`` finds
-the nearest earlier copy of the held match's bytes and one more, the XOR
-compare measures it, and the next round asks for one byte more than the
-new best, scanning only below the last hit, for at most ``_FIND_ROUNDS``
-rounds. A level 3 position thus costs at most 32 links plus at most 8
-``rfind`` calls whose scans together cover the window at most once. Every
-search stops at a 258-byte match.
-Level 3 then drops a match of length 3 farther than 256 bytes or of length
+A walk takes a quarter of its links when the pending match is already 32
+bytes long (``_GOOD_LENGTH``). zlib's ``longest_match`` walks its chain in
+C; here the walk is a Python loop, and 32 links can end among nearer
+copies of a key before they reach an older, longer one, such as the row
+above a flat k=10 row. So when level 3's walk spends its whole budget and
+holds a match shorter than the longest possible, it searches the window at
+C speed: ``bytes.rfind`` finds the nearest earlier copy of the held
+match's bytes and one more, the XOR compare measures it, and the next
+round asks for one byte more than the new best, scanning only below the
+last hit, for at most its row's rounds. A level 3 position thus costs at
+most 32 links plus at most 8 ``rfind`` calls whose scans together cover
+the window at most once. Every search stops at a 258-byte match.
+Every level drops a match of length 3 farther than 256 bytes or of length
 4 farther than 4096 (``_FAR_LIMIT``), after zlib's ``TOO_FAR`` in
 ``deflate_slow``, which drops length 3 beyond 4096: on noisy content such a
-match's codes and extra bits cost more than its literals. Levels 1-2 take
-every match.
+match's codes and extra bits cost more than its literals. Under level 1's
+fixed codes a far length-3 match costs 19-22 bits, below its literals'
+24-27, so level 1 gives up a few percent of its bytes there for one rule
+at every level.
 
 The tokenizer builds the hash chain links of the positions it parses in
 numpy before it parses them (``_Parse.link``), as zlib's ``deflate.c``
@@ -113,12 +116,12 @@ at the end of the input. The parse records only its matches, each as one
 int ``start << 25 | length << 16 | distance``: it touches no literal, and
 a pending match the next position beats records nothing. Those ints, as
 one int64 array, are the token stream. Every chain candidate shares the
-position's 3 bytes, and a walk visits them nearest first, so while level 3's walk holds
+position's 3 bytes, and a walk visits them nearest first, so while a walk holds
 nothing, a candidate farther than 256 bytes whose fourth byte differs is a
 match ``_FAR_LIMIT`` drops: the walk passes over it without building the
 258-byte compare.
 
-Level 3 skips the walk at a dead position: one whose 4 bytes have no
+The parse skips the walk at a dead position: one whose 4 bytes have no
 earlier copy starting inside the window and whose link is farther than
 ``_FAR_LIMIT[3]``. The skip is exact. The chain visits only positions in
 the window at or beyond the link's distance; each shares the position's
@@ -222,6 +225,17 @@ _CRC_MIN_LANES = 64
 
 
 class CompressionLevel(IntEnum):
+    """DEFLATE levels. Levels 1-3 run one LZ77 parse, with the row of
+    ``_BUDGETS`` named beside each: the most chain links a walk takes, and
+    the most ``rfind`` rounds of the window search after a walk that spends
+    them all.
+
+    - ``STORED``: stored blocks, no parse.
+    - ``FIXED``: 4 links, no window search, one fixed-code block.
+    - ``DYNAMIC``: 16 links, no window search, dynamic blocks placed by cost.
+    - ``LAZY``: 32 links and 8 rounds, dynamic blocks placed by cost.
+    """
+
     STORED = 0
     FIXED = 1
     DYNAMIC = 2
@@ -478,17 +492,26 @@ _FIXED_DIST_CODES = _code_arrays(_FIXED_DIST_LENGTHS, _NDIST)
 # LZ77 tokenizer
 
 
+class _Budget(NamedTuple):
+    """One level's row of the parse, as a level is a row of zlib's
+    ``configuration_table`` (deflate.c)."""
+
+    chain: int  # the most hash-chain links a walk takes
+    rounds: int  # the most rfind rounds of the window search after a walk that spends them all
+
+
+# each level's row, by level: a smaller row gives up bytes for time, and
+# only level 3 searches the window (CHANGES.md has the measurements)
+_BUDGETS = {1: _Budget(4, 0), 2: _Budget(16, 0), 3: _Budget(32, 8)}
 # a pending match this long quarters the lazy search's chain (zlib level 9's
 # good_length in deflate.c ``configuration_table``)
 _GOOD_LENGTH = 32
-# the farthest distance at which the lazy parse takes a match of length 3
-# or 4, indexed by length. zlib's ``TOO_FAR`` drops only length 3 beyond
-# 4096; these limits give smaller output on noisy k=10 content (CHANGES.md
-# has the measurements, under "Level 3 drops short far matches")
+# the farthest distance at which the parse takes a match of length 3 or 4,
+# indexed by length. zlib's ``TOO_FAR`` drops only length 3 beyond 4096;
+# these limits give smaller output on noisy k=10 content (CHANGES.md has
+# the measurements, under "Level 3 drops short far matches")
 _FAR_LIMIT = (0, 0, 0, 256, 4096)
-# the most rfind rounds of the lazy parse's window search after its chain walk
-_FIND_ROUNDS = 8
-# the lazy parse clears its dead positions from ``live`` (``_clear_dead``)
+# the parse clears its dead positions from ``live`` (``_clear_dead``)
 # after this many walks that started past ``_FAR_LIMIT[3]`` and found nothing
 _DEAD_TRIGGER = 64
 # positions per pass of the link build (``_run_links``); each pass also
@@ -586,9 +609,9 @@ class _Parse:
     ``start - WINDOW_SIZE``: their links are never built and their ``live``
     bytes stay 0."""
 
-    def __init__(self, data: bytes, lazy: bool, start: int = 0):
+    def __init__(self, data: bytes, budget: _Budget, start: int = 0):
         n = len(data)
-        self.data, self.lazy = data, lazy
+        self.data, self.budget = data, budget
         self.limit = max(n - 2, 0)  # positions below this have a full 3-byte key
         self.links = np.empty(n, np.int32 if n < 1 << 31 else np.int64)  # read only where built
         self.prev = memoryview(self.links)
@@ -597,13 +620,13 @@ class _Parse:
         self.state = (start, 0, 0)
         self.matches: list[int] = []  # start << 25 | length << 16 | distance
         self.steps = 0  # loop iterations run
-        self.misses = 0  # lazy walks that started past far3 and found nothing
+        self.misses = 0  # walks that started past far3 and found nothing
 
     def link(self, to: int) -> None:
         """Builds the links of every position up to ``to`` at least, one
         ``_run_links`` of 3-byte keys per ``_LINK_SEGMENT`` positions; once
-        the lazy parse clears dead positions, one ``_clear_dead`` clears
-        those among them."""
+        the parse clears dead positions, one ``_clear_dead`` clears those
+        among them."""
         lo = len(self.live)
         for a in range(lo, min(to, self.limit), _LINK_SEGMENT):
             b = min(a + _LINK_SEGMENT, self.limit)
@@ -623,13 +646,13 @@ class _Parse:
         first state it holds and returns that state's index there; otherwise
         it returns None. A parse's states increase, since every loop step
         advances ``i``, so one cursor walks ``join`` alongside."""
-        data, live, prev, lazy = self.data, self.live, self.prev, self.lazy
+        data, live, prev = self.data, self.live, self.prev
         matches = self.matches
         append = matches.append
-        max_chain = 32 if lazy else 128
+        max_chain, rounds = self.budget
         good_length = _GOOD_LENGTH
-        far3 = _FAR_LIMIT[3] if lazy else WINDOW_SIZE  # the farthest length-3 match taken
-        far4 = _FAR_LIMIT[4] if lazy else WINDOW_SIZE
+        far3 = _FAR_LIMIT[3]  # the farthest length-3 match taken
+        far4 = _FAR_LIMIT[4]
         n = len(data)
         limit = self.limit
         trigger = _DEAD_TRIGGER
@@ -706,13 +729,13 @@ class _Parse:
                                         c = data[i + l]
                                 j = prev[j]
                             else:
-                                if lazy and bd:
+                                if rounds and bd:
                                     # the budget ran out holding a match: each
                                     # round finds the nearest copy one byte
                                     # longer, below the last hit, so the rounds
                                     # scan the window once
                                     top = i + bl
-                                    for _ in range(_FIND_ROUNDS):
+                                    for _ in range(rounds):
                                         if bl >= max_len:
                                             break
                                         j = data.rfind(data[i : i + bl + 1], floor, top)
@@ -743,7 +766,7 @@ class _Parse:
                     pend_len = 0
                 if not best_len:
                     i += 1
-                elif lazy and start == i and best_len < MAX_MATCH:
+                elif start == i and best_len < MAX_MATCH:
                     # hold the match back and see whether the next position beats it
                     pend_len, pend_dist = best_len, best_dist
                     i += 1
@@ -780,12 +803,12 @@ def _split_point(p: _Parse) -> int | None:
     return (n + gate) >> 1
 
 
-def _tail_piece(data: bytes, lazy: bool, mid: int) -> tuple[np.ndarray, np.ndarray]:
+def _tail_piece(data: bytes, budget: _Budget, mid: int) -> tuple[np.ndarray, np.ndarray]:
     """The parse of ``data`` from ``mid`` on, started cold with nothing
     pending: its matches, and each loop state it passed beside the count of
     matches recorded before it, as int64 arrays (``_Parse.run``'s
     ``record``). The states are in the order passed, so they are sorted."""
-    p = _Parse(data, lazy, mid)
+    p = _Parse(data, budget, mid)
     p.link(p.limit)
     states: list[int] = []
     p.run(len(data), record=states)
@@ -864,7 +887,7 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
         code = 1
         try:
             os.close(r)
-            _send(w, *_tail_piece(p.data, p.lazy, mid))
+            _send(w, *_tail_piece(p.data, p.budget, mid))
             code = 0
         finally:
             os._exit(code)
@@ -895,57 +918,27 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
     return _rejoin(p, *(no_piece if tail is None else tail))
 
 
-def _tokenize_ops(data: bytes, lazy: bool) -> np.ndarray:
+def _tokenize_ops(data: bytes, budget: _Budget) -> np.ndarray:
     """The token stream of ``data``: the parse's matches as one int64 array,
     each ``start << 25 | length << 16 | distance`` in input order; every
-    input byte that no match covers is a literal. ``lazy`` is level 3's lazy
-    matching (RFC 1951 section 4). Its walk takes at most 32 chain links (8
-    past a pending match of ``_GOOD_LENGTH``); a walk that spends them all
-    holding a match shorter than the longest possible goes on with at most
-    ``_FIND_ROUNDS`` rounds of ``rfind`` over the window, each for the bytes
-    at ``i`` one longer than the best so far and each below the last hit,
-    so together they scan each window byte once at most. It drops a match
-    of length 3 farther than 256 bytes or of length 4 farther than 4096
-    (``_FAR_LIMIT``, after zlib's ``TOO_FAR``), so the position is a literal
-    or lets the pending match commit. Length 3 is checked in the walk and
-    length 4 after it. Otherwise matching is greedy, walks at most 128
-    links and takes every match.
+    input byte that no match covers is a literal. Matching is lazy (RFC
+    1951 section 4) at every level; ``budget`` is the level's row of
+    ``_BUDGETS``. A walk takes at most ``budget.chain`` links (a quarter of
+    them past a pending match of ``_GOOD_LENGTH``); a walk that spends them
+    all holding a match shorter than the longest possible goes on with at
+    most ``budget.rounds`` rounds of ``rfind`` over the window, each for the
+    bytes at ``i`` one longer than the best so far and each below the last
+    hit, so together they scan each window byte once at most. It drops a
+    match of length 3 farther than 256 bytes or of length 4 farther than
+    4096 (``_FAR_LIMIT``, after zlib's ``TOO_FAR``), so the position is a
+    literal or lets the pending match commit. Length 3 is checked in the
+    walk and length 4 after it.
 
-    The parse (``_Parse.run``) reads ``prev`` and writes nothing, so every
-    position is on its key's chain, the inside of a match too. A position
-    is lone, its ``live`` byte 0, when it has no link inside its window, so
-    no candidate is there, and the loop tests that byte alone. With no
-    match pending, a lone position starts a literal run, which ends at
-    ``live.find(1, i + 1)``, the next live position, or at the end of the
-    input. The walk's set-up (``max_len``, ``bl``) waits for a candidate,
-    and ``here``, the bytes at ``i`` as one integer, for a candidate that
-    passes the one-byte reject. While the lazy walk holds nothing, a
-    candidate farther than ``_FAR_LIMIT[3]`` whose fourth byte differs is
-    passed over without a compare: it is a length-3 match the walk would
-    take and then drop.
-
-    After ``_DEAD_TRIGGER`` lazy walks that started past ``_FAR_LIMIT[3]``
-    found nothing, ``_clear_dead`` links the linked rest of the data by
-    4-byte keys, and so does each later link build. A position with no
-    copy of its 4 bytes in the window whose link is past ``_FAR_LIMIT[3]``
-    is dead: every candidate on its chain is such a length-3 match, so the
-    walk would return no match. ``_clear_dead`` makes each dead position
-    lone in ``live``, so with no match pending it joins a literal run, and
-    with one pending it lets that match commit.
-
-    The parse records only its matches, and a pending match that the next
-    position beats records nothing; the Huffman stage reads each literal
-    from the input at its token's start (``_tokens``).
-
-    The parse is a function of its loop state ``(i, pend_len, pend_dist)``
-    alone: the dead positions and their trigger change only which walks
-    run, not what they return. So where ``_split_point`` splits the input,
-    a child process parses the tail from ``mid``, started cold, while this
-    one parses up to ``mid`` and on until it reaches a state the child
-    passed; from there the child's matches are the serial parse's
-    (``_forked_matches``). The matches are the same however many CPUs
-    there are."""
-    p = _Parse(data, lazy)
+    The module docstring tells how the walks read the chain links and the
+    ``live`` mask, how the parse skips dead positions, and how it is split
+    between two processes (``_split_point``, ``_forked_matches``): the
+    matches are the same however many CPUs there are."""
+    p = _Parse(data, budget)
     mid = _split_point(p)
     if mid is not None:
         return _forked_matches(p, mid)
@@ -966,7 +959,7 @@ def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.
     data = _check_bytes("data", data)
     tokens: list[Token] = []
     pos = 0
-    for m in _tokenize_ops(data, lv == 3).tolist():
+    for m in _tokenize_ops(data, _BUDGETS[lv]).tolist():
         tokens += map(Literal, data[pos : m >> 25])
         tokens.append(Match(m >> 16 & 0x1FF, m & 0xFFFF))
         pos = (m >> 25) + (m >> 16 & 0x1FF)
@@ -1416,7 +1409,7 @@ def deflate_compress(data: bytes, level: int | CompressionLevel = CompressionLev
     if lv == 0:
         t, blocks = None, [_Block(0, 0, 0, len(data), 0)]
     else:
-        t = _tokens(data, _tokenize_ops(data, lv == 3))
+        t = _tokens(data, _tokenize_ops(data, _BUDGETS[lv]))
         blocks = _plan_blocks(t) if lv > 1 else [_Block(0, len(t.sym), 0, len(data), 1)]
     w = _BitWriter(out)
     for i, block in enumerate(blocks):

@@ -27,6 +27,7 @@ from kpng.errors import (
 from kpng.flate import (
     _ADLER_GROUP,
     _ADLER_NMAX,
+    _BUDGETS,
     _CHUNK_BITS,
     _CHUNK_INPUT,
     _CRC_LANE,
@@ -34,7 +35,6 @@ from kpng.flate import (
     _DEAD_TRIGGER,
     _EMIT_TOKENS,
     _FAR_LIMIT,
-    _FIND_ROUNDS,
     _FIXED_DIST_LENGTHS,
     _FIXED_LIT_LENGTHS,
     _LINK_SEGMENT,
@@ -81,6 +81,14 @@ from kpng.flate import (
 from kpng.pngcodec import encode_png, parse_chunks
 
 ALL_LEVELS = [0, 1, 2, 3]
+LEVELS = [1, 2, 3]  # the levels that parse
+
+
+def levels_that_search(searches):
+    """The levels whose row searches the window (level 3) or, for False,
+    those that walk their chains only (levels 1-2). The parse's tests that
+    take this flag run every level across its two values."""
+    return [level for level in LEVELS if (_BUDGETS[level].rounds > 0) == searches]
 
 
 def crc32_bitwise(data: bytes) -> int:
@@ -292,16 +300,20 @@ def far_short_matches(tokens) -> list[Match]:
     ]
 
 
+# no far limit: every match of length 3 or 4 in the window is taken
+NO_FAR_LIMIT = (0, 0, 0, WINDOW_SIZE, WINDOW_SIZE)
+
+
 def test_lazy_parse_drops_short_far_matches():
     data = kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples
-    lazy = lz77_tokenize(data, 3)
-    greedy = lz77_tokenize(data, 2)
-    assert far_short_matches(lazy) == []
-    # the rule is level 3's: the greedy parse takes such matches
-    assert {3, 4} <= {m.length for m in far_short_matches(greedy)}
-    # short near matches are still taken
-    assert any(isinstance(t, Match) and t.length == 3 for t in lazy)
-    for level in (2, 3):
+    for level in LEVELS:
+        tokens = lz77_tokenize(data, level)
+        assert far_short_matches(tokens) == []
+        # the input holds such matches: without the limits the parse takes them
+        with mock.patch.object(flate, "_FAR_LIMIT", NO_FAR_LIMIT):
+            assert {3, 4} <= {m.length for m in far_short_matches(lz77_tokenize(data, level))}
+        # short near matches are still taken
+        assert any(isinstance(t, Match) and t.length == 3 for t in tokens)
         stream = deflate_compress(data, level)
         assert zlib.decompress(stream) == data
         assert inflate(stream) == data
@@ -348,34 +360,46 @@ TOKENIZE_INPUTS = {
     "noise-k10-mask-mid-run": kmm_transform(generate(CorpusSpec("noise", 64, 64, seed=1)), 10).samples,
 }
 
-# the op arrays that the greedy (False) and lazy (True) parse's matches
-# expand to (ops_from_matches), so a change to how the tokenizer searches
-# shows even where the stream would not move
+# the op arrays that each level's matches expand to (ops_from_matches), so
+# a change to how the tokenizer searches shows even where the stream would
+# not move
 TOKENIZE_OPS_SHA256 = {
-    ("distance-32768", False): "170fda1da5bb3f620aaaddf511117c5e5f40b5f428085a2e09b4afc786e3e10b",
-    ("distance-32768", True): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
-    ("distance-32769", False): "73ec70c0bf0d6201141a79cfdd18a35063cde49fac710478fd7d4f141fc7e39a",
-    ("distance-32769", True): "dc890e08179027fad09b26d385011b202ef91fdbe01875306b46085adeb2bcaf",
-    ("length-0", False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("length-0", True): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("length-1", False): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
-    ("length-1", True): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
-    ("length-2", False): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
-    ("length-2", True): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
-    ("length-3", False): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
-    ("length-3", True): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
-    ("length-4", False): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
-    ("length-4", True): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
-    ("literal-run-across-a-segment", False): "ba918cfab8a4e2538c9625f6caf337f72c04a4ba5bea11af21fe54a34f7d5a69",
-    ("literal-run-across-a-segment", True): "397c94d0c46ae8794507a5581d83f7cbe184114edc6249f03f4676eacb0395ef",
-    ("long-matches", False): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
-    ("long-matches", True): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
-    ("match-at-the-end", False): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
-    ("match-at-the-end", True): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
-    ("noise-k10", False): "ce49d3338575a5f1d1e87eead3cc20643d1eaa5a355103ee00366ac3a937cc17",
-    ("noise-k10", True): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
-    ("noise-k10-mask-mid-run", False): "c69003f18fce21191ca2a25f51a0aa351b050a6b7c9151f7bf5f906921c9b8f3",
-    ("noise-k10-mask-mid-run", True): "280cd13f2b3619f5dc715046b7d832ee8ce7948e93832725e9c268ebffd8308b",
+    ("distance-32768", 1): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
+    ("distance-32768", 2): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
+    ("distance-32768", 3): "d6cf1d6fa98fbcdebb2a6a7e90906ac1a715673a2850327a44e21d24dd7d6142",
+    ("distance-32769", 1): "dc890e08179027fad09b26d385011b202ef91fdbe01875306b46085adeb2bcaf",
+    ("distance-32769", 2): "dc890e08179027fad09b26d385011b202ef91fdbe01875306b46085adeb2bcaf",
+    ("distance-32769", 3): "dc890e08179027fad09b26d385011b202ef91fdbe01875306b46085adeb2bcaf",
+    ("length-0", 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("length-0", 2): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("length-0", 3): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("length-1", 1): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
+    ("length-1", 2): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
+    ("length-1", 3): "d806031683ebde4734ae728e226af7e40923dfdd38c6e7f7be8052a4278a7e15",
+    ("length-2", 1): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
+    ("length-2", 2): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
+    ("length-2", 3): "a24067d4df58d0a70ed73482dd0f1438d9270e0149be37768a4356992a24808f",
+    ("length-3", 1): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
+    ("length-3", 2): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
+    ("length-3", 3): "cf608f16cb6b9b5cfbecfca0f62eaff912e29dedbf1dabbc780dcc670388788c",
+    ("length-4", 1): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("length-4", 2): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("length-4", 3): "8d37404c346d3b0ebc29dd53e006940dffd2a10c63e989459e7c8735900e5948",
+    ("literal-run-across-a-segment", 1): "397c94d0c46ae8794507a5581d83f7cbe184114edc6249f03f4676eacb0395ef",
+    ("literal-run-across-a-segment", 2): "397c94d0c46ae8794507a5581d83f7cbe184114edc6249f03f4676eacb0395ef",
+    ("literal-run-across-a-segment", 3): "397c94d0c46ae8794507a5581d83f7cbe184114edc6249f03f4676eacb0395ef",
+    ("long-matches", 1): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
+    ("long-matches", 2): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
+    ("long-matches", 3): "7d9b1ab2341eca8aaffce6f790d152172117f8b1c70a7b8ab397e71aceae9754",
+    ("match-at-the-end", 1): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
+    ("match-at-the-end", 2): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
+    ("match-at-the-end", 3): "af18c98559b36eea09fd2644b5c701604180d503d3b11bd355a297f8d8a904b1",
+    ("noise-k10", 1): "a1d1ace3350f9c083172b8a885bb6e89023dae32bd5c43a13921734e2e84593a",
+    ("noise-k10", 2): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
+    ("noise-k10", 3): "4c7906d0fe5f5a54614b1301570edf6eb38e9819ab36086aa4a416d246b367f6",
+    ("noise-k10-mask-mid-run", 1): "280cd13f2b3619f5dc715046b7d832ee8ce7948e93832725e9c268ebffd8308b",
+    ("noise-k10-mask-mid-run", 2): "280cd13f2b3619f5dc715046b7d832ee8ce7948e93832725e9c268ebffd8308b",
+    ("noise-k10-mask-mid-run", 3): "280cd13f2b3619f5dc715046b7d832ee8ce7948e93832725e9c268ebffd8308b",
 }
 
 
@@ -391,20 +415,30 @@ def ops_from_matches(data, matches):
     return np.array(ops + list(data[pos:]), np.int64)
 
 
-def token_stream(data, lazy):
-    """The token stream the Huffman stage reads for ``data``."""
-    return _tokens(data, _tokenize_ops(data, lazy))
+def parse(data, level):
+    """The match array of ``data`` at ``level``."""
+    return _tokenize_ops(data, _BUDGETS[level])
 
 
-@pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
-def test_tokenize_ops_are_pinned(name, lazy):
+def token_stream(data, level):
+    """The token stream the Huffman stage reads for ``data`` at ``level``."""
+    return _tokens(data, parse(data, level))
+
+
+# each pinned input, then whether the levels run search the window
+PINNED_CASES = sorted({(name, level in levels_that_search(True)) for name, level in TOKENIZE_OPS_SHA256})
+
+
+@pytest.mark.parametrize("name, searches", PINNED_CASES)
+def test_tokenize_ops_are_pinned(name, searches):
     # the hashes are of the op array the match array expands to
     data = TOKENIZE_INPUTS[name]
-    ops = ops_from_matches(data, _tokenize_ops(data, lazy))
-    assert hashlib.sha256(ops.tobytes()).hexdigest() == TOKENIZE_OPS_SHA256[name, lazy]
-    tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
-    assert lz77_expand(tokens) == data
-    assert lz77_tokenize(data, 3 if lazy else 2) == tokens
+    for level in levels_that_search(searches):
+        ops = ops_from_matches(data, parse(data, level))
+        assert hashlib.sha256(ops.tobytes()).hexdigest() == TOKENIZE_OPS_SHA256[name, level], level
+        tokens = [Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops.tolist()]
+        assert lz77_expand(tokens) == data
+        assert lz77_tokenize(data, level) == tokens
 
 
 def assert_tokens_of(data, matches):
@@ -418,12 +452,13 @@ def assert_tokens_of(data, matches):
     assert t.at.tolist() == [i for i, op in enumerate(ops) if op > 255]
 
 
-@pytest.mark.parametrize("name, lazy", sorted(TOKENIZE_OPS_SHA256))
-def test_ops_from_matches_rebuild_the_op_array(name, lazy):
+@pytest.mark.parametrize("name, searches", PINNED_CASES)
+def test_ops_from_matches_rebuild_the_op_array(name, searches):
     # the token starts and symbols, built in numpy from the matches, are
     # those of the op array the matches expand to
     data = TOKENIZE_INPUTS[name]
-    assert_tokens_of(data, _tokenize_ops(data, lazy))
+    for level in levels_that_search(searches):
+        assert_tokens_of(data, parse(data, level))
 
 
 def test_ops_from_matches_at_the_edges():
@@ -441,26 +476,38 @@ def test_ops_from_matches_at_the_edges():
     assert (t.start.tolist(), t.sym.tolist(), t.at.tolist()) == ([0, 1, 259, 262], [97, 285, 257], [1, 2])
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_tokenize_reaches_exactly_one_window_back(lazy):
-    def longest_distance(distance):
-        return int((_tokenize_ops(repeat_at(distance), lazy) & 0xFFFF).max(initial=0))
+@pytest.mark.parametrize("searches", [False, True])
+def test_tokenize_reaches_exactly_one_window_back(searches):
+    def longest_distance(distance, level):
+        return int((parse(repeat_at(distance), level) & 0xFFFF).max(initial=0))
 
     # the marker at WINDOW_SIZE matches its first copy; one byte later the
     # first copy has left the window
-    assert longest_distance(WINDOW_SIZE) == WINDOW_SIZE
-    assert longest_distance(WINDOW_SIZE + 1) < WINDOW_SIZE
+    for level in levels_that_search(searches):
+        assert longest_distance(WINDOW_SIZE, level) == WINDOW_SIZE
+        assert longest_distance(WINDOW_SIZE + 1, level) < WINDOW_SIZE
 
 
 @pytest.mark.parametrize("size", [3, 4])
 def test_lazy_parse_takes_short_matches_up_to_the_far_limit(size):
-    # level 3 takes a repeat of 3 bytes at distance 256 and one of 4 bytes
-    # at 4096; one byte farther it drops the repeat, which level 2 takes
+    # every level takes a repeat of 3 bytes at distance 256 and one of 4
+    # bytes at 4096; one byte farther it drops the repeat, which it takes
+    # without the limits
     limit = _FAR_LIMIT[size]
-    assert Match(size, limit) in lz77_tokenize(repeat_at(limit, size), 3)
     beyond = repeat_at(limit + 1, size)
-    assert Match(size, limit + 1) in lz77_tokenize(beyond, 2)
-    assert Match(size, limit + 1) not in lz77_tokenize(beyond, 3)
+    for level in LEVELS:
+        assert Match(size, limit) in lz77_tokenize(repeat_at(limit, size), level)
+        assert Match(size, limit + 1) not in lz77_tokenize(beyond, level)
+        with mock.patch.object(flate, "_FAR_LIMIT", NO_FAR_LIMIT):
+            assert Match(size, limit + 1) in lz77_tokenize(beyond, level)
+
+
+def test_the_parse_takes_a_row_not_a_flag():
+    # the parse takes a level's row, so a bool fails at once rather than
+    # read as level 0 or 1
+    for flag in (False, True):
+        with pytest.raises(TypeError):
+            _tokenize_ops(b"abcabc", flag)
 
 
 def test_expand_rejects_bad_tokens():
@@ -503,7 +550,7 @@ def chain_links_reference(data, width=3):
 def chain_links(data):
     """``prev`` and ``live`` of a parse from the start that linked every
     position with a key."""
-    p = _Parse(data, True)
+    p = _Parse(data, _BUDGETS[3])
     p.link(p.limit)
     return p.prev, p.live
 
@@ -638,7 +685,7 @@ class RfindSpy(bytes):
 
 def spied_lazy_ops(data):
     spy = RfindSpy(data)
-    return ops_from_matches(data, _tokenize_ops(spy, True)), spy.calls
+    return ops_from_matches(data, parse(spy, 3)), spy.calls
 
 
 def check_search_rounds(data, calls):
@@ -661,7 +708,7 @@ def check_search_rounds(data, calls):
             assert 0 <= prev_hit and last == prev_hit - 1 and start == prev_start
             assert needle == data[i : i + held + 1]
             assert data[prev_hit : prev_hit + held] == needle[:held] and data[prev_hit + held] != needle[held]
-        assert rounds <= _FIND_ROUNDS
+        assert rounds <= _BUDGETS[3].rounds
         assert len(needle) <= MAX_MATCH
         prev_hit, prev_start = hit, start
 
@@ -694,8 +741,12 @@ def test_lazy_parse_finds_a_copy_inside_a_long_match():
     check_search_rounds(data, calls)
     # the decoys spend level 3's 32 links, so the window search found it
     assert len(data) - 300 - distance in [hit for *_, hit in calls]
-    # the greedy 128-link walk passes the 40 decoys and reaches the copy
-    assert ops_from_matches(data, _tokenize_ops(data, False)).tolist()[-2] == MAX_MATCH << 16 | distance
+    # levels 1-2 do not search: the decoys fill their walks at the tail's
+    # first byte, and the next position, whose key is not the decoys', takes
+    # the copy
+    for level in levels_that_search(False):
+        ops = ops_from_matches(data, parse(data, level)).tolist()
+        assert ops[-3:-1] == [data[len(data) - 300], MAX_MATCH << 16 | distance]
 
 
 def test_lazy_parse_copies_the_row_above_on_flat_shapes():
@@ -705,7 +756,7 @@ def test_lazy_parse_copies_the_row_above_on_flat_shapes():
     # every chain, the walk and the window search found 66 covering 16,771
     data = SEARCH_INPUTS["flat-shapes-k10"]
     assert len(data) == 128 * 385
-    matches = _tokenize_ops(data, True) & (1 << 25) - 1
+    matches = parse(data, 3) & (1 << 25) - 1
     above = matches[matches & 0xFFFF == 385] >> 16
     assert (len(above), int(above.sum())) == (71, 17_772)
 
@@ -724,12 +775,13 @@ def test_lazy_search_keeps_the_window_and_far_limits(name):
     assert inflate(stream) == data
 
 
-def test_only_the_lazy_parse_searches_the_window():
-    # the greedy parse walks its chain only
-    for data in SEARCH_INPUTS.values():
-        spy = RfindSpy(data)
-        _tokenize_ops(spy, False)
-        assert spy.calls == []
+def test_only_level_3_searches_the_window():
+    # levels 1-2 walk their chains only
+    for level in levels_that_search(False):
+        for data in SEARCH_INPUTS.values():
+            spy = RfindSpy(data)
+            parse(spy, level)
+            assert spy.calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +833,9 @@ def test_clear_dead_keeps_positions_with_a_near_link():
     assert list(live) == [int(b and not (d and f)) for b, d, f in zip(before, no_copy, far.tolist())]
 
 
-def lazy_ops_with_trigger(data, trigger):
-    """Level 3's matches with the mask built after ``trigger`` fruitless walks,
-    and the positions ``_clear_dead`` was called from."""
+def ops_with_trigger(data, trigger, level=3):
+    """The matches at ``level`` with the mask built after ``trigger``
+    fruitless walks, and the positions ``_clear_dead`` was called from."""
     built = []
 
     def spy(data, live, prev, lo, far):
@@ -791,14 +843,15 @@ def lazy_ops_with_trigger(data, trigger):
         _clear_dead(data, live, prev, lo, far)
 
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger), mock.patch.object(flate, "_clear_dead", spy):
-        return _tokenize_ops(data, True), built
+        return parse(data, level), built
 
 
 def assert_mask_keeps_the_parse(data):
-    masked, _ = lazy_ops_with_trigger(data, 1)
-    plain, built = lazy_ops_with_trigger(data, 1 << 62)
-    assert built == []
-    assert masked.tolist() == plain.tolist()
+    for level in LEVELS:
+        masked, _ = ops_with_trigger(data, 1, level)
+        plain, built = ops_with_trigger(data, 1 << 62, level)
+        assert built == []
+        assert masked.tolist() == plain.tolist()
 
 
 @given(st.sampled_from([2, 4, 26, 256]), st.integers(0, 6000), st.integers(0, 2**32))
@@ -813,7 +866,7 @@ def test_mask_keeps_the_parse_across_window_and_segment_edges(n):
     data = bytes(random.Random(n).choices(range(26), k=n))
     assert_mask_keeps_the_parse(data)
     if n > 5:
-        assert lazy_ops_with_trigger(data, 1)[1]  # the masked path ran
+        assert all(ops_with_trigger(data, 1, level)[1] for level in LEVELS)  # the masked path ran
 
 
 @pytest.mark.parametrize("name", sorted(TOKENIZE_INPUTS))
@@ -841,7 +894,7 @@ def test_noise_k10_builds_the_mask_mid_run():
         runs.append((lo, live[lo], before, live.find(1, lo)))
 
     with mock.patch.object(flate, "_clear_dead", spy):
-        _tokenize_ops(TOKENIZE_INPUTS["noise-k10-mask-mid-run"], True)
+        parse(TOKENIZE_INPUTS["noise-k10-mask-mid-run"], 3)
     assert runs == [(1791, 0, 1795, 1796)]
 
 
@@ -853,9 +906,9 @@ def lazy_parse_peak_bytes(data, trigger):
     (``piece_peak_bytes``)."""
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
         with mock.patch.object(flate, "_two_cpus", return_value=False):
-            serial = peak_traced_bytes(lambda: token_stream(data, True))
+            serial = peak_traced_bytes(lambda: token_stream(data, 3))
         with mock.patch.object(flate, "_two_cpus", return_value=True):
-            mid = _split_point(_Parse(data, True))
+            mid = _split_point(_Parse(data, _BUDGETS[3]))
             return max(serial, *piece_peak_bytes(data, mid)) if mid else serial
 
 
@@ -869,7 +922,7 @@ def piece_peak_bytes(data, mid):
     rejoined = []
 
     def parent():
-        p = _Parse(data, True)
+        p = _Parse(data, _BUDGETS[3])
         assert _split_point(p) == mid
         p.link(mid)
         p.run(mid)
@@ -880,11 +933,11 @@ def piece_peak_bytes(data, mid):
 
     with tempfile.TemporaryFile() as f:
         fd = f.fileno()
-        child = peak_traced_bytes(lambda: _send(fd, *_tail_piece(data, True, mid)))
+        child = peak_traced_bytes(lambda: _send(fd, *_tail_piece(data, _BUDGETS[3], mid)))
         os.lseek(fd, 0, os.SEEK_SET)
         head = peak_traced_bytes(parent)
     with mock.patch.object(flate, "_two_cpus", return_value=False):
-        assert rejoined[0].tolist() == _tokenize_ops(data, True).tolist()
+        assert rejoined[0].tolist() == parse(data, 3).tolist()
     return child, head
 
 
@@ -892,7 +945,7 @@ def test_mask_adds_at_most_2_mib_to_the_parse():
     """The mask is a byte per position, and each sort's temporaries are
     bounded by a segment and its window, whatever the input's size."""
     data = k10_scanlines("mixed", 512)
-    assert lazy_ops_with_trigger(data, flate._DEAD_TRIGGER)[1]
+    assert ops_with_trigger(data, flate._DEAD_TRIGGER)[1]
     masked = lazy_parse_peak_bytes(data, flate._DEAD_TRIGGER)
     plain = lazy_parse_peak_bytes(data, 1 << 62)
     assert masked - plain <= 2 << 20, (masked, plain)
@@ -920,12 +973,12 @@ def test_live_mask_adds_at_most_a_byte_per_position(kind):
 # piece that parses on to the first loop state the tail passed
 
 
-def two_piece_ops(data, lazy, mid):
-    """Both pieces of the parse split at ``mid``, run in process: the match
-    array, and the position where the parent piece re-joined the tail, or
-    the end of the input if it did not."""
-    tail = _tail_piece(data, lazy, mid)
-    p = _Parse(data, lazy)
+def two_piece_ops(data, level, mid):
+    """Both pieces of the parse at ``level`` split at ``mid``, run in
+    process: the match array, and the position where the parent piece
+    re-joined the tail, or the end of the input if it did not."""
+    tail = _tail_piece(data, _BUDGETS[level], mid)
+    p = _Parse(data, _BUDGETS[level])
     p.link(mid)
     p.run(mid)
     return _rejoin(p, *tail), min(p.state[0], len(data))
@@ -948,11 +1001,11 @@ def test_two_pieces_give_the_serial_parse(kind, n, seed, split, level, trigger):
     # early or not, re-joined or not
     data = piece_input(kind, n, seed)
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
-        ops, _ = two_piece_ops(data, level == 3, round(split * n))
-        assert ops.tolist() == _tokenize_ops(data, level == 3).tolist()
+        ops, _ = two_piece_ops(data, level, round(split * n))
+        assert ops.tolist() == parse(data, level).tolist()
 
 
-@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("searches", [False, True])
 @pytest.mark.parametrize("data, mid", [
     # one byte 5,000 times: the tail's 258-byte matches start 100 bytes off
     # the serial ones, and both end at the input's end
@@ -960,20 +1013,22 @@ def test_two_pieces_give_the_serial_parse(kind, n, seed, split, level, trigger):
     # split at the end, the tail piece is empty
     (random.Random(2).randbytes(3000), 3000),
 ])
-def test_two_pieces_that_never_rejoin_give_the_serial_parse(data, mid, lazy):
-    ops, joined_at = two_piece_ops(data, lazy, mid)
-    assert joined_at == len(data)
-    assert ops.tolist() == _tokenize_ops(data, lazy).tolist()
+def test_two_pieces_that_never_rejoin_give_the_serial_parse(data, mid, searches):
+    for level in levels_that_search(searches):
+        ops, joined_at = two_piece_ops(data, level, mid)
+        assert joined_at == len(data)
+        assert ops.tolist() == parse(data, level).tolist()
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_two_pieces_rejoin_near_the_split(lazy):
+@pytest.mark.parametrize("searches", [False, True])
+def test_two_pieces_rejoin_near_the_split(searches):
     # lossless mixed content re-aligns a few bytes past the split
     data = lossless_scanlines("mixed", 256)
     mid = len(data) // 2
-    ops, joined_at = two_piece_ops(data, lazy, mid)
-    assert mid <= joined_at < mid + 300
-    assert ops.tolist() == _tokenize_ops(data, lazy).tolist()
+    for level in levels_that_search(searches):
+        ops, joined_at = two_piece_ops(data, level, mid)
+        assert mid <= joined_at < mid + 300
+        assert ops.tolist() == parse(data, level).tolist()
 
 
 class ForkSpy:
@@ -1033,7 +1088,7 @@ def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(flate.os, "fork", spy), mock.patch.object(_Parse, "run", failing_parent_run(spy)), \
             pytest.raises(RuntimeError, match="mid-parse"):
-        _tokenize_ops(mixed_512, True)
+        parse(mixed_512, 3)
     assert len(spy.pids) == 1
     assert_no_child_left()
     with pytest.raises(ProcessLookupError):
@@ -1044,10 +1099,10 @@ def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
     # the child ends before it writes its piece; the parent parses on alone
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(flate, "_tail_piece", side_effect=RuntimeError("the child fails")):
-        ops = _tokenize_ops(mixed_512, True)
+        ops = parse(mixed_512, 3)
     assert_no_child_left()
     with mock.patch.object(flate, "_two_cpus", return_value=False):
-        assert ops.tolist() == _tokenize_ops(mixed_512, True).tolist()
+        assert ops.tolist() == parse(mixed_512, 3).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -1179,7 +1234,7 @@ def test_without_a_pidfd_a_failing_parent_sends_no_signal(mixed_512):
             mock.patch.object(flate.os, "kill") as kill, \
             mock.patch.object(flate.signal, "pidfd_send_signal") as pidfd_kill, \
             pytest.raises(RuntimeError, match="mid-parse"):
-        _tokenize_ops(mixed_512, True)
+        parse(mixed_512, 3)
     assert len(spy.pids) == 1
     kill.assert_not_called()
     pidfd_kill.assert_not_called()
@@ -1191,12 +1246,12 @@ def test_a_parse_stops_at_the_first_state_it_shares_with_join():
     # the two it does; the cursor steps over them to the first shared one
     data = lossless_scanlines("mixed", 128)
     states = []
-    whole = _Parse(data, True)
+    whole = _Parse(data, _BUDGETS[3])
     whole.link(whole.limit)
     whole.run(len(data), record=states)
     passed = states[0::2]
     join = sorted({passed[100] - 1, passed[200] + 1, passed[300], passed[400], (len(data) + 5) << 25})
-    p = _Parse(data, True)
+    p = _Parse(data, _BUDGETS[3])
     p.link(p.limit)
     at = p.run(len(data), join=memoryview(np.array(join, np.int64)))
     assert join[at] == passed[300]
@@ -1209,21 +1264,23 @@ def test_the_gate_keeps_inputs_below_the_split_minimum_serial():
     data = lossless_scanlines("mixed", 256)
     assert len(data) < flate._SPLIT_MIN
     with mock.patch.object(flate, "_two_cpus", return_value=True):
-        assert _split_point(_Parse(data, True)) is None
+        assert _split_point(_Parse(data, _BUDGETS[3])) is None
         with mock.patch.object(flate, "_SPLIT_MIN", len(data)):
-            assert _split_point(_Parse(data, True)) is not None
+            assert _split_point(_Parse(data, _BUDGETS[3])) is not None
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_the_gate_keeps_flat_k10_shapes_serial(lazy):
+@pytest.mark.parametrize("searches", [False, True])
+def test_the_gate_keeps_flat_k10_shapes_serial(searches):
     # about 390 loop steps in the first eighth of 786,944 bytes, below one
     # per _SPLIT_STEP_BYTES; lossless mixed content takes the split
-    with mock.patch.object(flate, "_two_cpus", return_value=True):
-        assert _split_point(_Parse(k10_scanlines("flat-shapes", 512), lazy)) is None
-        assert _split_point(_Parse(lossless_scanlines("mixed", 512), lazy)) is not None
-    with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(flate.os, "fork", side_effect=AssertionError("forked")):
-        _tokenize_ops(k10_scanlines("flat-shapes", 512), lazy)
+    flat, mixed = k10_scanlines("flat-shapes", 512), lossless_scanlines("mixed", 512)
+    for level in levels_that_search(searches):
+        with mock.patch.object(flate, "_two_cpus", return_value=True):
+            assert _split_point(_Parse(flat, _BUDGETS[level])) is None
+            assert _split_point(_Parse(mixed, _BUDGETS[level])) is not None
+        with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(flate.os, "fork", side_effect=AssertionError("forked")):
+            parse(flat, level)
 
 
 # ---------------------------------------------------------------------------
@@ -1260,21 +1317,21 @@ def test_deterministic_output():
         assert deflate_compress(blob, level) == deflate_compress(blob, level)
 
 
-# Level 0 is stored, levels 1-2 greedy and level 3 lazy; the bytes of all
-# four are pinned, so a change to the tokenizer, the Huffman stage or the
-# block writer that moves them shows.
-GREEDY_LEVEL_SHA256 = {
+# Level 0 is stored and levels 1-3 parse with their rows of budgets; the
+# bytes of all four are pinned, so a change to the tokenizer, the Huffman
+# stage or the block writer that moves them shows.
+LEVEL_SHA256 = {
     0: "ac2a59fe737dc40675d48eefa407abd7cff64b7c410eb3ad9d6c005f508cd55c",
-    1: "c577e291d85ac215374efc81925d7bda407fb66712521f6a1d49e1a454137dd4",
-    2: "85e6b5dedb80421420ce55a914f5df560dd97f35aa7cbd93e7b8f5b3c50c757c",
+    1: "288b98ea55689bdb016a4f52c69057191a1da2c41385b4336f3beb18f432a8bf",
+    2: "a66deeaa1773e81029533191309891c29b9d4f3508df70f766484d8834fcf884",
     3: "c7d0cebc44d49f51cc8b3a2bb3cfea8beee47e72611d9c7b2b5997b2f66be301",
 }
 
 
-@pytest.mark.parametrize("level", sorted(GREEDY_LEVEL_SHA256))
-def test_greedy_level_output_is_pinned(level):
+@pytest.mark.parametrize("level", sorted(LEVEL_SHA256))
+def test_level_output_is_pinned(level):
     stream = deflate_compress(b"".join(structured_inputs()), level)
-    assert hashlib.sha256(stream).hexdigest() == GREEDY_LEVEL_SHA256[level]
+    assert hashlib.sha256(stream).hexdigest() == LEVEL_SHA256[level]
 
 
 def test_run_compresses_tightly():
@@ -1403,10 +1460,10 @@ def test_every_proper_prefix_is_truncated():
     text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
     # literal 0 is the most frequent symbol, so the dynamic code's all-zero
     # code is a literal: the zero bits past a cut decode as literals
-    skewed_src = bytes(rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600))
-    skewed = deflate_compress(skewed_src, 2)
+    skewed_ops = [rng.choice(b"\x00" * 12 + bytes(range(1, 48))) for _ in range(600)]
+    _, skewed = stream_of_ops(skewed_ops)  # literals only
     assert skewed[2] & 7 == 0b101  # one final dynamic block
-    (block,) = _plan_blocks(token_stream(skewed_src, False))
+    (block,) = _plan_blocks(tokens_of_ops(skewed_ops))
     lit_lengths = block.plan.lit_lengths
     # the canonical all-zero code is the first symbol of the shortest length
     assert np.flatnonzero(lit_lengths == lit_lengths[lit_lengths > 0].min())[0] < 256
@@ -1450,15 +1507,15 @@ def test_stored_blocks_after_huffman_blocks_at_every_bit_offset():
             with pytest.raises(TruncatedStreamError):
                 inflate(stream[:cut])
     # stored blocks between two dynamic blocks: the plan stores the noise
-    # between the two texts, each coded in a block of at least 16 KiB, the
-    # least a split leaves. Every prefix would cost minutes; cut within 24
-    # bytes of where the stored data starts and ends, and of the trailer
-    text = b"".join(b"scanline %d of a k-PNG, " % (i % 23) for i in range(60))
-    src = text + random.Random(3).randbytes(140_000) + text
-    _, stored, _ = blocks = _plan_blocks(token_stream(src, False))
+    # between two runs of zeros, each coded in a block of at least 16 KiB,
+    # the least a split leaves. Every prefix would cost minutes; cut within
+    # 24 bytes of where the stored data starts and ends, and of the trailer
+    zeros = [0] + [MAX_MATCH << 16 | 1] * 5 + [119 << 16 | 1]  # 1,410 bytes
+    ops = zeros + list(random.Random(3).randbytes(140_000)) + zeros
+    _, stored, _ = blocks = _plan_blocks(tokens_of_ops(ops))
     assert [b.btype for b in blocks] == [2, 0, 2]
-    stream = deflate_compress(src, 2)
-    assert inflate(stream) == src
+    src, stream = stream_of_ops(ops)
+    assert inflate(stream) == src == zlib.decompress(stream)
     start = stream.find(src[stored.byte_start : stored.byte_start + 64])
     end = stream.find(src[stored.byte_end - 64 : stored.byte_end]) + 64
     for cut in {*range(start - 24, start + 24), *range(end - 24, end + 24), *range(len(stream) - 24, len(stream))}:
@@ -1790,10 +1847,11 @@ def token_histogram(t, start, end):
     return freq
 
 
-def tokens_of_ops(ops):
-    """The token stream of an op list, each op a literal byte or ``length <<
-    16 | distance``: its input holds each literal's byte and zeros where a
-    match copies, and its match array has each match at its start."""
+def input_of_ops(ops):
+    """The input and match array of an op list, each op a literal byte or
+    ``length << 16 | distance``: the input holds each literal's byte and
+    zeros where a match copies, and the match array has each match at its
+    start."""
     data, matches = bytearray(), []
     for op in ops:
         if op > 255:
@@ -1801,7 +1859,22 @@ def tokens_of_ops(ops):
             data += bytes(op >> 16)
         else:
             data.append(op)
-    return _tokens(bytes(data), np.array(matches, np.int64))
+    return bytes(data), np.array(matches, np.int64)
+
+
+def tokens_of_ops(ops):
+    """The token stream of an op list (``input_of_ops``)."""
+    return _tokens(*input_of_ops(ops))
+
+
+def stream_of_ops(ops):
+    """The input of an op list (``input_of_ops``) and its level 2 stream,
+    written with the ops' matches in place of the parse's, so its blocks are
+    the plan of ``tokens_of_ops(ops)``. The stream holds the input where
+    every match copies zeros."""
+    data, matches = input_of_ops(ops)
+    with mock.patch.object(flate, "_tokenize_ops", return_value=matches):
+        return data, deflate_compress(data, 2)
 
 
 def assert_written(w, bits):
@@ -2081,7 +2154,7 @@ def _frequency_vectors():
         vecs.append((freqs, max_bits))
     # the histograms of real blocks, at both dynamic levels
     for level in (2, 3):
-        t = token_stream(b"".join(structured_inputs()), level == 3)
+        t = token_stream(b"".join(structured_inputs()), level)
         for block in _plan_blocks(t):
             freq = token_histogram(t, block.tok_start, block.tok_end)
             vecs += [(freq[:286].tolist(), 15), (freq[286:].tolist(), 15)]
@@ -2171,7 +2244,7 @@ def priced_cut(t):
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_block_merge_costs_no_more_than_the_64k_cut(name, level):
     data = MERGE_INPUTS[name]
-    t = token_stream(data, level == 3)
+    t = token_stream(data, level)
     cut = priced_cut(t)
     blocks = _plan_blocks(t)
     assert len(cut) >= 4
@@ -2205,7 +2278,7 @@ TEXT_RANDOM_TEXT = word_text(5, CHANGES[0]) + random.Random(9).randbytes(CHANGES
 def test_plan_cuts_where_the_content_changes(level):
     data = TEXT_RANDOM_TEXT
     assert all(c % _CHUNK_INPUT and c % CUT_INPUT for c in CHANGES)
-    t = token_stream(data, level == 3)
+    t = token_stream(data, level)
     blocks = _plan_blocks(t)
     starts = [b.byte_start for b in blocks]
     assert all(min(abs(s - c) for s in starts) <= _CHUNK_INPUT for c in CHANGES), starts
@@ -2218,7 +2291,7 @@ def test_plan_cuts_where_the_content_changes(level):
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("data", [b"", b"k", b"png"])
 def test_plan_of_tiny_inputs(data, level):
-    t = token_stream(data, level == 3)
+    t = token_stream(data, level)
     (block,) = _plan_blocks(t)
     assert (block.tok_start, block.tok_end, block.byte_start, block.byte_end) == (0, len(t.sym), 0, len(data))
     stream = deflate_compress(data, level)
@@ -2229,11 +2302,11 @@ def test_plan_of_tiny_inputs(data, level):
 @pytest.mark.parametrize("level", [2, 3])
 def test_chunk_sums_match_per_span_count(level):
     data = TEXT_RANDOM_TEXT
-    t = token_stream(data, level == 3)
+    t = token_stream(data, level)
     sums = _chunk_sums(t)
     # each token's start from the op array the matches expand to; each
     # chunk starts at the first token at or past a multiple of _CHUNK_INPUT
-    ops = ops_from_matches(data, _tokenize_ops(data, level == 3)).tolist()
+    ops = ops_from_matches(data, parse(data, level)).tolist()
     ends = np.cumsum([op >> 16 or 1 for op in ops]).tolist()
     starts = []
     grid = 0
@@ -2326,7 +2399,7 @@ def test_plan_builds_a_bounded_number_of_codes(monkeypatch):
             super().__init__(freq)
 
     monkeypatch.setattr(flate, "_DynamicPlan", CountingPlan)
-    t = token_stream(TEXT_RANDOM_TEXT, True)
+    t = token_stream(TEXT_RANDOM_TEXT, 3)
     blocks = _plan_blocks(t)
     _, bounds = kept_spans(t)
     assert len(bounds) - 1 == len(blocks) == 5
@@ -2344,7 +2417,7 @@ def test_plan_prices_each_span_once(k, monkeypatch):
     img = kmm_transform(img, k) if k else img
     data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
     assert len(data) == 12_352
-    t = token_stream(data, True)
+    t = token_stream(data, 3)
     spans = []
 
     def counting(sums, a, b):
@@ -2363,7 +2436,7 @@ def test_plan_prices_the_whole_input_once(monkeypatch):
     whole input as a merge and keeps its two spans apart: the whole input,
     its safety net, is not priced again."""
     monkeypatch.setattr(flate, "_MERGE_SLACK", 1 << 30)
-    t = token_stream(MERGE_INPUTS["uniform"], True)
+    t = token_stream(MERGE_INPUTS["uniform"], 3)
     spans = []
 
     def counting(sums, a, b):
@@ -2398,7 +2471,7 @@ def test_plan_merges_kept_spans_when_that_pays():
     img = kmm_transform(generate(CorpusSpec("noise", 256, 256, seed=4)), 10)
     data = inflate(b"".join(c.data for c in parse_chunks(encode_png(img)) if c.type_code == b"IDAT"))
     assert len(data) == 196_864
-    t = token_stream(data, True)
+    t = token_stream(data, 3)
     sums, bounds = kept_spans(t)
     apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
     blocks = _plan_blocks(t)
@@ -2411,24 +2484,26 @@ def test_plan_merges_kept_spans_when_that_pays():
 
 
 def test_plan_is_the_64k_cut_when_the_cut_costs_less():
-    # scripts/deflate_parity.py's seed-0 "repeat at distance 32768": the split
-    # stores the first 16 KiB and codes the rest, which priced exactly is 9
+    # scripts/deflate_parity.py's seed-0 "repeat at distance 32768" as
+    # literals, then its repeated 600-byte block as three matches: the split
+    # stores the first 16 KiB and codes the rest, which priced exactly is 5
     # bits dearer than one dynamic block, the whole span; the input is one
     # block of the 64 KiB cut too
     rng = random.Random(0)
     for size in (0, 1, 2, 3, 700, rng.randrange(70_001), 70_000):
         rng.randbytes(size)
     block = rng.randbytes(600)
-    data = block + rng.randbytes(WINDOW_SIZE - len(block)) + block
-    assert len(data) == 33_368
-    t = token_stream(data, False)
+    ops = list(block + rng.randbytes(WINDOW_SIZE - len(block))) + [
+        MAX_MATCH << 16 | WINDOW_SIZE, MAX_MATCH << 16 | WINDOW_SIZE, 84 << 16 | WINDOW_SIZE]
+    t = tokens_of_ops(ops)
+    assert t.start[-1] == 33_368
     sums, bounds = kept_spans(t)
     apart = [_priced_block(sums, a, b) for a, b in zip(bounds, bounds[1:])]
     whole = _priced_block(sums, 0, bounds[-1])
     blocks = _plan_blocks(t)
     assert [b.btype for b in apart] == [0, 2]
     assert priced_cut(t) == [whole.bits]
-    assert sum(b.bits for b in apart) - whole.bits == 9
+    assert sum(b.bits for b in apart) - whole.bits == 5
     assert [b[:6] for b in blocks] == [whole[:6]]
     assert blocks[0].bits == written_bits(t, blocks[0])
 
@@ -2436,7 +2511,7 @@ def test_plan_is_the_64k_cut_when_the_cut_costs_less():
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
 def test_planned_bits_are_the_bits_written(name, level):
-    t = token_stream(MERGE_INPUTS[name], level == 3)
+    t = token_stream(MERGE_INPUTS[name], level)
     blocks = _plan_blocks(t)
     coded = [b for b in blocks if b.btype]
     assert coded

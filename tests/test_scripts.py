@@ -75,16 +75,18 @@ def test_deflate_parity_sizes_fails_on_a_larger_stream(tmp_path):
 
 
 def test_deflate_parity_corpus_builds_the_lazy_parse_mask():
-    # --against covers level 3's masked path without the benchmark's inputs
+    # --against covers the masked path at every level without the
+    # benchmark's inputs
     sys.path.insert(0, str(SCRIPTS))
     try:
         import deflate_parity
     finally:
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["noise 256x256 k=10"]
-    with mock.patch.object(kpng.flate, "_clear_dead", wraps=kpng.flate._clear_dead) as builder:
-        kpng.flate._tokenize_ops(data, True)
-    builder.assert_called_once()
+    for budget in kpng.flate._BUDGETS.values():
+        with mock.patch.object(kpng.flate, "_clear_dead", wraps=kpng.flate._clear_dead) as builder:
+            kpng.flate._tokenize_ops(data, budget)
+        builder.assert_called_once()
 
 
 def test_deflate_parity_corpus_has_a_literal_run_across_a_segment():
@@ -97,7 +99,7 @@ def test_deflate_parity_corpus_has_a_literal_run_across_a_segment():
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["literal run across a segment"]
     assert len(data) == kpng.flate._LINK_SEGMENT + 64
-    p = kpng.flate._Parse(data, True)
+    p = kpng.flate._Parse(data, kpng.flate._BUDGETS[3])
     p.link(p.limit)
     live = p.live
     assert live.rfind(1) < kpng.flate._LINK_SEGMENT
@@ -112,5 +114,5 @@ def test_deflate_parity_corpus_takes_the_two_process_parse():
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["mixed 512x512, two processes"]
     with mock.patch.object(kpng.flate, "_two_cpus", return_value=True):
-        for lazy in (False, True):
-            assert kpng.flate._split_point(kpng.flate._Parse(data, lazy)) is not None
+        for budget in kpng.flate._BUDGETS.values():
+            assert kpng.flate._split_point(kpng.flate._Parse(data, budget)) is not None
