@@ -21,8 +21,10 @@ both and compares the streams. The corpus:
   run crosses the 64 KiB segment edge of the chain links and the live mask
   and ends at the input's end;
 - the scanlines of a 512x512 mixed image, the same at every ``--seed``,
-  786,944 bytes that the parse splits between two processes where it may
-  run on two CPUs (levels 1-3).
+  786,944 bytes that every level cuts into a head and a tail piece at
+  442,656, parsed apart as pigz compresses its pieces; against a
+  ``flate.py`` that parsed them as one piece, level 3 comes out 2 bytes
+  larger.
 
 ``--seed`` picks the tiles and the random bytes. ``--bench-seed S`` adds the
 benchmark's inputs: the filtered scanlines of three 512x512 images of every

@@ -140,26 +140,25 @@ there on a dead position is lone, so with nothing pending it joins a
 literal run and with a match pending it lets the match commit, and the
 parse tests ``live`` alone.
 
-On two CPUs, a long input whose parse steps often is parsed by two
-processes at once, and the matches are the serial parse's. The parse is a
-function of its loop state ``(i, pend_len, pend_dist)`` alone, since the
-dead positions change which walks run and not what they return. So a
-forked child parses the tail from a split point ``mid``, started cold with
-nothing pending, and records each loop state it passes; the parent parses
-up to ``mid``, then on until its state is one the child passed, and from
-there takes the child's matches. Where no state is shared, the parent
-parses to the end itself, which is the serial parse. The gate
-(``_split_point``) reads the input alone, past the CPU count: at least
-``_SPLIT_MIN`` = 320 KiB, and one loop step or more per
-``_SPLIT_STEP_BYTES`` = 128 bytes in the parse of the first eighth,
-which the parent runs first. Flat k=10 content
-takes about one per 250 bytes and stays serial, since its parse is short
-and its 258-byte matches re-align slowly; lossless and noisy content
-takes one per 15-60 bytes. The split point halves the rest of the input.
-The child ends with ``os._exit`` after it writes its piece to a pipe, and
-the parent reaps it, or kills and reaps it if the parent raises first
-(``_forked_matches``), through a pidfd only. If the fork fails or the
-child's piece is incomplete, the parent parses the rest itself.
+A long input whose parse steps often is cut in two, as pigz (Mark Adler)
+cuts its input: a head piece ``[0, mid)`` and a tail piece ``[mid, n)``
+are parsed apart and their match arrays joined. No match runs past its
+piece's end, so the head's last two positions are literals; the tail
+starts cold, with its own links from the window before ``mid``, so its
+matches reach back across the cut, as a pigz piece takes the 32 KiB
+before it as its dictionary. On the benchmark's split images (seed 7) the
+cut cost 0-2 bytes per 180-505 KB stream. The gate (``_split_point``)
+reads the input alone: at least ``_SPLIT_MIN`` = 320 KiB, and one loop
+step or more per ``_SPLIT_STEP_BYTES`` = 128 bytes in the parse of the
+first eighth, which the head piece runs first. Flat k=10 content takes
+about one per 250 bytes and stays one piece; lossless and noisy content
+takes one per 15-60 bytes. The cut halves the rest of the input. With two
+CPUs and ``os.fork``, a forked child parses the tail piece, ends with
+``os._exit`` after it writes its matches to a pipe, and is reaped, or
+killed and reaped if the parent raises first (``_forked_pieces``), through
+a pidfd only. Otherwise, or if the fork fails or the child's piece is
+incomplete, the parent parses the tail itself once the head's links are
+freed, so the bytes depend on the input and the level alone.
 
 Every integer argument (level, checksum start value, ``max_output``, token
 fields) passes :func:`kpng.errors._check_int`, and the data given to
@@ -518,11 +517,11 @@ _DEAD_TRIGGER = 64
 # reads the window before them
 _LINK_SEGMENT = 65536
 _LINK_RUN_BITS = (_LINK_SEGMENT + WINDOW_SIZE - 1).bit_length()
-# the two-process parse (``_split_point``): an input shorter than this
-# parses serially, and so does one whose parse of its first eighth takes
+# the two-process parse (``_split_point``): an input shorter than this is
+# parsed as one piece, and so is one whose parse of its first eighth takes
 # fewer than one loop step per _SPLIT_STEP_BYTES bytes. Level 3 on prefixes
 # of noisy k=10 content, the cheapest to parse that splits, tokenized in
-# 0.98-1.09x the serial time at 256 KiB and 0.77-0.94x at 320 KiB (seed 7,
+# 0.98-1.09x the one-process time at 256 KiB and 0.77-0.94x at 320 KiB (seed 7,
 # a 90 MB process on 2 vCPUs); lossless content paid from 64 KiB
 _SPLIT_MIN = 5 << 16
 _SPLIT_STEP_BYTES = 128
@@ -594,9 +593,11 @@ def _clear_dead(data: bytes, live: bytearray, prev: memoryview, lo: int, far: in
 
 
 class _Parse:
-    """One piece of the LZ77 parse: its loop state ``(i, pend_len,
-    pend_dist)``, the matches it recorded, its loop steps, and the hash
-    chain links it has built, from a window before its start on.
+    """One piece of the LZ77 parse, positions ``start`` to ``end``: its loop
+    state ``(i, pend_len, pend_dist)``, the matches it recorded, its loop
+    steps, and the hash chain links it has built, from a window before its
+    start on. No match runs past ``end``, the input's end unless the piece
+    is cut shorter before its parse comes near the cut.
 
     ``prev[i]`` links position ``i`` to the latest earlier position with its
     3-byte key, the hash chain of zlib's ``deflate.c`` ``prev[]``; -1 where
@@ -612,7 +613,7 @@ class _Parse:
     def __init__(self, data: bytes, budget: _Budget, start: int = 0):
         n = len(data)
         self.data, self.budget = data, budget
-        self.limit = max(n - 2, 0)  # positions below this have a full 3-byte key
+        self.end = n
         self.links = np.empty(n, np.int32 if n < 1 << 31 else np.int64)  # read only where built
         self.prev = memoryview(self.links)
         self.live = bytearray(min(max(start - WINDOW_SIZE, 0), self.limit))
@@ -621,6 +622,11 @@ class _Parse:
         self.matches: list[int] = []  # start << 25 | length << 16 | distance
         self.steps = 0  # loop iterations run
         self.misses = 0  # walks that started past far3 and found nothing
+
+    @property
+    def limit(self) -> int:
+        """Positions below this have a full 3-byte key inside the piece."""
+        return max(self.end - 2, 0)
 
     def link(self, to: int) -> None:
         """Builds the links of every position up to ``to`` at least, one
@@ -635,44 +641,24 @@ class _Parse:
         if self.dead:
             _clear_dead(self.data, self.live, self.prev, lo, _FAR_LIMIT[3])
 
-    def run(self, stop: int, record: list[int] | None = None, join: memoryview | None = None) -> int | None:
+    def run(self, stop: int) -> None:
         """Parses on from ``state`` until the position reaches ``stop``, and
-        builds the next segment's links wherever the links run out.
-
-        ``record`` gets each loop state the parse passes, packed as ``i <<
-        25 | pend_len << 16 | pend_dist``, then the count of matches
-        recorded before it. With ``join``, such states in increasing order,
-        the last past every state the parse reaches, the parse stops at the
-        first state it holds and returns that state's index there; otherwise
-        it returns None. A parse's states increase, since every loop step
-        advances ``i``, so one cursor walks ``join`` alongside."""
+        builds the next segment's links wherever the links run out."""
         data, live, prev = self.data, self.live, self.prev
-        matches = self.matches
-        append = matches.append
+        append = self.matches.append
         max_chain, rounds = self.budget
         good_length = _GOOD_LENGTH
         far3 = _FAR_LIMIT[3]  # the farthest length-3 match taken
         far4 = _FAR_LIMIT[4]
-        n = len(data)
+        n = self.end  # no match runs past it
         limit = self.limit
         trigger = _DEAD_TRIGGER
         misses = self.misses  # equals trigger once at most
         steps = self.steps
         i, pend_len, pend_dist = self.state
-        at = None
-        cur = 0  # the first state in join not below the parse's
         while True:
-            end = stop if len(live) == limit else min(stop, len(live))
+            end = stop if len(live) >= limit else min(stop, len(live))
             while i < end:
-                if record is not None:
-                    record += i << 25 | pend_len << 16 | pend_dist, len(matches)
-                elif join is not None:
-                    state = i << 25 | pend_len << 16 | pend_dist
-                    while join[cur] < state:
-                        cur += 1
-                    if join[cur] == state:
-                        at = cur
-                        break
                 steps += 1
                 best_len = 0
                 best_dist = 0
@@ -773,12 +759,11 @@ class _Parse:
                 else:
                     append(start << 25 | best_len << 16 | best_dist)
                     i = start + best_len
-            if at is not None or i >= stop:
+            if i >= stop:
                 break
             self.link(len(live) + 1)
         self.state = (i, pend_len, pend_dist)
         self.misses, self.steps = misses, steps
-        return at
 
 
 def _two_cpus() -> bool:
@@ -787,13 +772,14 @@ def _two_cpus() -> bool:
 
 
 def _split_point(p: _Parse) -> int | None:
-    """Where the two-process parse splits the input of ``p``, a parse not yet
-    started, or None if it parses serially: on one CPU, below
+    """Where the input of ``p``, a parse not yet started, is cut into a head
+    piece and a tail piece, or None if it is parsed as one piece: below
     ``_SPLIT_MIN`` bytes, and where the parse of the first eighth of the
     input, which ``p`` runs, took fewer than one loop step per
-    ``_SPLIT_STEP_BYTES``. Past that eighth, the split point halves the rest."""
+    ``_SPLIT_STEP_BYTES``. Past that eighth, the cut halves the rest. The
+    input alone decides, so every host parses the same pieces."""
     n = len(p.data)
-    if n < _SPLIT_MIN or not _two_cpus():
+    if n < _SPLIT_MIN:
         return None
     gate = n >> 3
     p.link(gate)
@@ -803,52 +789,37 @@ def _split_point(p: _Parse) -> int | None:
     return (n + gate) >> 1
 
 
-def _tail_piece(data: bytes, budget: _Budget, mid: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parse of ``data`` from ``mid`` on, started cold with nothing
-    pending: its matches, and each loop state it passed beside the count of
-    matches recorded before it, as int64 arrays (``_Parse.run``'s
-    ``record``). The states are in the order passed, so they are sorted."""
-    p = _Parse(data, budget, mid)
+def _matches(p: _Parse) -> np.ndarray:
+    """The matches of the piece ``p``, parsed on to its end, as an int64 array."""
     p.link(p.limit)
-    states: list[int] = []
-    p.run(len(data), record=states)
-    return np.array(p.matches, np.int64), np.array(states, np.int64).reshape(-1, 2)
+    p.run(p.end)
+    return np.array(p.matches, np.int64)
 
 
-def _rejoin(p: _Parse, tail: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The matches of ``p`` parsed on to the first loop state that the tail
-    piece passed, then the tail's matches from that state on; or those of
-    ``p`` parsed to the end of the input, if it passes no such state."""
-    # read in place: a Python int per state would add tens of bytes each
-    at = p.run(len(p.data), join=memoryview(np.append(states[:, 0], 1 << 62)))
-    head = np.array(p.matches, np.int64)
-    return head if at is None else np.concatenate((head, tail[states[at, 1] :]))
+def _tail_piece(data: bytes, budget: _Budget, mid: int) -> np.ndarray:
+    """The matches of ``data`` from ``mid`` to its end, parsed as a piece of
+    its own, started cold with nothing pending."""
+    return _matches(_Parse(data, budget, mid))
 
 
-def _send(fd: int, tail: np.ndarray, states: np.ndarray) -> None:
-    """Writes the tail piece to the pipe ``fd`` as int64s: the count of its
-    matches and of its states, its matches, then the states, each beside
-    its count of matches."""
-    head = np.array([len(tail), len(states)], np.int64)
-    view = memoryview(b"".join((head.tobytes(), tail.tobytes(), states.tobytes())))
+def _send(fd: int, tail: np.ndarray) -> None:
+    """Writes the tail piece's matches to the pipe ``fd``, count first, as int64s."""
+    view = memoryview(np.append(np.int64(len(tail)), tail).tobytes())
     while view:
         view = view[os.write(fd, view) :]
 
 
-def _received(fd: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The tail piece that ``_send`` wrote to the pipe ``fd``, read to its
-    end; None if what was written is not all there."""
+def _received(fd: int) -> np.ndarray | None:
+    """The matches that ``_send`` wrote to the pipe ``fd``, read to its end;
+    None if what was written is not all there."""
     chunks = []
     while chunk := os.read(fd, 1 << 20):
         chunks.append(chunk)
     raw = b"".join(chunks)
-    if len(raw) < 16 or len(raw) % 8:
+    if len(raw) < 8 or len(raw) % 8:
         return None
     v = np.frombuffer(raw, np.int64)
-    m, s = int(v[0]), int(v[1])
-    if len(v) != 2 + m + 2 * s:
-        return None
-    return v[2 : 2 + m], v[2 + m :].reshape(-1, 2)
+    return v[1:] if v[0] == len(v) - 1 else None
 
 
 # from Python 3.12 on, os.fork warns in a process with more than one OS
@@ -856,22 +827,21 @@ def _received(fd: int) -> tuple[np.ndarray, np.ndarray] | None:
 _FORK_WARNING = r"This process .*is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
-def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
-    """The matches of ``p``'s input, its tail piece from ``mid`` on parsed in
-    a forked child while ``p`` parses up to ``mid``, then ``_rejoin``.
+def _forked_pieces(p: _Parse) -> tuple[np.ndarray, np.ndarray | None]:
+    """The matches of the head piece ``p``, parsed here while a forked child
+    parses the tail piece from ``p.end`` on, then the child's matches, or
+    None for them if the fork fails or the child's piece is incomplete.
 
     The child runs only the tail piece: numpy sorts and comparisons, byte
     compares and ``rfind``, no BLAS call and no lock another thread may
     hold. It writes its piece to a pipe and ends with ``os._exit``, so no
     exit handler, buffered file or test hook of the parent runs in it. The
     parent reads the pipe to its end and reaps the child; if it raises
-    first, it kills and reaps the child before the exception leaves. If the
-    fork fails or the piece is incomplete, the parent parses the rest
-    itself. A host that ignores SIGCHLD or reaps every child may reap this
-    one first; ``waitpid`` then raises ``ChildProcessError``, and a complete
-    piece stands. The kill goes through a pidfd, which never names a process
-    that took the pid after a reap; without one, nothing is sent."""
-    no_piece = np.zeros(0, np.int64), np.zeros((0, 2), np.int64)
+    first, it kills and reaps the child before the exception leaves. A host
+    that ignores SIGCHLD or reaps every child may reap this one first;
+    ``waitpid`` then raises ``ChildProcessError``, and a complete piece
+    stands. The kill goes through a pidfd, which never names a process that
+    took the pid after a reap; without one, nothing is sent."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -882,12 +852,12 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
         os.close(w)
         if not isinstance(exc, OSError):
             raise
-        return _rejoin(p, *no_piece)  # no process to spare
+        return _matches(p), None  # no process to spare
     if not pid:
         code = 1
         try:
             os.close(r)
-            _send(w, *_tail_piece(p.data, p.budget, mid))
+            _send(w, _tail_piece(p.data, p.budget, p.end))
             code = 0
         finally:
             os._exit(code)
@@ -896,8 +866,7 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
     try:
         with contextlib.suppress(AttributeError, OSError):  # no pidfd on this host
             pidfd = os.pidfd_open(pid)
-        p.link(mid)
-        p.run(mid)
+        head = _matches(p)
         tail = _received(r)
         try:
             if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
@@ -915,7 +884,7 @@ def _forked_matches(p: _Parse, mid: int) -> np.ndarray:
                 os.waitpid(pid, 0)
         if pidfd is not None:
             os.close(pidfd)
-    return _rejoin(p, *(no_piece if tail is None else tail))
+    return head, tail
 
 
 def _tokenize_ops(data: bytes, budget: _Budget) -> np.ndarray:
@@ -934,17 +903,23 @@ def _tokenize_ops(data: bytes, budget: _Budget) -> np.ndarray:
     literal or lets the pending match commit. Length 3 is checked in the
     walk and length 4 after it.
 
-    The module docstring tells how the walks read the chain links and the
-    ``live`` mask, how the parse skips dead positions, and how it is split
-    between two processes (``_split_point``, ``_forked_matches``): the
-    matches are the same however many CPUs there are."""
+    A long input whose parse steps often is cut at ``_split_point`` into a
+    head and a tail piece, parsed apart and joined, as pigz joins its
+    pieces: no match crosses the cut, which cost 0-2 bytes per stream on
+    the benchmark's split images. The tail runs in a forked child on two
+    CPUs (``_forked_pieces``) and here otherwise, so the matches depend on
+    the input and ``budget`` alone. The module docstring tells how the
+    walks read the links and the ``live`` mask and skip dead positions."""
     p = _Parse(data, budget)
     mid = _split_point(p)
-    if mid is not None:
-        return _forked_matches(p, mid)
-    p.link(p.limit)
-    p.run(len(data))
-    return np.array(p.matches, np.int64)
+    if mid is None:
+        return _matches(p)
+    p.end = mid
+    head, tail = _forked_pieces(p) if _two_cpus() else (_matches(p), None)
+    del p  # the head's links are freed before the tail is parsed here
+    if tail is None:  # one CPU, no fork, or no complete piece from the child
+        tail = _tail_piece(data, budget, mid)
+    return np.concatenate((head, tail))
 
 
 def lz77_tokenize(data: bytes, level: int | CompressionLevel = CompressionLevel.LAZY) -> list[Token]:

@@ -12,8 +12,9 @@ the outer product of a 1-D Gaussian, so each local mean is taken as two
 blurs per channel do the work of five. Each pass is a sliding window
 along a strided axis times the 1-D Gaussian; between the passes the band
 is copied column-major so the pass along the rows has the same form.
-``ssim`` refuses an image smaller than the window; ``compare`` reports its
-SSIM as NaN, beside its MSE and PSNR.
+The planes stay uint8: each band is cast to float64 alone, and MSE is an
+exact integer sum. ``ssim`` refuses an image smaller than the window;
+``compare`` reports its SSIM as NaN, beside its MSE and PSNR.
 """
 
 from __future__ import annotations
@@ -46,17 +47,20 @@ class QualityReport:
 
 
 def _mse_of(x: np.ndarray, y: np.ndarray) -> float:
-    # each squared difference is an integer <= 65025, so every partial sum
-    # is exact in float64 and the layout of x and y cannot change the result
-    return float(np.mean((x - y) ** 2))
+    """The mean squared difference of the uint8 samples ``x`` and ``y``,
+    from the exact integer sum: each squared difference is at most 65025,
+    squared in place in int32 and summed in int64, so the layout of x and y
+    cannot change the result. An int32 dot product would wrap past 2^31."""
+    d = x.astype(np.int32)
+    d -= y
+    d *= d
+    return int(d.sum(dtype=np.int64)) / d.size
 
 
 def mse(a: RasterImage, b: RasterImage) -> float:
     """Mean squared sample difference, all channels pooled."""
     a.check_same_shape(b)
-    x = np.frombuffer(a.samples, np.uint8).astype(np.float64)
-    y = np.frombuffer(b.samples, np.uint8).astype(np.float64)
-    return _mse_of(x, y)
+    return _mse_of(np.frombuffer(a.samples, np.uint8), np.frombuffer(b.samples, np.uint8))
 
 
 def _psnr_from_mse(m: float) -> float:
@@ -84,14 +88,14 @@ def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
 
 
 def _planes(img: RasterImage) -> np.ndarray:
-    """float64 samples, channel-major, so an SSIM band is one row slice of
+    """uint8 samples, channel-major, so an SSIM band is one row slice of
     every contiguous plane."""
-    return img.to_array().transpose(2, 0, 1).astype(np.float64, order="C")
+    return np.ascontiguousarray(img.to_array().transpose(2, 0, 1))
 
 
 def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
     """Mean over channels of each channel's mean SSIM, for channel-major
-    float64 planes ``xa`` and ``ya``."""
+    uint8 planes ``xa`` and ``ya``; each band is cast to float64 alone."""
     g = _gaussian_1d(SSIM_WINDOW, SSIM_SIGMA)
     halo = SSIM_WINDOW - 1
     channels, height, width = xa.shape
@@ -99,8 +103,8 @@ def _ssim_of(xa: np.ndarray, ya: np.ndarray) -> float:
     sums = np.zeros(channels)
     for r0 in range(0, out_h, _SSIM_BAND_ROWS):
         r1 = min(r0 + _SSIM_BAND_ROWS, out_h) + halo
-        x = xa[:, r0:r1]
-        y = ya[:, r0:r1]
+        x = xa[:, r0:r1].astype(np.float64)
+        y = ya[:, r0:r1].astype(np.float64)
         maps = np.stack((x, y, x * x + y * y, x * y))
         cols = sliding_window_view(maps, SSIM_WINDOW, axis=2) @ g
         cols = np.ascontiguousarray(cols.swapaxes(2, 3))
@@ -125,7 +129,7 @@ def ssim(a: RasterImage, b: RasterImage) -> float:
 
 
 def compare(a: RasterImage, b: RasterImage) -> QualityReport:
-    """All three quality measures at once, from one float64 conversion of
+    """All three quality measures at once, from one channel-major copy of
     each image. SSIM is NaN when the images are smaller than the window."""
     a.check_same_shape(b)
     xa = _planes(a)

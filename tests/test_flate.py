@@ -52,8 +52,8 @@ from kpng.flate import (
     _build_decode_table,
     _Parse,
     _clear_dead,
+    _matches,
     _received,
-    _rejoin,
     _send,
     _split_point,
     _tail_piece,
@@ -900,44 +900,42 @@ def test_noise_k10_builds_the_mask_mid_run():
 
 def lazy_parse_peak_bytes(data, trigger):
     """The tracemalloc peak of level 3's parse through its token stream: the
-    greater of the serial parse's and, where the gate splits the input, of
-    each piece of the two-process parse. tracemalloc does not see a forked
-    child, so both pieces run in process, one after the other
-    (``piece_peak_bytes``)."""
+    greater of the parse in one process and, where the gate splits the
+    input, of each process of the two-process parse. tracemalloc does not
+    see a forked child, so both processes' parts run in process, one after
+    the other (``piece_peak_bytes``)."""
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
         with mock.patch.object(flate, "_two_cpus", return_value=False):
-            serial = peak_traced_bytes(lambda: token_stream(data, 3))
-        with mock.patch.object(flate, "_two_cpus", return_value=True):
-            mid = _split_point(_Parse(data, _BUDGETS[3]))
-            return max(serial, *piece_peak_bytes(data, mid)) if mid else serial
+            one = peak_traced_bytes(lambda: token_stream(data, 3))
+        mid = _split_point(_Parse(data, _BUDGETS[3]))
+        return max(one, *piece_peak_bytes(data, mid)) if mid else one
 
 
 def piece_peak_bytes(data, mid):
-    """The tracemalloc peaks of the two pieces of level 3's parse split at
+    """The tracemalloc peaks of the two processes of level 3's parse split at
     ``mid``, each run in process as its process runs it: the child's, from
-    its links to what it writes to its pipe (a file here), and the
-    parent's, from the gate's parse through reading the child's piece back
-    to the token stream of the re-joined matches, which must be the serial
-    ones."""
-    rejoined = []
+    the tail piece's links to what it writes to its pipe (a file here), and
+    the parent's, from the gate's parse through the head piece and reading
+    the child's piece back to the token stream of the joined matches, which
+    must be the one-process ones."""
+    joined = []
 
     def parent():
         p = _Parse(data, _BUDGETS[3])
         assert _split_point(p) == mid
-        p.link(mid)
-        p.run(mid)
-        matches = _rejoin(p, *_received(fd))
+        p.end = mid
+        head, tail = _matches(p), _received(fd)
         del p
-        rejoined.append(matches)
-        _tokens(data, matches)
+        joined.append(np.concatenate((head, tail)))
+        _tokens(data, joined[0])
 
     with tempfile.TemporaryFile() as f:
         fd = f.fileno()
-        child = peak_traced_bytes(lambda: _send(fd, *_tail_piece(data, _BUDGETS[3], mid)))
+        child = peak_traced_bytes(lambda: _send(fd, _tail_piece(data, _BUDGETS[3], mid)))
         os.lseek(fd, 0, os.SEEK_SET)
         head = peak_traced_bytes(parent)
     with mock.patch.object(flate, "_two_cpus", return_value=False):
-        assert rejoined[0].tolist() == parse(data, 3).tolist()
+        assert joined[0].tolist() == parse(data, 3).tolist()
     return child, head
 
 
@@ -969,24 +967,32 @@ def test_live_mask_adds_at_most_a_byte_per_position(kind):
 
 
 # ---------------------------------------------------------------------------
-# the two-process parse: a tail piece from mid, started cold, and a parent
-# piece that parses on to the first loop state the tail passed
+# the two-process parse: a head piece up to mid and a tail piece from mid,
+# started cold, each parsed on its own and joined
 
 
 def two_piece_ops(data, level, mid):
-    """Both pieces of the parse at ``level`` split at ``mid``, run in
-    process: the match array, and the position where the parent piece
-    re-joined the tail, or the end of the input if it did not."""
-    tail = _tail_piece(data, _BUDGETS[level], mid)
-    p = _Parse(data, _BUDGETS[level])
-    p.link(mid)
-    p.run(mid)
-    return _rejoin(p, *tail), min(p.state[0], len(data))
+    """The match arrays of the head piece of ``data`` up to ``mid`` and of
+    the tail piece from it, each parsed in process at ``level``."""
+    head = _Parse(data, _BUDGETS[level])
+    head.end = mid
+    return _matches(head), _tail_piece(data, _BUDGETS[level], mid)
+
+
+def assert_two_pieces(data, level, mid):
+    """No match of the head piece ends past ``mid`` and none of the tail
+    piece starts before it; joined, they expand to ``data``."""
+    head, tail = two_piece_ops(data, level, mid)
+    assert ((head >> 25) + (head >> 16 & 0x1FF) <= mid).all()
+    assert (tail >> 25 >= mid).all()
+    ops = ops_from_matches(data, np.concatenate((head, tail))).tolist()
+    assert lz77_expand(Literal(op) if op < 256 else Match(op >> 16, op & 0xFFFF) for op in ops) == data
+    return head, tail
 
 
 def piece_input(kind, n, seed):
     """``n`` bytes of ``kind``: random bytes of that many values, or runs of
-    one byte, whose 258-byte matches re-align only where the runs end."""
+    one byte, whose 258-byte matches run into the cut."""
     rng = random.Random(seed)
     if kind == "runs":
         return b"".join(bytes([rng.randrange(4)]) * rng.randrange(1, 1500) for _ in range(n // 200 + 1))[:n]
@@ -996,39 +1002,36 @@ def piece_input(kind, n, seed):
 @given(st.sampled_from(["runs", 2, 4, 26, 256]), st.integers(0, 6000), st.integers(0, 2**32),
        st.floats(0, 1), st.sampled_from([1, 2, 3]), st.sampled_from([1, _DEAD_TRIGGER]))
 @settings(max_examples=80, deadline=None)
-def test_two_pieces_give_the_serial_parse(kind, n, seed, split, level, trigger):
+def test_two_pieces_meet_at_the_cut(kind, n, seed, split, level, trigger):
     # at any split point, at every level, with the dead positions cleared
-    # early or not, re-joined or not
-    data = piece_input(kind, n, seed)
+    # early or not; cut at the end, the tail is empty and the head is the
+    # parse of one piece
+    data = piece_input(kind, n, seed)  # runs may come out shorter than n
     with mock.patch.object(flate, "_DEAD_TRIGGER", trigger):
-        ops, _ = two_piece_ops(data, level, round(split * n))
-        assert ops.tolist() == parse(data, level).tolist()
+        assert_two_pieces(data, level, round(split * len(data)))
+        head, tail = assert_two_pieces(data, level, len(data))
+        assert len(tail) == 0
+        assert head.tolist() == parse(data, level).tolist()
 
 
 @pytest.mark.parametrize("searches", [False, True])
 @pytest.mark.parametrize("data, mid", [
-    # one byte 5,000 times: the tail's 258-byte matches start 100 bytes off
-    # the serial ones, and both end at the input's end
-    (b"a" * 5000, 101 + 258 * 6),
-    # split at the end, the tail piece is empty
-    (random.Random(2).randbytes(3000), 3000),
+    # one byte 5,000 times: the cut falls 100 bytes into a 258-byte match
+    # of the one-piece parse, so the head's last match ends at the cut and
+    # the tail's first starts there
+    pytest.param(b"a" * 5000, 101 + 258 * 6, id="one-byte-run"),
+    # cut at the end, the tail piece is empty
+    pytest.param(random.Random(2).randbytes(3000), 3000, id="cut-at-the-end"),
 ])
-def test_two_pieces_that_never_rejoin_give_the_serial_parse(data, mid, searches):
+def test_two_pieces_at_the_edges(data, mid, searches):
     for level in levels_that_search(searches):
-        ops, joined_at = two_piece_ops(data, level, mid)
-        assert joined_at == len(data)
-        assert ops.tolist() == parse(data, level).tolist()
-
-
-@pytest.mark.parametrize("searches", [False, True])
-def test_two_pieces_rejoin_near_the_split(searches):
-    # lossless mixed content re-aligns a few bytes past the split
-    data = lossless_scanlines("mixed", 256)
-    mid = len(data) // 2
-    for level in levels_that_search(searches):
-        ops, joined_at = two_piece_ops(data, level, mid)
-        assert mid <= joined_at < mid + 300
-        assert ops.tolist() == parse(data, level).tolist()
+        head, tail = assert_two_pieces(data, level, mid)
+        if mid < len(data):
+            assert int(head[-1] >> 25) + int(head[-1] >> 16 & 0x1FF) == mid
+            assert int(tail[0] >> 25) == mid
+        else:
+            assert len(tail) == 0
+            assert head.tolist() == parse(data, level).tolist()
 
 
 class ForkSpy:
@@ -1057,7 +1060,7 @@ def mixed_512():
 
 def test_two_process_parse_gives_the_serial_bytes(mixed_512):
     # 786,944 bytes of lossless mixed content take the fork path on two
-    # CPUs, and the stream is the serial one
+    # CPUs, and the stream is the one-CPU one
     spy = ForkSpy()
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(flate.os, "fork", spy):
@@ -1075,10 +1078,10 @@ def failing_parent_run(spy):
     parent = os.getpid()
     run = _Parse.run
 
-    def failing_run(self, stop, record=None, join=None):
+    def failing_run(self, stop):
         if os.getpid() == parent and spy.pids:
             raise RuntimeError("the parent fails mid-parse")
-        return run(self, stop, record, join)
+        return run(self, stop)
 
     return failing_run
 
@@ -1096,9 +1099,10 @@ def test_a_parent_that_raises_mid_parse_kills_and_reaps_its_child(mixed_512):
 
 
 def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
-    # the child ends before it writes its piece; the parent parses on alone
+    # the child ends before it writes its piece; the parent parses the tail
+    # piece itself
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(flate, "_tail_piece", side_effect=RuntimeError("the child fails")):
+            mock.patch.object(flate, "_send", side_effect=RuntimeError("the child fails")):
         ops = parse(mixed_512, 3)
     assert_no_child_left()
     with mock.patch.object(flate, "_two_cpus", return_value=False):
@@ -1107,8 +1111,8 @@ def test_a_failed_child_leaves_the_parent_to_parse_the_rest(mixed_512):
 
 @pytest.fixture(scope="module")
 def mixed_512_serial(mixed_512):
-    """The level 3 stream of ``mixed_512`` parsed in one process: the bytes
-    every host must get."""
+    """The level 3 stream of ``mixed_512``, both pieces parsed in one
+    process: the bytes every host must get."""
     with mock.patch.object(flate, "_two_cpus", return_value=False):
         return deflate_compress(mixed_512, 3)
 
@@ -1208,17 +1212,22 @@ def test_no_signal_follows_a_child_reaped_elsewhere(mixed_512, mixed_512_serial)
         waitpid(pid, options)
         raise ChildProcessError(errno.ECHILD, os.strerror(errno.ECHILD))
 
-    rejoin = mock.Mock(wraps=_rejoin)
+    pieces = []
+
+    def received(fd):
+        pieces.append(_received(fd))
+        return pieces[-1]
+
     with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(flate.os, "waitpid", side_effect=reaped_elsewhere) as wait, \
             mock.patch.object(flate.os, "kill") as kill, \
             mock.patch.object(flate.signal, "pidfd_send_signal") as pidfd_kill, \
-            mock.patch.object(flate, "_rejoin", rejoin):
+            mock.patch.object(flate, "_received", received):
         stream = deflate_compress(mixed_512, 3)
     wait.assert_called_once()
     kill.assert_not_called()
     pidfd_kill.assert_not_called()
-    assert len(rejoin.call_args.args[1])  # the child's matches
+    assert len(pieces) == 1 and len(pieces[0])  # the child's matches
     assert stream == mixed_512_serial
     assert_no_child_left()
 
@@ -1241,32 +1250,14 @@ def test_without_a_pidfd_a_failing_parent_sends_no_signal(mixed_512):
     assert_no_child_left()
 
 
-def test_a_parse_stops_at_the_first_state_it_shares_with_join():
-    # join holds states the parse never passes, before, between and after
-    # the two it does; the cursor steps over them to the first shared one
-    data = lossless_scanlines("mixed", 128)
-    states = []
-    whole = _Parse(data, _BUDGETS[3])
-    whole.link(whole.limit)
-    whole.run(len(data), record=states)
-    passed = states[0::2]
-    join = sorted({passed[100] - 1, passed[200] + 1, passed[300], passed[400], (len(data) + 5) << 25})
-    p = _Parse(data, _BUDGETS[3])
-    p.link(p.limit)
-    at = p.run(len(data), join=memoryview(np.array(join, np.int64)))
-    assert join[at] == passed[300]
-    assert p.state[0] << 25 | p.state[1] << 16 | p.state[2] == passed[300]
-
-
 def test_the_gate_keeps_inputs_below_the_split_minimum_serial():
     # 196,864 bytes of lossless mixed content step often enough to split,
     # but below _SPLIT_MIN the fork costs about what the split saves
     data = lossless_scanlines("mixed", 256)
     assert len(data) < flate._SPLIT_MIN
-    with mock.patch.object(flate, "_two_cpus", return_value=True):
-        assert _split_point(_Parse(data, _BUDGETS[3])) is None
-        with mock.patch.object(flate, "_SPLIT_MIN", len(data)):
-            assert _split_point(_Parse(data, _BUDGETS[3])) is not None
+    assert _split_point(_Parse(data, _BUDGETS[3])) is None
+    with mock.patch.object(flate, "_SPLIT_MIN", len(data)):
+        assert _split_point(_Parse(data, _BUDGETS[3])) is not None
 
 
 @pytest.mark.parametrize("searches", [False, True])
@@ -1275,12 +1266,21 @@ def test_the_gate_keeps_flat_k10_shapes_serial(searches):
     # per _SPLIT_STEP_BYTES; lossless mixed content takes the split
     flat, mixed = k10_scanlines("flat-shapes", 512), lossless_scanlines("mixed", 512)
     for level in levels_that_search(searches):
-        with mock.patch.object(flate, "_two_cpus", return_value=True):
-            assert _split_point(_Parse(flat, _BUDGETS[level])) is None
-            assert _split_point(_Parse(mixed, _BUDGETS[level])) is not None
+        assert _split_point(_Parse(flat, _BUDGETS[level])) is None
+        assert _split_point(_Parse(mixed, _BUDGETS[level])) is not None
         with mock.patch.object(flate.os, "sched_getaffinity", return_value={0, 1}), \
                 mock.patch.object(flate.os, "fork", side_effect=AssertionError("forked")):
             parse(flat, level)
+
+
+def test_the_split_point_is_the_same_on_one_cpu_and_on_two(mixed_512):
+    # the gate and the cut read the input alone, so every host parses the
+    # same pieces
+    mids = []
+    for cpus in ({0}, {0, 1}):
+        with mock.patch.object(flate.os, "sched_getaffinity", return_value=cpus):
+            mids.append(_split_point(_Parse(mixed_512, _BUDGETS[3])))
+    assert mids[0] is not None and mids[0] == mids[1]
 
 
 # ---------------------------------------------------------------------------

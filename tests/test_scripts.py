@@ -113,6 +113,5 @@ def test_deflate_parity_corpus_takes_the_two_process_parse():
     finally:
         sys.path.remove(str(SCRIPTS))
     data = dict(deflate_parity.corpus(3))["mixed 512x512, two processes"]
-    with mock.patch.object(kpng.flate, "_two_cpus", return_value=True):
-        for budget in kpng.flate._BUDGETS.values():
-            assert kpng.flate._split_point(kpng.flate._Parse(data, budget)) is not None
+    for budget in kpng.flate._BUDGETS.values():
+        assert kpng.flate._split_point(kpng.flate._Parse(data, budget)) is not None
